@@ -105,11 +105,11 @@ def design_diagnostics(data: ModelData) -> DesignDiagnostics:
 
 
 def _require_full_rank(data: ModelData) -> None:
-    diag = design_diagnostics(data)
-    if diag.min_eigenvalue_xtx_over_n <= MIN_DESIGN_EIGENVALUE:
+    x = data.design
+    lam = numerics.min_eigenvalue(x.T @ x / data.n_obs)
+    if lam <= MIN_DESIGN_EIGENVALUE:
         raise DecompositionError(
-            "design is rank deficient: min eigenvalue of X'X/n is "
-            f"{diag.min_eigenvalue_xtx_over_n:.3e}"
+            f"design is rank deficient: min eigenvalue of X'X/n is {lam:.3e}"
         )
 
 
@@ -154,7 +154,7 @@ def _objective_only(x, y, beta, s, a):
     c = ((1 + a) / (2 * math.pi)) ** (a / (2 * (1 + a)))
     with np.errstate(over="ignore", under="ignore"):
         v = c * sig ** (-a / (1 + a)) * np.exp(-0.5 * a * r * r)
-    val = float(np.mean(v))
+    val = float(v.sum()) / y.size
     return val if np.isfinite(val) else -math.inf
 
 
@@ -165,16 +165,16 @@ def _objective_grad_hess(x, y, beta, s, a):
     c = ((1 + a) / (2 * math.pi)) ** (a / (2 * (1 + a)))
     v = c * sig ** (-a / (1 + a)) * np.exp(-0.5 * a * r * r)
     q = r * r - 1.0 / (1 + a)
-    val = float(np.mean(v))
+    val = float(v.sum()) / n
     grad = np.empty(p + 1)
     grad[:p] = a / (n * sig) * (x.T @ (v * r))
-    grad[p] = a * float(np.mean(v * q))
+    grad[p] = a * (float((v * q).sum()) / n)
     hess = np.empty((p + 1, p + 1))
     hess[:p, :p] = a / (n * sig**2) * (x.T @ (x * (v * (a * r * r - 1.0))[:, None]))
     cross = a / (n * sig) * (x.T @ (v * r * (a * q - 2.0)))
     hess[:p, p] = cross
     hess[p, :p] = cross
-    hess[p, p] = a * float(np.mean(v * (a * q * q - 2.0 * r * r)))
+    hess[p, p] = a * (float((v * (a * q * q - 2.0 * r * r)).sum()) / n)
     return val, grad, 0.5 * (hess + hess.T)
 
 

@@ -121,14 +121,14 @@ def wald_simple(data: ModelData, fit: FitResult, theta0: Theta) -> WaldOutcome:
 
 
 def wald_composite(data: ModelData, fit: FitResult, hyp: LinearHypothesis) -> WaldOutcome:
-    """Test M' theta = m with the covariance plugged in at the estimate."""
+    """Test M' theta = m with the covariance plugged in at the estimate
+    (``fit.sigma_n``, which the fit evaluated on ``data``)."""
     theta = fit.theta_hat
     if hyp.m_matrix.shape[0] != theta.dim:
         raise DomainError("restriction matrix does not match parameter dimension")
-    sigma = covariance_mlrm(data, theta, fit.alpha).sigma_n
     m = hyp.m_matrix
     diff = m.T @ theta.to_array() - hyp.m_vector
-    stat = wald_statistic(diff, m.T @ sigma @ m, data.n_obs)
+    stat = wald_statistic(diff, m.T @ fit.sigma_n @ m, data.n_obs)
     return _outcome(stat, hyp.n_restrictions)
 
 

@@ -239,41 +239,44 @@ def integrate(fn, rule: QuadratureRule, center: float, scale: float) -> float:
 # linear algebra
 # ---------------------------------------------------------------------------
 
-def _cholesky_lower(a: np.ndarray) -> np.ndarray:
-    """Explicit Cholesky factorization; reports the failing pivot index."""
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    lower = np.zeros_like(a)
-    for j in range(n):
-        d = a[j, j] - np.dot(lower[j, :j], lower[j, :j])
-        if d <= 0.0 or not np.isfinite(d):
-            raise DecompositionError(
-                f"matrix is not positive definite (pivot {j})", pivot=j
-            )
-        lower[j, j] = math.sqrt(d)
-        if j + 1 < n:
-            lower[j + 1 :, j] = (
-                a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]
-            ) / lower[j, j]
-    return lower
+def _has_cholesky(a: np.ndarray) -> bool:
+    """Whether ``a`` is finite and has a Cholesky factor."""
+    if not np.isfinite(a).all():
+        return False
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a @ x = b`` for symmetric positive-definite ``a``."""
+    """Solve ``a @ x = b`` for symmetric positive-definite ``a``.
+
+    Raises
+    ------
+    DecompositionError
+        If ``a`` has a non-finite entry or is not positive definite to
+        working precision. The attached pivot is the last index of the first
+        leading block without a Cholesky factor, or the last index when only
+        the solve finds ``a`` singular.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError("matrix must be square")
     if b.shape[0] != a.shape[0]:
         raise DomainError("dimension mismatch between matrix and right-hand side")
-    lower = _cholesky_lower(a)
-    y = np.zeros(b.shape, dtype=float)
-    for i in range(a.shape[0]):
-        y[i] = (b[i] - lower[i, :i] @ y[:i]) / lower[i, i]
-    x = np.zeros(b.shape, dtype=float)
-    for i in range(a.shape[0] - 1, -1, -1):
-        x[i] = (y[i] - lower[i + 1 :, i] @ x[i + 1 :]) / lower[i, i]
-    return x
+    if _has_cholesky(a):
+        try:
+            return np.linalg.solve(a, b)
+        except np.linalg.LinAlgError:
+            # Cholesky can pass by rounding on a matrix that is singular to
+            # working precision; the LU step then meets a zero pivot
+            pass
+    last = a.shape[0] - 1
+    j = next((k for k in range(last) if not _has_cholesky(a[: k + 1, : k + 1])), last)
+    raise DecompositionError(f"matrix is not positive definite (pivot {j})", pivot=j)
 
 
 def spd_inverse(a: np.ndarray) -> np.ndarray:

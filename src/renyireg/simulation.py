@@ -189,7 +189,10 @@ def _replication(args):
             alt_fits[name] = (data_alt, fit_rp_path(data_alt, config.alphas, options))
     except DegenerateFitError:
         return rep, None
-    dim = theta_true.dim
+    hyps = {
+        name: LinearHypothesis.coordinates([index], [null_value], theta_true.dim)
+        for name, index, null_value, _ in config.hypotheses
+    }
     for a in config.alphas:
         fit = fits_null[float(a)]
         if not fit.converged:
@@ -199,8 +202,8 @@ def _replication(args):
         rejections = {}
         powers = {}
         ok = True
-        for name, index, null_value, alt_value in config.hypotheses:
-            hyp = LinearHypothesis.coordinates([index], [null_value], dim)
+        for name, _, _, alt_value in config.hypotheses:
+            hyp = hyps[name]
             rejections[name] = wald_composite(data_null, fit, hyp).reject_at(config.level)
             if alt_value is None:
                 continue

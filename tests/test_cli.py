@@ -90,6 +90,15 @@ class TestFit:
         manifest = json.loads((tmp_path / "out" / "fit.csv.manifest.json").read_text())
         assert str(path) in manifest["input_checksums"]
 
+    def test_multistart(self, tmp_path):
+        code = main(
+            ["fit", "--data", "brain_weight", "--alphas", "0,0.5", "--multistart", "2",
+             "--output", str(tmp_path)]
+        )
+        assert code == EXIT_OK
+        rows = read_csv(tmp_path / "fit.csv")
+        assert [r["converged"] for r in rows] == ["True", "True"]
+
     def test_bad_dataset_exit_code(self, tmp_path, capsys):
         code = main(["fit", "--data", "missing.csv", "--output", str(tmp_path)])
         assert code == EXIT_ERROR

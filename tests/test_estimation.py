@@ -9,6 +9,8 @@ import pytest
 from renyireg.data import exclude_rows, load_dataset
 from renyireg.estimation import (
     SolverOptions,
+    _objective_grad_hess,
+    _objective_only,
     covariance_mlrm,
     design_diagnostics,
     fit_mle,
@@ -283,6 +285,91 @@ class TestDiagnostics:
         lev = max(float(r @ xtx_inv @ r) for r in (x[0], x[-1]))
         assert diag.max_scaled_leverage == pytest.approx(n * lev, rel=1e-12)
         assert diag.max_abs_covariate == 5.0
+
+
+class TestSolverKernel:
+    """Finite-difference checks of the vectorized kernel the Newton solver
+    runs on, in its own (beta, log sigma) coordinates."""
+
+    @staticmethod
+    def instance(outliers):
+        gen = np.random.default_rng(7)
+        n = 200
+        x = np.column_stack([np.ones(n), gen.normal(size=n)])
+        y = x @ np.array([1.0, 2.0]) + gen.normal(size=n)
+        if outliers:
+            y[: n // 10] += 6.0
+        # off the optimum, so the gradient is not near zero
+        beta0 = np.linalg.lstsq(x, y, rcond=None)[0] + np.array([0.1, -0.05])
+        return x, y, np.append(beta0, math.log(1.2))
+
+    @pytest.mark.parametrize("outliers", [False, True])
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0])
+    def test_derivatives_match_central_differences(self, outliers, alpha):
+        x, y, point = self.instance(outliers)
+        p = x.shape[1]
+
+        def kernel(t):
+            return _objective_grad_hess(x, y, t[:p], t[p], alpha)
+
+        val, grad, hess = kernel(point)
+        h = 1e-5
+        fd_grad = np.empty(p + 1)
+        fd_hess = np.empty((p + 1, p + 1))
+        for i in range(p + 1):
+            e = np.zeros(p + 1)
+            e[i] = h
+            up, down = kernel(point + e), kernel(point - e)
+            fd_grad[i] = (up[0] - down[0]) / (2 * h)
+            fd_hess[:, i] = (up[1] - down[1]) / (2 * h)
+        assert np.max(np.abs(grad)) > 1e-3
+        np.testing.assert_allclose(grad, fd_grad, rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(hess, fd_hess, rtol=1e-6, atol=1e-9)
+        np.testing.assert_array_equal(hess, hess.T)
+        assert _objective_only(x, y, point[:p], point[p], alpha) == val
+
+
+class TestMultistart:
+    @staticmethod
+    def contaminated(n=60):
+        gen = np.random.default_rng(3)
+        x = np.column_stack([np.ones(n), gen.normal(size=n)])
+        y = x @ np.array([1.0, 1.0]) + gen.normal(size=n)
+        y[: n // 5] += 5.0
+        return ModelData(design=x, response=y)
+
+    def test_same_seed_same_fit(self):
+        data = self.contaminated()
+        opts = SolverOptions(multistart=3, multistart_seed=11)
+        first, second = fit_rp(data, 0.8, options=opts), fit_rp(data, 0.8, options=opts)
+        np.testing.assert_array_equal(first.theta_hat.to_array(), second.theta_hat.to_array())
+        assert first.objective_value == second.objective_value
+        assert first.iterations == second.iterations
+        assert first.converged == second.converged
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.8, 1.5])
+    def test_never_below_continuation(self, alpha):
+        data = self.contaminated()
+        plain = fit_rp(data, alpha)
+        for seed in range(4):
+            opts = SolverOptions(multistart=3, multistart_seed=seed)
+            multi = fit_rp(data, alpha, options=opts)
+            assert multi.converged
+            assert multi.objective_value >= plain.objective_value
+
+    def test_start_with_singular_hessian(self):
+        # 45% of the rows follow another line; one restart meets a Newton
+        # matrix that is singular to working precision and must regularize
+        gen = np.random.default_rng(1)
+        n, bad = 40, 18
+        x = np.column_stack([np.ones(n), gen.normal(size=n)])
+        y = x @ np.array([1.0, 1.0]) + gen.normal(size=n)
+        y[:bad] = x[:bad] @ np.array([10.0, -2.0]) + gen.normal(size=bad)
+        data = ModelData(design=x, response=y)
+        plain = fit_rp(data, 1.5)
+        multi = fit_rp(data, 1.5, options=SolverOptions(multistart=4, multistart_seed=0))
+        assert multi.converged
+        assert multi.objective_value >= plain.objective_value
 
 
 class TestDegenerateCollapse:

@@ -224,6 +224,47 @@ class TestLinearAlgebra:
         assert err.value.pivot == 1
         assert "pivot 1" in str(err.value)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (1, 0), (2, 2)])
+    def test_non_finite_entry_raises(self, bad, where):
+        a = np.eye(3) * 2.0
+        a[where] = bad
+        with pytest.raises(DecompositionError) as err:
+            numerics.solve_spd(a, np.ones(3))
+        # the first leading block holding the entry fails
+        assert err.value.pivot == where[0]
+
+    def test_pivot_zero_and_last(self):
+        with pytest.raises(DecompositionError) as err:
+            numerics.solve_spd(np.diag([-1.0, 2.0, 3.0]), np.ones(3))
+        assert err.value.pivot == 0
+        # the leading 2x2 block is the identity; the last Schur complement is -1
+        a = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+        with pytest.raises(DecompositionError) as err:
+            numerics.solve_spd(a, np.ones(3))
+        assert err.value.pivot == 2
+
+    def test_numerically_singular_raises(self):
+        # a negated Newton Hessian met in a multistart run: Cholesky passes
+        # by rounding, the LU solve finds an exact zero pivot
+        a = np.array(
+            [
+                [1.0098650625722085e22, -1.1229909170978357e22, 1.4575280775018532e06],
+                [-1.1229909170978357e22, 1.2487892161276397e22, -1.6208014843890255e06],
+                [1.4575280775018532e06, -1.6208014843890255e06, 8.1428110171251155e03],
+            ]
+        )
+        with pytest.raises(DecompositionError):
+            numerics.solve_spd(a, np.array([5.6e5, -6.2e5, -3.1e3]))
+
+    def test_matrix_right_hand_side_matches_inverse(self, rng):
+        for k in (1, 2, 3, 6):
+            m = rng.normal(size=(k, k))
+            a = m @ m.T + 0.5 * np.eye(k)
+            inv = numerics.spd_inverse(a)
+            ref = np.linalg.inv(a)
+            assert np.max(np.abs(inv - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_min_eigenvalue_diagonal(self):
         assert numerics.min_eigenvalue(np.diag([2.0, 5.0])) == pytest.approx(2.0, abs=1e-12)
 
