@@ -21,7 +21,6 @@ from .estimation import (
     fit_rp_path,
 )
 from .exceptions import (
-    ConvergenceError,
     DecompositionError,
     DegenerateFitError,
     DomainError,
@@ -53,7 +52,6 @@ from .model import (
 from .numerics import (
     QuadratureRule,
     RngStream,
-    adaptive_rule,
     chisq_quantile,
     chisq_sf,
     gauss_hermite_rule,

@@ -2,7 +2,8 @@
 
 Subcommands: ``fit``, ``test``, ``influence``, ``are``, ``power``,
 ``simulate``.  Every command writes its reports under ``--output`` (CSV for
-tables, JSON for summaries, switchable with ``--format``) and accompanies
+tables, JSON for summaries, switchable with ``--format``; ``simulate``
+always writes both ``study.csv`` and ``study.json``) and accompanies
 each output file with ``<file>.manifest.json`` recording the command, all
 resolved options, the seed, the library version, and checksums of any input
 files, so a run can be reproduced exactly.
@@ -446,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=None,
                        help="override the seed in the config file")
     p_sim.add_argument("--workers", type=int, default=1)
-    p_sim.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sim.set_defaults(func=cmd_simulate)
 
     return parser

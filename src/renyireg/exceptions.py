@@ -23,7 +23,3 @@ class NonFiniteIntegrandError(ArithmeticError):
 
 class DegenerateFitError(RuntimeError):
     """The fitted scale collapsed toward zero (data interpolation)."""
-
-
-class ConvergenceError(RuntimeError):
-    """An iterative solver failed to reach its tolerance."""

@@ -277,37 +277,17 @@ class QuadratureFamily(DensityFamily):
         return self._integrate(i, theta, c, lambda y: 1.0)
 
     def power_score_integral(self, i, theta, c):
-        out = np.zeros(self.param_dim)
-        for k in range(self.param_dim):
-            out[k] = self._integrate(
-                i, theta, c, lambda y, k=k: self.base.score_vector(i, y, theta)[k]
-            )
-        return out
+        return self._integrate(i, theta, c, lambda y: self.base.score_vector(i, y, theta))
 
     def power_score_outer_integral(self, i, theta, c):
-        out = np.zeros((self.param_dim, self.param_dim))
-        for a in range(self.param_dim):
-            for b in range(a, self.param_dim):
-                val = self._integrate(
-                    i,
-                    theta,
-                    c,
-                    lambda y, a=a, b=b: (
-                        self.base.score_vector(i, y, theta)[a]
-                        * self.base.score_vector(i, y, theta)[b]
-                    ),
-                )
-                out[a, b] = out[b, a] = val
-        return out
+        def outer(y):
+            u = self.base.score_vector(i, y, theta)
+            return np.outer(u, u)
+
+        return self._integrate(i, theta, c, outer)
 
     def power_score_jacobian_integral(self, i, theta, c):
-        out = np.zeros((self.param_dim, self.param_dim))
-        for a in range(self.param_dim):
-            for b in range(self.param_dim):
-                out[a, b] = self._integrate(
-                    i, theta, c, lambda y, a=a, b=b: self.base.score_jacobian(i, y, theta)[a, b]
-                )
-        return out
+        return self._integrate(i, theta, c, lambda y: self.base.score_jacobian(i, y, theta))
 
 
 # ---------------------------------------------------------------------------

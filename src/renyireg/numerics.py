@@ -24,7 +24,6 @@ __all__ = [
     "chisq_sf",
     "noncentral_chisq_sf",
     "gauss_hermite_rule",
-    "adaptive_rule",
     "integrate",
     "solve_spd",
     "min_eigenvalue",
@@ -80,15 +79,10 @@ def chisq_quantile(df, upper_tail):
 
 
 def noncentral_chisq_sf(x, df, delta):
-    """Survival function of the noncentral chi-square distribution.
-
-    Evaluates ``P(chi2_df(delta) > x)`` by the Poisson mixture over central
-    chi-square terms,
-
-        sum_k  e^{-delta/2} (delta/2)^k / k!  *  P(chi2_{df + 2k} > x),
-
-    truncated once the remaining Poisson mass falls below 1e-12.  At
-    ``delta = 0`` this reduces to the central survival function.
+    """Survival function of the noncentral chi-square distribution,
+    ``P(chi2_df(delta) > x)``, as the complement of
+    ``scipy.special.chndtr``.  At ``delta = 0`` this is the central survival
+    function.
     """
     if df < 1:
         raise DomainError(f"df must be >= 1, got {df}")
@@ -96,47 +90,28 @@ def noncentral_chisq_sf(x, df, delta):
         raise DomainError("x and delta must be nonnegative")
     if delta == 0.0:
         return float(chisq_sf(x, df))
-    half = delta / 2.0
-    weight = math.exp(-half)
-    total = 0.0
-    accumulated = weight
-    k = 0
-    while True:
-        total += weight * float(chisq_sf(x, df + 2 * k))
-        if 1.0 - accumulated < 1e-12 or k > 100_000:
-            break
-        k += 1
-        weight *= half / k
-        accumulated += weight
-    return min(max(total, 0.0), 1.0)
+    return min(max(1.0 - float(_sp.chndtr(x, df, delta)), 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
 
-GAUSS_HERMITE_KIND = "gauss-hermite-transformed"
-ADAPTIVE_KIND = "adaptive-interval"
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Abscissas and positive weights for integration over the real line.
+    """Gauss-Hermite abscissas and positive weights for integration over the
+    real line.
 
-    For the Gauss-Hermite kind, ``nodes`` are the standardized abscissas x_j
-    and ``weights`` the combined factors w_j e^{x_j^2} sqrt(2), so that
+    ``nodes`` are the standardized abscissas x_j and ``weights`` the combined
+    factors w_j e^{x_j^2} sqrt(2), so that
 
-        integral of g  ~=  scale * sum_j weights[j] * g(center + scale * sqrt(2)... )
+        integral of g  ~=  scale * sum_j weights[j] * g(center + sqrt(2) * scale * nodes[j])
 
-    (the affine transform is applied by :func:`integrate`).  The adaptive
-    kind stores its standardized interval endpoints instead and integrates
-    by recursive Simpson subdivision.
+    (the affine transform is applied by :func:`integrate`).
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str = GAUSS_HERMITE_KIND
-    rel_tol: float = 1e-12
 
     def __post_init__(self):
         if len(self.nodes) != len(self.weights) or len(self.nodes) < 2:
@@ -154,85 +129,36 @@ def gauss_hermite_rule(n_nodes: int = 64) -> QuadratureRule:
     x, w = np.polynomial.hermite.hermgauss(n_nodes)
     # fold the e^{x^2} de-weighting and the sqrt(2) substitution Jacobian in
     combined = np.exp(np.log(w) + x * x) * math.sqrt(2.0)
-    return QuadratureRule(nodes=x, weights=combined, kind=GAUSS_HERMITE_KIND)
+    return QuadratureRule(nodes=x, weights=combined)
 
 
-def adaptive_rule(half_width: float = 12.0, rel_tol: float = 1e-12) -> QuadratureRule:
-    """Adaptive Simpson rule over ``center +- half_width * scale``.
-
-    The stored nodes are a coarse standardized grid used only as the initial
-    panels; subdivision happens inside :func:`integrate`.
-    """
-    grid = np.linspace(-half_width, half_width, 49)
-    weights = np.full(grid.shape, 2.0 * half_width / (len(grid) - 1))
-    return QuadratureRule(nodes=grid, weights=weights, kind=ADAPTIVE_KIND, rel_tol=rel_tol)
-
-
-def _simpson_adaptive(fn, lo, hi, f_lo, f_mid, f_hi, whole, tol, depth):
-    mid = 0.5 * (lo + hi)
-    lm = 0.5 * (lo + mid)
-    rm = 0.5 * (mid + hi)
-    f_lm = fn(lm)
-    f_rm = fn(rm)
-    if not (np.isfinite(f_lm) and np.isfinite(f_rm)):
-        raise NonFiniteIntegrandError("integrand not finite", node=lm if not np.isfinite(f_lm) else rm)
-    left = (mid - lo) / 6.0 * (f_lo + 4.0 * f_lm + f_mid)
-    right = (hi - mid) / 6.0 * (f_mid + 4.0 * f_rm + f_hi)
-    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    return (
-        _simpson_adaptive(fn, lo, mid, f_lo, f_lm, f_mid, left, tol / 2.0, depth - 1)
-        + _simpson_adaptive(fn, mid, hi, f_mid, f_rm, f_hi, right, tol / 2.0, depth - 1)
-    )
-
-
-def integrate(fn, rule: QuadratureRule, center: float, scale: float) -> float:
+def integrate(fn, rule: QuadratureRule, center: float, scale: float):
     """Integrate ``fn`` over the real line.
 
-    The rule is recentered and rescaled: it is accurate for integrands that
-    are concentrated around ``center`` with width of order ``scale`` (e.g.
-    powers of a normal density with mean ``center`` and sd ``scale``).
+    ``fn`` maps a point to a number or to an array of fixed shape; an array
+    is integrated entrywise and returned with that shape, a number as a
+    float.  The rule is recentered and rescaled: it is accurate for
+    integrands that are concentrated around ``center`` with width of order
+    ``scale`` (e.g. powers of a normal density with mean ``center`` and sd
+    ``scale``).
 
     Raises
     ------
     NonFiniteIntegrandError
-        If ``fn`` is non-finite at an evaluation point; the offending
-        location is attached to the exception.
+        If any entry of ``fn`` is non-finite at a node; the first such node
+        is attached to the exception.
     """
     if scale <= 0:
         raise DomainError(f"scale must be positive, got {scale}")
-    if rule.kind == GAUSS_HERMITE_KIND:
-        points = center + math.sqrt(2.0) * scale * rule.nodes
-        values = np.asarray([fn(p) for p in points], dtype=float)
-        bad = ~np.isfinite(values)
-        if bad.any():
-            raise NonFiniteIntegrandError(
-                "integrand not finite at a quadrature node", node=float(points[bad][0])
-            )
-        return float(scale * np.dot(rule.weights, values))
-    if rule.kind == ADAPTIVE_KIND:
-        def g(t):
-            return fn(center + scale * t)
-
-        total = 0.0
-        knots = rule.nodes
-        f_knots = [g(t) for t in knots]
-        if not np.all(np.isfinite(f_knots)):
-            i = int(np.flatnonzero(~np.isfinite(np.asarray(f_knots)))[0])
-            raise NonFiniteIntegrandError(
-                "integrand not finite at a quadrature node",
-                node=float(center + scale * knots[i]),
-            )
-        for i in range(len(knots) - 1):
-            lo, hi = knots[i], knots[i + 1]
-            mid = 0.5 * (lo + hi)
-            f_mid = g(mid)
-            whole = (hi - lo) / 6.0 * (f_knots[i] + 4.0 * f_mid + f_knots[i + 1])
-            total += _simpson_adaptive(
-                g, lo, hi, f_knots[i], f_mid, f_knots[i + 1], whole, rule.rel_tol, 48
-            )
-        return float(scale * total)
-    raise DomainError(f"unknown quadrature kind {rule.kind!r}")
+    points = center + math.sqrt(2.0) * scale * rule.nodes
+    values = np.asarray([fn(p) for p in points], dtype=float)
+    bad = ~np.isfinite(values.reshape(len(points), -1)).all(axis=1)
+    if bad.any():
+        raise NonFiniteIntegrandError(
+            "integrand not finite at a quadrature node", node=float(points[bad][0])
+        )
+    total = scale * np.tensordot(rule.weights, values, axes=1)
+    return float(total) if total.ndim == 0 else total
 
 
 # ---------------------------------------------------------------------------

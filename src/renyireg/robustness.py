@@ -93,8 +93,9 @@ def _direction_indices(req: IFRequest, n: int):
 # general (integral-contract) route
 # ---------------------------------------------------------------------------
 
-def _sensitivity_matrix(family: DensityFamily, theta: Theta, alpha: float) -> np.ndarray:
-    """Averaged sensitivity of the estimating functional at the model.
+def _sensitivity_matrix(family: DensityFamily, theta: Theta, alpha: float):
+    """Averaged sensitivity of the estimating functional at the model, and
+    each direction's tilted integrals ``(j0, j1)`` for the direction scores.
 
     Assembled from the two per-direction curvature blocks of the estimating
     equations; at the model they share every integral, with exponent
@@ -105,6 +106,7 @@ def _sensitivity_matrix(family: DensityFamily, theta: Theta, alpha: float) -> np
     n = family.n_directions
     dim = family.param_dim
     total = np.zeros((dim, dim))
+    tilts = []
     for i in range(n):
         j0 = family.power_integral(i, theta, c)
         j1 = family.power_score_integral(i, theta, c)
@@ -113,18 +115,8 @@ def _sensitivity_matrix(family: DensityFamily, theta: Theta, alpha: float) -> np
         a_full = ((1.0 + alpha) * j2 + j3) * j0 - (1.0 + alpha) * np.outer(j1, j1)
         a_star = (alpha * j2 + j3) * j0 - alpha * np.outer(j1, j1)
         total += (a_full - a_star) / j0**2
-    return total / n
-
-
-def _direction_score(family, i, t, theta, alpha):
-    """Estimating score of direction i at contamination point t, normalized
-    by the same convention as the sensitivity matrix."""
-    c = alpha + 1.0
-    j0 = family.power_integral(i, theta, c)
-    j1 = family.power_score_integral(i, theta, c)
-    u = family.score_vector(i, t, theta)
-    f_alpha = math.exp(alpha * family.log_density(i, t, theta))
-    return f_alpha * (u * j0 - j1) / j0**2
+        tilts.append((j0, j1))
+    return total / n, tilts
 
 
 def if_general(family: DensityFamily, data: ModelData, req: IFRequest) -> IFReport:
@@ -135,20 +127,22 @@ def if_general(family: DensityFamily, data: ModelData, req: IFRequest) -> IFRepo
     of ``psi_n`` up to the shared tilt factor, which cancels in the product.
     """
     theta, alpha = req.theta, req.alpha
-    m = _sensitivity_matrix(family, theta, alpha)
+    m, tilts = _sensitivity_matrix(family, theta, alpha)
     try:
         m_inv = numerics.spd_inverse(m)
     except DecompositionError as err:
         raise DecompositionError(f"sensitivity matrix singular: {err}") from err
-    idx = _direction_indices(req, family.n_directions)
-    # the per-direction estimating score is 1/sqrt(1+alpha)-tilted relative
-    # to the psi normalization; m carries the same factor, so scaling cancels
-    values = np.empty((req.contamination_points.size, family.param_dim))
-    for k, t in enumerate(req.contamination_points):
-        num = np.zeros(family.param_dim)
-        for i in idx:
-            num += _direction_score(family, i, t, theta, alpha)
-        values[k] = m_inv @ num
+    # the estimating score of direction i at t, f_i(t)^alpha (u_i(t) j0 - j1) / j0^2,
+    # is 1/sqrt(1+alpha)-tilted relative to the psi normalization; m carries
+    # the same factor, so scaling cancels
+    num = np.zeros((req.contamination_points.size, family.param_dim))
+    for i in _direction_indices(req, family.n_directions):
+        j0, j1 = tilts[i]
+        for k, t in enumerate(req.contamination_points):
+            u = family.score_vector(i, t, theta)
+            f_alpha = math.exp(alpha * family.log_density(i, t, theta))
+            num[k] += f_alpha * (u * j0 - j1) / j0**2
+    values = num @ m_inv.T
     return IFReport(
         points=req.contamination_points,
         first_order=values,
@@ -160,23 +154,22 @@ def if_general(family: DensityFamily, data: ModelData, req: IFRequest) -> IFRepo
 # normal-family closed form
 # ---------------------------------------------------------------------------
 
-def _closed_direction_score(data: ModelData, i, t, theta: Theta, alpha):
-    """psi_i(t) for the normal linear family in the estimating-equation
-    normalization: exp(-a r^2/2) (r x_i, r^2 - 1/(1+a)) / sigma."""
-    sig = theta.sigma
-    r = (t - float(data.design[i] @ theta.beta)) / sig
-    w = math.exp(-0.5 * alpha * r * r)
-    return np.concatenate(
-        [w * r * data.design[i] / sig, [w * (r * r - 1.0 / (1.0 + alpha)) / sig]]
-    )
-
-
 def _stacked_scores(data: ModelData, req: IFRequest) -> np.ndarray:
-    idx = _direction_indices(req, data.n_obs)
-    out = np.zeros((req.contamination_points.size, data.n_params + 1))
+    """Sum over the contaminated directions of psi_i(t) at each point, for the
+    normal linear family in the estimating-equation normalization:
+    psi_i(t) = exp(-a r^2/2) (r x_i, r^2 - 1/(1+a)) / sigma.
+
+    One pass over the rows per point keeps memory at O(n p).
+    """
+    x = data.design[list(_direction_indices(req, data.n_obs))]
+    sig, alpha = req.theta.sigma, req.alpha
+    fitted = x @ req.theta.beta
+    out = np.empty((req.contamination_points.size, data.n_params + 1))
     for k, t in enumerate(req.contamination_points):
-        for i in idx:
-            out[k] += _closed_direction_score(data, i, t, req.theta, req.alpha)
+        r = (t - fitted) / sig
+        w = np.exp(-0.5 * alpha * r * r)
+        out[k, :-1] = (w * r) @ x / sig
+        out[k, -1] = np.sum(w * (r * r - 1.0 / (1.0 + alpha))) / sig
     return out
 
 
@@ -211,11 +204,10 @@ def if2_simple(data: ModelData, req: IFRequest) -> IFReport:
     ``2 psi' psi_n^{-1} sigma_n^{-1} psi_n^{-1} psi = 2 IF' sigma_n^{-1} IF``.
     """
     cov = covariance_mlrm(data, req.theta, req.alpha)
-    scores = _stacked_scores(data, req)
-    psi_inv = numerics.spd_inverse(cov.psi_n)
-    middle = psi_inv @ numerics.spd_inverse(cov.sigma_n) @ psi_inv
-    second = 2.0 * np.einsum("ki,ij,kj->k", scores, middle, scores)
     base = if_mlrm_closed(data, req)
+    second = 2.0 * np.einsum(
+        "ki,ij,kj->k", base.first_order, numerics.spd_inverse(cov.sigma_n), base.first_order
+    )
     return IFReport(
         points=req.contamination_points,
         first_order=base.first_order,

@@ -13,6 +13,7 @@ import scipy.stats
 
 from renyireg import numerics
 from renyireg.exceptions import DecompositionError, DomainError, NonFiniteIntegrandError
+from renyireg.simulation import contiguous_table
 
 
 class TestNormal:
@@ -106,13 +107,25 @@ class TestNoncentralChisq:
         assert numerics.noncentral_chisq_sf(3.841459, 1, 5) == pytest.approx(0.609, abs=0.03)
 
     def test_against_scipy(self, rng):
-        for _ in range(50):
-            x = rng.uniform(0.1, 30)
-            df = int(rng.integers(1, 8))
-            delta = rng.uniform(0, 50)
+        cells = [
+            (rng.uniform(0.1, 30), int(rng.integers(1, 8)), rng.uniform(0, 50))
+            for _ in range(50)
+        ]
+        # noncentralities past 1490, where e^{-delta/2} underflows
+        cells += [
+            (x, df, delta)
+            for x in (3.84, 1500.0)
+            for df in (1, 3)
+            for delta in (1491.0, 5000.0)
+        ]
+        for x, df, delta in cells:
             assert numerics.noncentral_chisq_sf(x, df, delta) == pytest.approx(
                 scipy.stats.ncx2.sf(x, df, delta), abs=1e-10
-            )
+            ), (x, df, delta)
+
+    def test_power_at_large_shift(self):
+        table = contiguous_table((0.0, 0.5), (1600,), 1.0, 0.05)
+        assert all(row[1600.0] > 0.999 for row in table.values())
 
     def test_mixture_equals_monte_carlo(self):
         # simulate (Z + sqrt(delta))^2 + chi2_{df-1}
@@ -165,24 +178,36 @@ class TestIntegrate:
         )
         assert combo == pytest.approx(parts, rel=1e-13)
 
-    def test_adaptive_matches_hermite_and_splits(self):
-        gh = numerics.gauss_hermite_rule(64)
-        ad = numerics.adaptive_rule(half_width=10.0)
-        f = lambda y: _std_normal_pdf(y) ** 1.7
-        ref = numerics.integrate(f, gh, 0.0, 1.0)
-        val = numerics.integrate(f, ad, 0.0, 1.0)
-        assert val == pytest.approx(ref, abs=1e-10)
-        # splitting the domain in half changes nothing
-        left = numerics.adaptive_rule(half_width=5.0)
-        lo = numerics.integrate(f, left, -5.0, 1.0)
-        hi = numerics.integrate(f, left, 5.0, 1.0)
-        assert lo + hi == pytest.approx(val, abs=1e-10)
+    def test_array_integrand_is_entrywise(self):
+        rule = numerics.gauss_hermite_rule(64)
+        parts = [
+            lambda y: _std_normal_pdf(y - 1.0),
+            lambda y: y * _std_normal_pdf(y - 1.0),
+            lambda y: y * y * _std_normal_pdf(y - 1.0),
+            lambda y: _std_normal_pdf(y - 1.0) ** 1.7,
+        ]
+        stacked = numerics.integrate(
+            lambda y: np.array([[f(y) for f in parts[:2]], [f(y) for f in parts[2:]]]),
+            rule, 1.0, 1.0,
+        )
+        singles = np.array([numerics.integrate(f, rule, 1.0, 1.0) for f in parts])
+        assert stacked.shape == (2, 2)
+        np.testing.assert_allclose(stacked.ravel(), singles, rtol=1e-14)
+        np.testing.assert_allclose(singles[:3], [1.0, 1.0, 2.0], rtol=1e-12)
 
     def test_nonfinite_integrand_reports_node(self):
         rule = numerics.gauss_hermite_rule(32)
         with pytest.raises(NonFiniteIntegrandError) as err:
             numerics.integrate(lambda y: math.nan if y > 0.5 else 1.0, rule, 0.0, 1.0)
         assert err.value.node is not None and err.value.node > 0.5
+
+    def test_nonfinite_entry_reports_node(self):
+        rule = numerics.gauss_hermite_rule(32)
+        with pytest.raises(NonFiniteIntegrandError) as err:
+            numerics.integrate(
+                lambda y: np.array([1.0, math.inf if y < -0.5 else y]), rule, 0.0, 1.0
+            )
+        assert err.value.node is not None and err.value.node < -0.5
 
     def test_bad_scale(self):
         rule = numerics.gauss_hermite_rule(32)

@@ -29,22 +29,24 @@ def small_data(rng, n=8):
 
 class TestFirstOrder:
     def test_quadrature_route_matches_closed_form(self, rng):
-        # 20-case battery over random contamination points, parameters, and
-        # tuning values; the general route goes through numerical integrals
+        # 20-case battery over random grids of 1 to 3 contamination points,
+        # parameters, tuning values, and single or all directions; the
+        # general route goes through numerical integrals
         data = small_data(rng)
         quad = QuadratureFamily(NormalLinearFamily(data.design))
-        for _ in range(20):
+        for case in range(20):
             theta = Theta(beta=rng.normal(size=2), sigma=float(rng.uniform(0.5, 2.5)))
             alpha = float(rng.uniform(0.05, 1.5))
-            t = float(rng.normal(scale=4.0))
-            i0 = int(rng.integers(0, data.n_obs))
+            points = rng.normal(scale=4.0, size=1 + case % 3)
+            direction = "all" if case % 2 else int(rng.integers(0, data.n_obs))
             req = IFRequest(
-                contamination_points=[t], theta=theta, alpha=alpha, direction=i0
+                contamination_points=points, theta=theta, alpha=alpha, direction=direction
             )
-            general = if_general(quad, data, req).first_order[0]
-            closed = if_mlrm_closed(data, req).first_order[0]
+            general = if_general(quad, data, req).first_order
+            closed = if_mlrm_closed(data, req).first_order
+            assert general.shape == closed.shape == (points.size, 3)
             scale = np.maximum(np.abs(closed), 1e-12)
-            assert np.max(np.abs(general - closed) / scale) < 1e-6
+            assert np.max(np.abs(general - closed) / scale) < 1e-6, (case, direction)
 
     def test_zero_residual_beta_component_vanishes(self, rng):
         data = small_data(rng)
@@ -119,8 +121,8 @@ class TestFirstOrder:
 
 class TestSecondOrder:
     def test_identity_with_first_order(self, rng):
-        # both computation paths: quadratic form in the direction score, and
-        # 2 IF' Sigma^{-1} IF from first-order output
+        # reference: 2 IF' Sigma^{-1} IF from the first-order output by a
+        # direct solve
         data = small_data(rng)
         theta = Theta(beta=np.array([1.0, 1.0]), sigma=1.0)
         req = IFRequest(
