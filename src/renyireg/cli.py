@@ -379,7 +379,7 @@ def cmd_simulate(args) -> int:
     _manifest(out_json, args, [args.config])
     print(f"wrote {out_csv}")
     print(f"wrote {out_json}")
-    return EXIT_OK
+    return EXIT_NONCONVERGED if result.non_convergence_count > 0 else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

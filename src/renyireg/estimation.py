@@ -12,7 +12,8 @@ from the previous stage.  An optional multistart pass probes other basins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,8 +90,7 @@ def design_diagnostics(data: ModelData) -> DesignDiagnostics:
     """
     x = data.design
     n = data.n_obs
-    s = x.T @ x / n
-    lam = numerics.min_eigenvalue(s)
+    lam = numerics.min_eigenvalue(data.xtx_over_n)
     if lam > MIN_DESIGN_EIGENVALUE:
         xtx_inv = numerics.spd_inverse(x.T @ x)
         leverage = np.einsum("ij,jk,ik->i", x, xtx_inv, x)
@@ -105,8 +105,7 @@ def design_diagnostics(data: ModelData) -> DesignDiagnostics:
 
 
 def _require_full_rank(data: ModelData) -> None:
-    x = data.design
-    lam = numerics.min_eigenvalue(x.T @ x / data.n_obs)
+    lam = numerics.min_eigenvalue(data.xtx_over_n)
     if lam <= MIN_DESIGN_EIGENVALUE:
         raise DecompositionError(
             f"design is rank deficient: min eigenvalue of X'X/n is {lam:.3e}"
@@ -130,7 +129,7 @@ def covariance_mlrm(data: ModelData, theta: Theta, alpha: float) -> CovarianceTr
     a = alpha
     sig2 = theta.sigma**2
     p = data.n_params
-    s = data.design.T @ data.design / data.n_obs
+    s = data.xtx_over_n
 
     psi = np.zeros((p + 1, p + 1))
     omega = np.zeros((p + 1, p + 1))
@@ -139,7 +138,7 @@ def covariance_mlrm(data: ModelData, theta: Theta, alpha: float) -> CovarianceTr
     psi[p, p] = 2.0 / (sig2 * (1 + a) ** 2.5)
     omega[:p, :p] = s / (sig2 * (2 * a + 1) ** 1.5)
     omega[p, p] = (3 * a * a + 4 * a + 2) / (sig2 * (1 + a) ** 2 * (2 * a + 1) ** 2.5)
-    sigma_n[:p, :p] = sig2 * (1 + a) ** 3 / (2 * a + 1) ** 1.5 * numerics.spd_inverse(s)
+    sigma_n[:p, :p] = sig2 * (1 + a) ** 3 / (2 * a + 1) ** 1.5 * data.xtx_over_n_inverse
     sigma_n[p, p] = sig2 * (1 + a) ** 3 * (3 * a * a + 4 * a + 2) / (4 * (2 * a + 1) ** 2.5)
     return CovarianceTriple(psi_n=psi, omega_n=omega, sigma_n=sigma_n)
 
@@ -148,24 +147,22 @@ def covariance_mlrm(data: ModelData, theta: Theta, alpha: float) -> CovarianceTr
 # vectorized objective internals (beta, s = log sigma parameterization)
 # ---------------------------------------------------------------------------
 
-def _objective_only(x, y, beta, s, a):
+def _objective_grad_hess(x, y, beta, s, a):
+    """Objective value, gradient and Hessian at ``(beta, s)``.
+
+    A non-finite value is returned as ``-inf``, so a line search rejects the
+    point; the derivatives are then meaningless.
+    """
+    n, p = x.shape
     sig = math.exp(s)
     r = (y - x @ beta) / sig
     c = ((1 + a) / (2 * math.pi)) ** (a / (2 * (1 + a)))
     with np.errstate(over="ignore", under="ignore"):
         v = c * sig ** (-a / (1 + a)) * np.exp(-0.5 * a * r * r)
-    val = float(v.sum()) / y.size
-    return val if np.isfinite(val) else -math.inf
-
-
-def _objective_grad_hess(x, y, beta, s, a):
-    n, p = x.shape
-    sig = math.exp(s)
-    r = (y - x @ beta) / sig
-    c = ((1 + a) / (2 * math.pi)) ** (a / (2 * (1 + a)))
-    v = c * sig ** (-a / (1 + a)) * np.exp(-0.5 * a * r * r)
     q = r * r - 1.0 / (1 + a)
     val = float(v.sum()) / n
+    if not math.isfinite(val):
+        val = -math.inf
     grad = np.empty(p + 1)
     grad[:p] = a / (n * sig) * (x.T @ (v * r))
     grad[p] = a * (float((v * q).sum()) / n)
@@ -178,21 +175,41 @@ def _objective_grad_hess(x, y, beta, s, a):
     return val, grad, 0.5 * (hess + hess.T)
 
 
-def _newton_stage(x, y, beta, s, a, tol, max_iter, scale_floor):
-    """Damped Newton ascent at fixed alpha; returns (beta, s, converged, iters)."""
+def _scaled_gradient_norm(grad, s):
+    """Max-norm of the gradient in (beta, sigma) coordinates."""
+    g_check = grad.copy()
+    g_check[-1] /= math.exp(s)
+    return float(np.max(np.abs(g_check)))
+
+
+class _Stage(NamedTuple):
+    """Where a Newton stage ended, with the kernel's value and gradient there."""
+
+    beta: np.ndarray
+    s: float
+    converged: bool
+    iterations: int
+    value: float
+    gradient: np.ndarray
+
+
+def _newton_stage(x, y, beta, s, a, tol, max_iter, scale_floor) -> _Stage:
+    """Damped Newton ascent at fixed alpha.
+
+    Each point costs one kernel evaluation: the line search evaluates value,
+    gradient and Hessian at every trial point and the accepted one carries
+    them into the next iteration.
+    """
     beta = beta.copy()
     eye = np.eye(x.shape[1] + 1)
+    val, grad, hess = _objective_grad_hess(x, y, beta, s, a)
     for it in range(max_iter):
         if math.exp(s) < scale_floor:
             raise DegenerateFitError(
                 f"scale collapsed below {scale_floor:.3e} during fitting"
             )
-        val, grad, hess = _objective_grad_hess(x, y, beta, s, a)
-        # convergence on the (beta, sigma)-scale gradient
-        g_check = grad.copy()
-        g_check[-1] /= math.exp(s)
-        if float(np.max(np.abs(g_check))) <= tol:
-            return beta, s, True, it
+        if _scaled_gradient_norm(grad, s) <= tol:
+            return _Stage(beta, s, True, it, val, grad)
         neg = -hess
         mu = 0.0
         for _ in range(64):
@@ -202,7 +219,7 @@ def _newton_stage(x, y, beta, s, a, tol, max_iter, scale_floor):
             except DecompositionError:
                 mu = 1e-8 if mu == 0.0 else 10.0 * mu
         else:  # pragma: no cover - mu growth always terminates
-            return beta, s, False, it
+            return _Stage(beta, s, False, it, val, grad)
         # keep single stages from tunnelling into the degenerate spike
         if abs(direction[-1]) > 1.0:
             direction = direction / abs(direction[-1])
@@ -214,13 +231,15 @@ def _newton_stage(x, y, beta, s, a, tol, max_iter, scale_floor):
         for _ in range(60):
             cand_beta = beta + step * direction[:-1]
             cand_s = s + step * direction[-1]
-            if _objective_only(x, y, cand_beta, cand_s, a) >= val + 1e-4 * step * slope - slack:
+            cand = _objective_grad_hess(x, y, cand_beta, cand_s, a)
+            if cand[0] >= val + 1e-4 * step * slope - slack:
                 beta, s = cand_beta, cand_s
+                val, grad, hess = cand
                 break
             step *= 0.5
         else:
-            return beta, s, False, it
-    return beta, s, False, max_iter
+            return _Stage(beta, s, False, it, val, grad)
+    return _Stage(beta, s, False, max_iter, val, grad)
 
 
 def fit_mle(data: ModelData) -> FitResult:
@@ -277,7 +296,8 @@ def fit_rp_path(data: ModelData, alphas, options: SolverOptions | None = None):
     """
     opts = options or SolverOptions()
     mle = fit_mle(data)
-    x, y = data.design, data.response
+    # the kernel's design products run faster on a column-major copy
+    x, y = np.asfortranarray(data.design), data.response
     floor = DEGENERATE_SCALE_FACTOR * _response_scale(y)
     results: dict[float, FitResult] = {}
     targets, ladder = _continuation_targets(alphas, opts.alpha_step)
@@ -287,41 +307,34 @@ def fit_rp_path(data: ModelData, alphas, options: SolverOptions | None = None):
     s = math.log(mle.theta_hat.sigma)
     target_set = {t for t in targets if t != 0.0}
     for a in ladder:
-        beta, s, converged, iters = _newton_stage(
-            x, y, beta, s, a, opts.tol, opts.max_iter, floor
-        )
+        stage = _newton_stage(x, y, beta, s, a, opts.tol, opts.max_iter, floor)
+        beta, s = stage.beta, stage.s
         if a in target_set:
-            results[a] = _package_fit(data, x, y, beta, s, a, converged, iters, opts)
+            if opts.multistart > 0:
+                stage = _multistart_refine(x, y, a, stage, opts)
+            results[a] = _package_fit(data, a, stage)
     return results
 
 
-def _package_fit(data, x, y, beta, s, a, converged, iters, opts):
-    if opts.multistart > 0:
-        beta, s, converged, iters = _multistart_refine(
-            x, y, beta, s, a, converged, iters, opts
-        )
-    sigma = math.exp(s)
-    val, grad, _ = _objective_grad_hess(x, y, beta, s, a)
-    g_check = grad.copy()
-    g_check[-1] /= sigma
-    theta = Theta(beta=beta, sigma=sigma)
+def _package_fit(data, a, stage):
+    theta = Theta(beta=stage.beta, sigma=math.exp(stage.s))
     return FitResult(
         theta_hat=theta,
         alpha=a,
-        converged=converged,
-        iterations=iters,
-        gradient_norm=float(np.max(np.abs(g_check))),
+        converged=stage.converged,
+        iterations=stage.iterations,
+        gradient_norm=_scaled_gradient_norm(stage.gradient, stage.s),
         sigma_n=covariance_mlrm(data, theta, a).sigma_n,
-        objective_value=val,
+        objective_value=stage.value,
     )
 
 
-def _multistart_refine(x, y, beta, s, a, converged, iters, opts):
+def _multistart_refine(x, y, a, stage, opts):
     """Probe other basins from subsample starting points; keep the best
-    converged stationary point by objective value."""
+    converged stationary point by objective value, ``stage`` included."""
     n, p = x.shape
     floor = DEGENERATE_SCALE_FACTOR * _response_scale(y)
-    best = (_objective_only(x, y, beta, s, a), beta, s, converged, iters)
+    best = stage
     stream = numerics.RngStream(opts.multistart_seed, stream_id=0)
     gen = stream.generator
     m = max(p + 2, n // 2)
@@ -338,14 +351,12 @@ def _multistart_refine(x, y, beta, s, a, converged, iters, opts):
             continue
         s0 = math.log(sd * (0.3 + 0.9 * gen.random()))
         try:
-            b1, s1, ok, it1 = _newton_stage(x, y, b0, s0, a, opts.tol, opts.max_iter, floor)
+            cand = _newton_stage(x, y, b0, s0, a, opts.tol, opts.max_iter, floor)
         except DegenerateFitError:
             continue
-        if ok:
-            cand = (_objective_only(x, y, b1, s1, a), b1, s1, ok, it1)
-            if cand[0] > best[0]:
-                best = cand
-    return best[1], best[2], best[3], best[4]
+        if cand.converged and cand.value > best.value:
+            best = cand
+    return best
 
 
 def fit_rp(
@@ -369,12 +380,12 @@ def fit_rp(
         return fit_mle(data)
     result = fit_rp_path(data, [alpha], opts)[alpha]
     if init is not None:
-        x, y = data.design, data.response
+        x, y = np.asfortranarray(data.design), data.response
         floor = DEGENERATE_SCALE_FACTOR * _response_scale(y)
-        beta, s, ok, iters = _newton_stage(
+        stage = _newton_stage(
             x, y, init.beta.copy(), math.log(init.sigma), alpha, opts.tol, opts.max_iter, floor
         )
-        alt = _package_fit(data, x, y, beta, s, alpha, ok, iters, replace(opts, multistart=0))
+        alt = _package_fit(data, alpha, stage)
         if (alt.converged and not result.converged) or (
             alt.converged == result.converged
             and alt.objective_value > result.objective_value

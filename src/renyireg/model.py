@@ -17,6 +17,7 @@ evaluates the required integrals with the quadrature rules from
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -70,7 +71,11 @@ class Theta:
 
 @dataclass(frozen=True, eq=False)
 class ModelData:
-    """Fixed design matrix and observed responses."""
+    """Fixed design matrix and observed responses.
+
+    Both arrays are treated as immutable: the p x p design products below
+    are computed once per instance and cached.
+    """
 
     design: np.ndarray
     response: np.ndarray
@@ -96,6 +101,21 @@ class ModelData:
     @property
     def n_params(self) -> int:
         return self.design.shape[1]
+
+    @functools.cached_property
+    def xtx_over_n(self) -> np.ndarray:
+        """X'X/n, read-only."""
+        s = self.design.T @ self.design / self.n_obs
+        s.setflags(write=False)
+        return s
+
+    @functools.cached_property
+    def xtx_over_n_inverse(self) -> np.ndarray:
+        """(X'X/n)^{-1}, read-only; raises ``DecompositionError`` when X'X/n
+        is not positive definite."""
+        inv = numerics.spd_inverse(self.xtx_over_n)
+        inv.setflags(write=False)
+        return inv
 
     def subset(self, keep) -> "ModelData":
         keep = np.asarray(keep)

@@ -97,10 +97,10 @@ def _sensitivity_matrix(family: DensityFamily, theta: Theta, alpha: float):
     """Averaged sensitivity of the estimating functional at the model, and
     each direction's tilted integrals ``(j0, j1)`` for the direction scores.
 
-    Assembled from the two per-direction curvature blocks of the estimating
-    equations; at the model they share every integral, with exponent
-    alpha + 1 throughout, and their difference is the tilted score
-    covariance.
+    It is the difference of the two per-direction curvature blocks of the
+    estimating equations.  At the model they share every integral, with
+    exponent alpha + 1 throughout; the score-Jacobian integral cancels, and
+    what is left is the tilted score covariance (j2 j0 - j1 j1') / j0^2.
     """
     c = alpha + 1.0
     n = family.n_directions
@@ -111,10 +111,7 @@ def _sensitivity_matrix(family: DensityFamily, theta: Theta, alpha: float):
         j0 = family.power_integral(i, theta, c)
         j1 = family.power_score_integral(i, theta, c)
         j2 = family.power_score_outer_integral(i, theta, c)
-        j3 = family.power_score_jacobian_integral(i, theta, c)
-        a_full = ((1.0 + alpha) * j2 + j3) * j0 - (1.0 + alpha) * np.outer(j1, j1)
-        a_star = (alpha * j2 + j3) * j0 - alpha * np.outer(j1, j1)
-        total += (a_full - a_star) / j0**2
+        total += (j2 * j0 - np.outer(j1, j1)) / j0**2
         tilts.append((j0, j1))
     return total / n, tilts
 
@@ -255,8 +252,7 @@ def gross_error_sensitivity(data: ModelData, i0: int, theta: Theta, alpha: float
         return UNBOUNDED_SENSITIVITY, UNBOUNDED_SENSITIVITY
     a = alpha
     sig = theta.sigma
-    s = data.design.T @ data.design / data.n_obs
-    s_inv_x = numerics.solve_spd(s, data.design[i0])
+    s_inv_x = numerics.solve_spd(data.xtx_over_n, data.design[i0])
     gamma_beta = (
         sig * (1 + a) ** 1.5 / math.sqrt(a) * math.exp(-0.5) * float(np.linalg.norm(s_inv_x))
     )

@@ -1,13 +1,15 @@
 """Command-line interface: reports, manifests, determinism, exit codes."""
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from renyireg.cli import EXIT_ERROR, EXIT_OK, main
+from renyireg import cli
+from renyireg.cli import EXIT_ERROR, EXIT_NONCONVERGED, EXIT_OK, main
 
 
 def read_csv(path):
@@ -229,6 +231,27 @@ class TestSimulate:
         assert (out1 / "study.csv").read_bytes() == (out2 / "study.csv").read_bytes()
         manifest = json.loads((out1 / "study.csv.manifest.json").read_text())
         assert str(cfg) in manifest["input_checksums"]
+
+    def test_nonconverged_cell_exit_code(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(CONFIG)
+        run_study = cli.run_study
+
+        def one_nonconverged(config):
+            result = run_study(config)
+            key = next(iter(result.cells))
+            cell = dict(result.cells[key], non_converged=1)
+            cell["replications_used"] -= 1
+            return dataclasses.replace(
+                result, cells={**result.cells, key: cell}, non_convergence_count=1
+            )
+
+        monkeypatch.setattr(cli, "run_study", one_nonconverged)
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", str(cfg), "--output", str(out)])
+        assert code == EXIT_NONCONVERGED
+        assert (out / "study.csv").exists()
+        assert json.loads((out / "study.json").read_text())["non_convergence_count"] == 1
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from renyireg import estimation
 from renyireg.data import exclude_rows, load_dataset
 from renyireg.estimation import (
     SolverOptions,
     _objective_grad_hess,
-    _objective_only,
     covariance_mlrm,
     design_diagnostics,
     fit_mle,
@@ -326,7 +326,15 @@ class TestSolverKernel:
         np.testing.assert_allclose(grad, fd_grad, rtol=1e-6, atol=1e-9)
         np.testing.assert_allclose(hess, fd_hess, rtol=1e-6, atol=1e-9)
         np.testing.assert_array_equal(hess, hess.T)
-        assert _objective_only(x, y, point[:p], point[p], alpha) == val
+
+    @pytest.mark.parametrize("alpha", [0.1, 1.0])
+    def test_non_finite_value_is_minus_inf(self, alpha):
+        # the line search rejects such a trial point by its value alone
+        x, y, point = self.instance(True)
+        beta = point[:-1].copy()
+        beta[1] = np.nan
+        val, _, _ = _objective_grad_hess(x, y, beta, point[-1], alpha)
+        assert val == -math.inf
 
 
 class TestMultistart:
@@ -370,6 +378,94 @@ class TestMultistart:
         multi = fit_rp(data, 1.5, options=SolverOptions(multistart=4, multistart_seed=0))
         assert multi.converged
         assert multi.objective_value >= plain.objective_value
+
+
+class TestSolverEvaluations:
+    """Each Newton point costs one kernel evaluation, and the reported
+    objective and gradient belong to the returned estimate."""
+
+    ALPHAS = (0.0, 0.3, 0.7, 1.0)
+
+    @staticmethod
+    def contaminated(design=None):
+        gen = np.random.default_rng(11)
+        n = 200
+        x = np.column_stack([np.ones(n), gen.normal(size=n)])
+        if design is not None:
+            x = design
+        y = x @ np.array([1.0, 2.0]) + gen.normal(size=n)
+        y[: n // 10] += 6.0
+        return ModelData(design=x, response=y)
+
+    @staticmethod
+    def record_points(monkeypatch):
+        points = []
+        kernel = estimation._objective_grad_hess
+
+        def recording(x, y, beta, s, a):
+            points.append((beta.tobytes(), s, a))
+            return kernel(x, y, beta, s, a)
+
+        monkeypatch.setattr(estimation, "_objective_grad_hess", recording)
+        return points
+
+    def test_path_evaluates_no_point_twice(self, monkeypatch):
+        data = self.contaminated()
+        points = self.record_points(monkeypatch)
+        fits = fit_rp_path(data, self.ALPHAS)
+        assert all(f.converged for f in fits.values())
+        assert len(points) > len(self.ALPHAS)
+        assert len(set(points)) == len(points)
+
+    def test_multistart_evaluates_no_point_twice(self, monkeypatch):
+        data = self.contaminated()
+        points = self.record_points(monkeypatch)
+        fit = fit_rp(data, 0.7, options=SolverOptions(multistart=2))
+        assert fit.converged
+        assert len(set(points)) == len(points)
+
+    def test_layout_of_design_does_not_matter(self):
+        base = self.contaminated().design
+        wide = np.zeros((base.shape[0], 2 * base.shape[1]))
+        wide[:, ::2] = base
+        designs = {
+            "C": np.ascontiguousarray(base),
+            "F": np.asfortranarray(base),
+            "strided": wide[:, ::2],
+        }
+        assert not designs["strided"].flags.c_contiguous
+        assert not designs["strided"].flags.f_contiguous
+        paths = {
+            name: fit_rp_path(self.contaminated(x), self.ALPHAS) for name, x in designs.items()
+        }
+        ref = paths["C"]
+        for fits in paths.values():
+            for a in self.ALPHAS:
+                assert fits[a].iterations == ref[a].iterations
+                assert fits[a].converged == ref[a].converged
+                np.testing.assert_allclose(
+                    fits[a].theta_hat.to_array(), ref[a].theta_hat.to_array(), rtol=1e-12
+                )
+
+    def test_reported_values_belong_to_estimate(self):
+        data = self.contaminated()
+        init = Theta(beta=np.array([1.0, 2.0]), sigma=1.0)
+        fits = list(fit_rp_path(data, self.ALPHAS[1:]).values())
+        fits.append(fit_rp(data, 0.7, options=SolverOptions(multistart=2)))
+        fits.append(fit_rp(data, 1.0, init=init))
+        # the solver's layout, so that a near-zero gradient is compared
+        # without rounding from another order of summation
+        x = np.asfortranarray(data.design)
+        for fit in fits:
+            s = math.log(fit.theta_hat.sigma)
+            assert math.exp(s) == fit.theta_hat.sigma
+            val, grad, _ = _objective_grad_hess(
+                x, data.response, fit.theta_hat.beta, s, fit.alpha
+            )
+            g = grad.copy()
+            g[-1] /= fit.theta_hat.sigma
+            assert fit.objective_value == pytest.approx(val, rel=1e-12)
+            assert fit.gradient_norm == pytest.approx(float(np.max(np.abs(g))), rel=1e-12)
 
 
 class TestDegenerateCollapse:
