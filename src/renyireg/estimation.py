@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 MIN_DESIGN_EIGENVALUE = 1e-12
+MULTISTART_MARGIN = 1e-12
 DEGENERATE_SCALE_FACTOR = 1e-10
 
 
@@ -84,14 +85,15 @@ class SolverOptions:
 def design_diagnostics(data: ModelData) -> DesignDiagnostics:
     """Conditioning summary of the fixed design.
 
-    Fitting requires the smallest eigenvalue of X'X/n to be positive; the
-    scaled leverage n * max_i x_i' (X'X)^{-1} x_i flags designs whose
-    asymptotics are driven by a few rows.
+    Fitting requires X'X/n to have full rank, judged on its columns scaled
+    to unit diagonal (see ``_require_full_rank``); the reported eigenvalue is
+    that of X'X/n itself.  The scaled leverage n * max_i x_i' (X'X)^{-1} x_i
+    flags designs whose asymptotics are driven by a few rows.
     """
     x = data.design
     n = data.n_obs
     lam = numerics.min_eigenvalue(data.xtx_over_n)
-    if lam > MIN_DESIGN_EIGENVALUE:
+    if _unit_diagonal_min_eigenvalue(data) > MIN_DESIGN_EIGENVALUE:
         xtx_inv = numerics.spd_inverse(x.T @ x)
         leverage = np.einsum("ij,jk,ik->i", x, xtx_inv, x)
         max_lev = float(n * leverage.max())
@@ -104,11 +106,23 @@ def design_diagnostics(data: ModelData) -> DesignDiagnostics:
     )
 
 
+def _unit_diagonal_min_eigenvalue(data: ModelData) -> float:
+    """Smallest eigenvalue of X'X/n after scaling its columns to unit
+    diagonal, which does not change with the units of the covariates; 0 when
+    a column of X is zero."""
+    s = data.xtx_over_n
+    d = np.sqrt(np.diag(s))
+    if not np.all(d > 0):
+        return 0.0
+    return numerics.min_eigenvalue(s / np.outer(d, d))
+
+
 def _require_full_rank(data: ModelData) -> None:
-    lam = numerics.min_eigenvalue(data.xtx_over_n)
+    lam = _unit_diagonal_min_eigenvalue(data)
     if lam <= MIN_DESIGN_EIGENVALUE:
         raise DecompositionError(
-            f"design is rank deficient: min eigenvalue of X'X/n is {lam:.3e}"
+            f"design is rank deficient: min eigenvalue of X'X/n scaled to unit "
+            f"diagonal is {lam:.3e}"
         )
 
 
@@ -331,7 +345,11 @@ def _package_fit(data, a, stage):
 
 def _multistart_refine(x, y, a, stage, opts):
     """Probe other basins from subsample starting points; keep the best
-    converged stationary point by objective value, ``stage`` included."""
+    converged stationary point by objective value, ``stage`` included.
+
+    Restarts that reach the same point tie on value to rounding, so a restart
+    replaces the current best only when it is higher by more than
+    ``MULTISTART_MARGIN`` relative; ties keep the earlier fit."""
     n, p = x.shape
     floor = DEGENERATE_SCALE_FACTOR * _response_scale(y)
     best = stage
@@ -354,7 +372,7 @@ def _multistart_refine(x, y, a, stage, opts):
             cand = _newton_stage(x, y, b0, s0, a, opts.tol, opts.max_iter, floor)
         except DegenerateFitError:
             continue
-        if cand.converged and cand.value > best.value:
+        if cand.converged and cand.value > best.value + MULTISTART_MARGIN * abs(best.value):
             best = cand
     return best
 

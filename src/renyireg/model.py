@@ -126,7 +126,15 @@ class DensityFamily:
     """Contract for a family of densities sharing a common parameter.
 
     Subclasses provide the pointwise quantities (log-density, score vector
-    u_i = d log f_i / d theta, and its Jacobian) plus the power integrals
+    u_i = d log f_i / d theta, and its Jacobian), each evaluated at a response
+    ``y`` that is a scalar or a 1-D array of points.  For an array of m
+    points the outputs gain a leading points axis: ``log_density`` returns
+    shape ``(m,)``, ``score_vector`` ``(m, dim)`` and ``score_jacobian``
+    ``(m, dim, dim)``; for a scalar they return a number, ``(dim,)`` and
+    ``(dim, dim)``.  :class:`QuadratureFamily` evaluates a base family once
+    per integral on the whole node array, so it needs this array form.
+
+    They also provide the power integrals
 
         power_integral(i, theta, c)               = int f_i^c dy
         power_score_integral(i, theta, c)         = int f_i^c u_i dy
@@ -139,13 +147,13 @@ class DensityFamily:
     n_directions: int
     param_dim: int
 
-    def log_density(self, i: int, y: float, theta: Theta) -> float:
+    def log_density(self, i: int, y, theta: Theta):
         raise NotImplementedError
 
-    def score_vector(self, i: int, y: float, theta: Theta) -> np.ndarray:
+    def score_vector(self, i: int, y, theta: Theta) -> np.ndarray:
         raise NotImplementedError
 
-    def score_jacobian(self, i: int, y: float, theta: Theta) -> np.ndarray:
+    def score_jacobian(self, i: int, y, theta: Theta) -> np.ndarray:
         raise NotImplementedError
 
     def center(self, i: int, theta: Theta) -> float:
@@ -183,27 +191,29 @@ class NormalLinearFamily(DensityFamily):
         self.param_dim = self.design.shape[1] + 1
 
     def _resid(self, i, y, theta):
-        return (y - float(self.design[i] @ theta.beta)) / theta.sigma
+        mu = float(self.design[i] @ theta.beta)
+        return (np.asarray(y, dtype=float) - mu) / theta.sigma
 
     def log_density(self, i, y, theta):
         r = self._resid(i, y, theta)
         return -0.5 * LOG_2PI - math.log(theta.sigma) - 0.5 * r * r
 
     def score_vector(self, i, y, theta):
-        r = self._resid(i, y, theta)
+        r = self._resid(i, y, theta)[..., None]
         sig = theta.sigma
-        return np.concatenate([r * self.design[i] / sig, [(r * r - 1.0) / sig]])
+        return np.concatenate([r * self.design[i] / sig, (r * r - 1.0) / sig], axis=-1)
 
     def score_jacobian(self, i, y, theta):
         r = self._resid(i, y, theta)
         sig = theta.sigma
         x = self.design[i]
         p = x.size
-        jac = np.zeros((p + 1, p + 1))
-        jac[:p, :p] = -np.outer(x, x) / sig**2
-        jac[:p, p] = -2.0 * r * x / sig**2
-        jac[p, :p] = -2.0 * r * x / sig**2
-        jac[p, p] = (1.0 - 3.0 * r * r) / sig**2
+        jac = np.zeros(r.shape + (p + 1, p + 1))
+        jac[..., :p, :p] = -np.outer(x, x) / sig**2
+        cross = -2.0 * r[..., None] * x / sig**2
+        jac[..., :p, p] = cross
+        jac[..., p, :p] = cross
+        jac[..., p, p] = (1.0 - 3.0 * r * r) / sig**2
         return jac
 
     def center(self, i, theta):
@@ -283,18 +293,24 @@ class QuadratureFamily(DensityFamily):
     def scale(self, i, theta):
         return self.base.scale(i, theta)
 
-    def _integrate(self, i, theta, c, weight_fn):
+    def _integrate(self, i, theta, c, weight=None):
+        """int f_i^c weight dy; ``weight`` maps the node array to one value
+        or array per node, and each function is evaluated once on all nodes."""
         center = self.base.center(i, theta)
         # f^c concentrates like the base density narrowed by sqrt(c)
         scale = self.base.scale(i, theta) / math.sqrt(max(c, 1e-12))
 
         def fn(y):
-            return math.exp(c * self.base.log_density(i, y, theta)) * weight_fn(y)
+            f_c = np.exp(c * self.base.log_density(i, y, theta))
+            if weight is None:
+                return f_c
+            w = weight(y)
+            return f_c.reshape(f_c.shape + (1,) * (w.ndim - 1)) * w
 
         return numerics.integrate(fn, self.rule, center, scale)
 
     def power_integral(self, i, theta, c):
-        return self._integrate(i, theta, c, lambda y: 1.0)
+        return self._integrate(i, theta, c)
 
     def power_score_integral(self, i, theta, c):
         return self._integrate(i, theta, c, lambda y: self.base.score_vector(i, y, theta))
@@ -302,7 +318,7 @@ class QuadratureFamily(DensityFamily):
     def power_score_outer_integral(self, i, theta, c):
         def outer(y):
             u = self.base.score_vector(i, y, theta)
-            return np.outer(u, u)
+            return u[:, :, None] * u[:, None, :]
 
         return self._integrate(i, theta, c, outer)
 

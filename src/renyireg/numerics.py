@@ -7,6 +7,7 @@ outputs, and RNG streams are fully specified by ``(seed, stream_id)``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -107,22 +108,31 @@ class QuadratureRule:
 
         integral of g  ~=  scale * sum_j weights[j] * g(center + sqrt(2) * scale * nodes[j])
 
-    (the affine transform is applied by :func:`integrate`).
+    (the affine transform is applied by :func:`integrate`).  Both arrays are
+    read-only copies, so one rule can be shared by every caller.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
+        for name in ("nodes", "weights"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         if len(self.nodes) != len(self.weights) or len(self.nodes) < 2:
             raise DomainError("nodes and weights must have equal length >= 2")
-        if np.any(np.asarray(self.weights) <= 0):
+        if np.any(self.weights <= 0):
             raise DomainError("quadrature weights must all be positive")
 
 
+@functools.lru_cache(maxsize=16)
 def gauss_hermite_rule(n_nodes: int = 64) -> QuadratureRule:
     """Gauss-Hermite rule with ``n_nodes`` points, transformed so that
     integrating a unit-mass density centered at the rule's center gives 1.
+
+    Built on first use and cached: repeated calls return the same read-only
+    rule.
     """
     if n_nodes < 16:
         raise DomainError(f"need at least 16 nodes, got {n_nodes}")
@@ -135,15 +145,20 @@ def gauss_hermite_rule(n_nodes: int = 64) -> QuadratureRule:
 def integrate(fn, rule: QuadratureRule, center: float, scale: float):
     """Integrate ``fn`` over the real line.
 
-    ``fn`` maps a point to a number or to an array of fixed shape; an array
-    is integrated entrywise and returned with that shape, a number as a
-    float.  The rule is recentered and rescaled: it is accurate for
-    integrands that are concentrated around ``center`` with width of order
-    ``scale`` (e.g. powers of a normal density with mean ``center`` and sd
-    ``scale``).
+    ``fn`` is called once, on the 1-D array of transformed nodes, and
+    returns one value per node along a leading points axis: shape ``(m,)``
+    for a scalar integrand, ``(m, ...)`` for an array-valued one.  An array
+    integrand is integrated entrywise and returned with its trailing shape,
+    a scalar one as a float.  The rule is recentered and rescaled: it is
+    accurate for integrands that are concentrated around ``center`` with
+    width of order ``scale`` (e.g. powers of a normal density with mean
+    ``center`` and sd ``scale``).
 
     Raises
     ------
+    DomainError
+        If ``scale`` is not positive, or ``fn`` does not return one value
+        per node on its leading axis.
     NonFiniteIntegrandError
         If any entry of ``fn`` is non-finite at a node; the first such node
         is attached to the exception.
@@ -151,7 +166,12 @@ def integrate(fn, rule: QuadratureRule, center: float, scale: float):
     if scale <= 0:
         raise DomainError(f"scale must be positive, got {scale}")
     points = center + math.sqrt(2.0) * scale * rule.nodes
-    values = np.asarray([fn(p) for p in points], dtype=float)
+    values = np.asarray(fn(points), dtype=float)
+    if values.shape[:1] != points.shape:
+        raise DomainError(
+            f"integrand must return one value per node on a leading axis of length "
+            f"{points.size}, got shape {values.shape}"
+        )
     bad = ~np.isfinite(values.reshape(len(points), -1)).all(axis=1)
     if bad.any():
         raise NonFiniteIntegrandError(

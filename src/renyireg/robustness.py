@@ -46,6 +46,9 @@ __all__ = [
 
 UNBOUNDED_SENSITIVITY = math.inf
 
+# residuals per block of the points x directions matrix in _stacked_scores
+_STACKED_BLOCK_RESIDUALS = 1 << 16
+
 
 @dataclass(frozen=True)
 class IFRequest:
@@ -132,13 +135,13 @@ def if_general(family: DensityFamily, data: ModelData, req: IFRequest) -> IFRepo
     # the estimating score of direction i at t, f_i(t)^alpha (u_i(t) j0 - j1) / j0^2,
     # is 1/sqrt(1+alpha)-tilted relative to the psi normalization; m carries
     # the same factor, so scaling cancels
-    num = np.zeros((req.contamination_points.size, family.param_dim))
+    pts = req.contamination_points
+    num = np.zeros((pts.size, family.param_dim))
     for i in _direction_indices(req, family.n_directions):
         j0, j1 = tilts[i]
-        for k, t in enumerate(req.contamination_points):
-            u = family.score_vector(i, t, theta)
-            f_alpha = math.exp(alpha * family.log_density(i, t, theta))
-            num[k] += f_alpha * (u * j0 - j1) / j0**2
+        u = family.score_vector(i, pts, theta)
+        f_alpha = np.exp(alpha * family.log_density(i, pts, theta))
+        num += f_alpha[:, None] * (u * j0 - j1) / j0**2
     values = num @ m_inv.T
     return IFReport(
         points=req.contamination_points,
@@ -156,17 +159,22 @@ def _stacked_scores(data: ModelData, req: IFRequest) -> np.ndarray:
     normal linear family in the estimating-equation normalization:
     psi_i(t) = exp(-a r^2/2) (r x_i, r^2 - 1/(1+a)) / sigma.
 
-    One pass over the rows per point keeps memory at O(n p).
+    The residuals form one points x directions matrix, taken in blocks of
+    whole points of at most ``_STACKED_BLOCK_RESIDUALS`` entries (one point
+    when a point alone is larger), so memory stays O(n p).
     """
     x = data.design[list(_direction_indices(req, data.n_obs))]
     sig, alpha = req.theta.sigma, req.alpha
     fitted = x @ req.theta.beta
-    out = np.empty((req.contamination_points.size, data.n_params + 1))
-    for k, t in enumerate(req.contamination_points):
-        r = (t - fitted) / sig
+    pts = req.contamination_points
+    out = np.empty((pts.size, data.n_params + 1))
+    rows = max(1, _STACKED_BLOCK_RESIDUALS // fitted.size)
+    for start in range(0, pts.size, rows):
+        block = slice(start, start + rows)
+        r = (pts[block, None] - fitted) / sig
         w = np.exp(-0.5 * alpha * r * r)
-        out[k, :-1] = (w * r) @ x / sig
-        out[k, -1] = np.sum(w * (r * r - 1.0 / (1.0 + alpha))) / sig
+        out[block, :-1] = (w * r) @ x / sig
+        out[block, -1] = np.sum(w * (r * r - 1.0 / (1.0 + alpha)), axis=1) / sig
     return out
 
 

@@ -54,6 +54,40 @@ class TestFitMle:
         with pytest.raises(DecompositionError):
             fit_mle(ModelData(design=x, response=y))
 
+    def test_duplicate_and_zero_columns_refused(self):
+        gen = np.random.default_rng(5)
+        x1 = gen.normal(size=20)
+        y = 1.0 + x1 + gen.normal(size=20)
+        for x in (
+            np.column_stack([np.ones(20), x1, x1]),
+            np.column_stack([np.ones(20), x1, np.zeros(20)]),
+        ):
+            data = ModelData(design=x, response=y)
+            with pytest.raises(DecompositionError):
+                fit_mle(data)
+            with pytest.raises(DecompositionError):
+                fit_rp(data, 0.5)
+            assert design_diagnostics(data).max_scaled_leverage == math.inf
+
+    def test_rank_check_ignores_covariate_units(self):
+        # X -> X diag(1, 1e-6) leaves the fit unchanged up to units: the
+        # slope becomes 1e6 beta_1
+        gen = np.random.default_rng(8)
+        n = 80
+        x = np.column_stack([np.ones(n), gen.uniform(size=n)])
+        y = x @ np.array([1.0, 2.0]) + 0.3 * gen.normal(size=n)
+        y[:8] += 2.0
+        units = np.array([1.0, 1e-6])
+        alphas = (0.0, 0.3, 1.0)
+        ref = fit_rp_path(ModelData(design=x, response=y), alphas)
+        scaled = fit_rp_path(ModelData(design=x * units, response=y), alphas)
+        for a in alphas:
+            assert scaled[a].converged
+            np.testing.assert_allclose(
+                scaled[a].theta_hat.beta * units, ref[a].theta_hat.beta, rtol=1e-10
+            )
+            assert scaled[a].theta_hat.sigma == pytest.approx(ref[a].theta_hat.sigma, rel=1e-10)
+
     def test_brain_weight_table_row(self):
         # exact closed form on the bundled data; the published row drifts a
         # few 1e-3 from the exact optimum (see notes in the acceptance suite)
@@ -378,6 +412,54 @@ class TestMultistart:
         multi = fit_rp(data, 1.5, options=SolverOptions(multistart=4, multistart_seed=0))
         assert multi.converged
         assert multi.objective_value >= plain.objective_value
+
+
+class TestMultistartTies:
+    """A restart that reaches the continuation fit's point ties with it on
+    objective value to rounding; the continuation fit is then kept as is."""
+
+    @pytest.mark.parametrize("name", ["brain_weight", "first_word"])
+    @pytest.mark.parametrize("without_outliers", [False, True])
+    def test_tied_restart_keeps_continuation_fit(self, name, without_outliers, monkeypatch):
+        desc = load_dataset(name)
+        data = exclude_rows(desc.data, desc.outlier_rows) if without_outliers else desc.data
+        alphas = tuple(round(0.1 * k, 1) for k in range(1, 11))
+        plain = fit_rp_path(data, alphas)
+
+        restarts = {}
+        refine, stage = estimation._multistart_refine, estimation._newton_stage
+
+        def recording_refine(x, y, a, st, opts):
+            restarts[a] = []
+            return refine(x, y, a, st, opts)
+
+        def recording_stage(x, y, beta, s, a, *args):
+            out = stage(x, y, beta, s, a, *args)
+            if a in restarts:
+                restarts[a].append(out)
+            return out
+
+        monkeypatch.setattr(estimation, "_multistart_refine", recording_refine)
+        monkeypatch.setattr(estimation, "_newton_stage", recording_stage)
+        multi = fit_rp_path(data, alphas, SolverOptions(multistart=2))
+
+        ties = 0
+        for a in alphas:
+            ref = plain[a].theta_hat.to_array()
+
+            def at_continuation(st):
+                point = np.append(st.beta, math.exp(st.s))
+                return np.max(np.abs(point - ref) / np.abs(ref)) <= 1e-6
+
+            converged = [st for st in restarts[a] if st.converged]
+            if any(at_continuation(st) for st in converged) and all(
+                at_continuation(st) or st.value < plain[a].objective_value for st in converged
+            ):
+                ties += 1
+                assert multi[a].iterations == plain[a].iterations
+                np.testing.assert_array_equal(multi[a].theta_hat.beta, plain[a].theta_hat.beta)
+                assert multi[a].theta_hat.sigma == plain[a].theta_hat.sigma
+        assert ties > 0
 
 
 class TestSolverEvaluations:

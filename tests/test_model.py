@@ -104,6 +104,55 @@ class TestNormalFamilyIntegrals:
         np.testing.assert_allclose(fam.score_jacobian(1, y, theta), jac_fd, atol=1e-5)
 
 
+class TestArrayContract:
+    """Pointwise functions accept a 1-D array of responses and add a leading
+    points axis; the quadrature route evaluates them once per integral."""
+
+    def test_array_calls_equal_stacked_scalar_calls(self, rng):
+        x = np.column_stack([np.ones(4), rng.normal(size=(4, 2))])
+        fam = NormalLinearFamily(x)
+        theta = Theta(beta=rng.normal(size=3), sigma=0.7)
+        ys = rng.normal(scale=3.0, size=9)
+        for i in range(4):
+            for name in ("log_density", "score_vector", "score_jacobian"):
+                fn = getattr(fam, name)
+                stacked = np.array([fn(i, float(y), theta) for y in ys])
+                got = fn(i, ys, theta)
+                assert got.shape == stacked.shape
+                np.testing.assert_array_equal(got, stacked)
+
+    def test_quadrature_integrals_evaluate_base_once(self, rng):
+        calls = []
+
+        class Counting(NormalLinearFamily):
+            def log_density(self, i, y, theta):
+                calls.append(("log_density", np.shape(y)))
+                return super().log_density(i, y, theta)
+
+            def score_vector(self, i, y, theta):
+                calls.append(("score_vector", np.shape(y)))
+                return super().score_vector(i, y, theta)
+
+            def score_jacobian(self, i, y, theta):
+                calls.append(("score_jacobian", np.shape(y)))
+                return super().score_jacobian(i, y, theta)
+
+        x = np.column_stack([np.ones(3), rng.normal(size=3)])
+        quad = QuadratureFamily(Counting(x))
+        nodes = (quad.rule.nodes.size,)
+        theta = Theta(beta=rng.normal(size=2), sigma=1.2)
+        expected = {
+            "power_integral": ["log_density"],
+            "power_score_integral": ["log_density", "score_vector"],
+            "power_score_outer_integral": ["log_density", "score_vector"],
+            "power_score_jacobian_integral": ["log_density", "score_jacobian"],
+        }
+        for method, names in expected.items():
+            calls.clear()
+            getattr(quad, method)(1, theta, 1.6)
+            assert sorted(calls) == [(name, nodes) for name in names], method
+
+
 class TestLossAndWeight:
     def test_loss_zero_residual_alpha0(self):
         x = np.array([[1.0, 2.0], [1.0, 0.0], [1.0, 1.0]])
@@ -122,7 +171,7 @@ class TestLossAndWeight:
         alpha = 0.5
         rule = numerics.gauss_hermite_rule(64)
         mass = numerics.integrate(
-            lambda yy: math.exp((alpha + 1) * fam.log_density(0, yy, theta)), rule, 0.0, 1.0
+            lambda yy: np.exp((alpha + 1) * fam.log_density(0, yy, theta)), rule, 0.0, 1.0
         )
         expected = math.log(mass) / (alpha + 1) - fam.log_density(0, 0.0, theta)
         assert rp_loss_single(fam, 0, 0.0, theta, alpha) == pytest.approx(expected, rel=1e-10)

@@ -140,7 +140,7 @@ class TestNoncentralChisq:
 
 
 def _std_normal_pdf(y):
-    return math.exp(-0.5 * y * y) / math.sqrt(2 * math.pi)
+    return np.exp(-0.5 * y * y) / math.sqrt(2 * math.pi)
 
 
 class TestIntegrate:
@@ -187,7 +187,9 @@ class TestIntegrate:
             lambda y: _std_normal_pdf(y - 1.0) ** 1.7,
         ]
         stacked = numerics.integrate(
-            lambda y: np.array([[f(y) for f in parts[:2]], [f(y) for f in parts[2:]]]),
+            lambda y: np.moveaxis(
+                np.array([[f(y) for f in parts[:2]], [f(y) for f in parts[2:]]]), -1, 0
+            ),
             rule, 1.0, 1.0,
         )
         singles = np.array([numerics.integrate(f, rule, 1.0, 1.0) for f in parts])
@@ -198,14 +200,15 @@ class TestIntegrate:
     def test_nonfinite_integrand_reports_node(self):
         rule = numerics.gauss_hermite_rule(32)
         with pytest.raises(NonFiniteIntegrandError) as err:
-            numerics.integrate(lambda y: math.nan if y > 0.5 else 1.0, rule, 0.0, 1.0)
+            numerics.integrate(lambda y: np.where(y > 0.5, math.nan, 1.0), rule, 0.0, 1.0)
         assert err.value.node is not None and err.value.node > 0.5
 
     def test_nonfinite_entry_reports_node(self):
         rule = numerics.gauss_hermite_rule(32)
         with pytest.raises(NonFiniteIntegrandError) as err:
             numerics.integrate(
-                lambda y: np.array([1.0, math.inf if y < -0.5 else y]), rule, 0.0, 1.0
+                lambda y: np.stack([np.ones_like(y), np.where(y < -0.5, math.inf, y)], -1),
+                rule, 0.0, 1.0,
             )
         assert err.value.node is not None and err.value.node < -0.5
 
@@ -213,6 +216,33 @@ class TestIntegrate:
         rule = numerics.gauss_hermite_rule(32)
         with pytest.raises(DomainError):
             numerics.integrate(_std_normal_pdf, rule, 0.0, 0.0)
+
+    def test_rule_is_cached_and_read_only(self):
+        rule = numerics.gauss_hermite_rule(64)
+        assert numerics.gauss_hermite_rule(64) is rule
+        assert numerics.gauss_hermite_rule(32) is not rule
+        for arr in (rule.nodes, rule.weights):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_integrand_called_once_on_all_nodes(self):
+        rule = numerics.gauss_hermite_rule(32)
+        shapes = []
+
+        def fn(y):
+            shapes.append(y.shape)
+            return _std_normal_pdf(y)
+
+        assert numerics.integrate(fn, rule, 0.0, 1.0) == pytest.approx(1.0, abs=1e-10)
+        assert shapes == [(32,)]
+
+    def test_integrand_without_points_axis_rejected(self):
+        rule = numerics.gauss_hermite_rule(32)
+        with pytest.raises(DomainError):
+            numerics.integrate(lambda y: 1.0, rule, 0.0, 1.0)
+        with pytest.raises(DomainError):
+            numerics.integrate(lambda y: np.ones(3), rule, 0.0, 1.0)
 
     def test_rule_validation(self):
         with pytest.raises(DomainError):
@@ -340,7 +370,7 @@ class TestGaussHermiteExactness:
 
         def fn(y):
             z = y - c
-            dens = math.exp(-0.5 * (z / s) ** 2) / (math.sqrt(2 * math.pi) * s)
+            dens = np.exp(-0.5 * (z / s) ** 2) / (math.sqrt(2 * math.pi) * s)
             return sum(a * z**k for k, a in enumerate(coeffs)) * dens
 
         got = numerics.integrate(fn, rule, c, s)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from renyireg import robustness
 from renyireg.estimation import covariance_mlrm
 from renyireg.exceptions import DomainError
 from renyireg.inference import LinearHypothesis
@@ -71,6 +72,21 @@ class TestFirstOrder:
             for i in range(5)
         )
         np.testing.assert_allclose(total, parts, rtol=1e-12)
+
+    @pytest.mark.parametrize("block", [1, 100])
+    @pytest.mark.parametrize("direction", ["all", 3])
+    def test_stacked_scores_independent_of_block_size(self, rng, monkeypatch, block, direction):
+        # the default block holds all 25 x 40 residuals at once; 1 takes one
+        # point per block, 100 two points with a short last block
+        data = small_data(rng, n=40)
+        theta = Theta(beta=np.array([0.8, 1.2]), sigma=1.1)
+        points = rng.normal(scale=4.0, size=25)
+        req = IFRequest(contamination_points=points, theta=theta, alpha=0.6, direction=direction)
+        whole = robustness._stacked_scores(data, req)
+        monkeypatch.setattr(robustness, "_STACKED_BLOCK_RESIDUALS", block)
+        blocked = robustness._stacked_scores(data, req)
+        assert blocked.shape == whole.shape == (25, 3)
+        assert np.max(np.abs(blocked - whole)) <= 1e-14 * np.max(np.abs(whole))
 
     def test_mle_influence_unbounded(self, rng):
         data = small_data(rng)
