@@ -5,11 +5,14 @@ Subcommands: ``fit``, ``test``, ``influence``, ``are``, ``power``,
 tables, JSON for summaries, switchable with ``--format``; ``simulate``
 always writes both ``study.csv`` and ``study.json``) and accompanies
 each output file with ``<file>.manifest.json`` recording the command, all
-resolved options, the seed, the library version, and checksums of any input
-files, so a run can be reproduced exactly.
+resolved options, the library version, and checksums of any input files, so
+a run can be reproduced exactly.  ``--seed`` seeds ``--multistart`` on the
+data subcommands and overrides the config file's seed for ``simulate``,
+whose absent config keys take the dataclass defaults.
 
-Exit codes: 0 on success, 1 on errors, 3 when at least one requested fit did
-not converge (reports are still written, with the failure noted).
+Exit codes: 0 on success, 1 on errors (printed as ``error: ...``), 3 when at
+least one requested fit did not converge (reports are still written, with
+the failure noted).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from . import __version__
 from .data import exclude_rows, load_csv, load_dataset
 from .estimation import SolverOptions, fit_rp_path
-from .exceptions import DegenerateFitError, DomainError
+from .exceptions import DecompositionError, DegenerateFitError, DomainError
 from .inference import LinearHypothesis, wald_composite
 from .model import ModelData
 from .robustness import (
@@ -63,22 +66,35 @@ def _int_list(text):
 
 
 def _fmt(value):
+    # float() drops numpy's scalar type, whose repr is not a number
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return value
-
-
-def _write_csv(path, columns, rows):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
 
 
 def _write_json(path, payload):
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True, default=str)
+
+
+def _write_table(args, stem, columns, rows, inputs=(), **extra):
+    """Write ``<stem>.csv`` or ``<stem>.json`` (per ``--format``) under
+    ``--output`` with its manifest; ``extra`` adds top-level JSON keys.
+    Returns the path written."""
+    out_dir = Path(args.output)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    out = out_dir / f"{stem}.{args.format}"
+    if args.format == "csv":
+        with open(out, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(columns)
+            for row in rows:
+                writer.writerow([_fmt(v) for v in row])
+    else:
+        _write_json(out, {"columns": columns, "rows": rows, **extra})
+    _manifest(out, args, inputs)
+    print(f"wrote {out}")
+    return out
 
 
 def _manifest(out_file: Path, args, inputs=()):
@@ -96,10 +112,9 @@ def _manifest(out_file: Path, args, inputs=()):
 
 
 def _resolve_data(args):
-    """Return (ModelData, input paths, default excluded rows)."""
+    """Return (ModelData, input paths)."""
     if args.data in ("brain_weight", "first_word"):
-        descriptor = load_dataset(args.data)
-        return descriptor.data, [], descriptor.outlier_rows
+        return load_dataset(args.data).data, []
     path = Path(args.data)
     if not path.exists():
         raise DomainError(f"no such dataset or file: {args.data}")
@@ -118,7 +133,7 @@ def _resolve_data(args):
         add_intercept=not args.no_intercept,
         transform=args.transform,
     )
-    return data, [path], ()
+    return data, [path]
 
 
 def _parse_hypothesis(spec: str, dim: int) -> LinearHypothesis:
@@ -147,26 +162,24 @@ def _parse_hypothesis(spec: str, dim: int) -> LinearHypothesis:
     return LinearHypothesis.coordinates(indices, values, dim)
 
 
-def _fit_block(data: ModelData, alphas, seed, multistart=0):
+def _fit_block(data: ModelData, args):
     """Continuation from the maximum-likelihood fit defines the reported
     solution; restarts are opt-in because the objective rewards concentrated
     fits at large tuning values."""
-    options = SolverOptions(multistart=multistart, multistart_seed=seed)
-    return fit_rp_path(data, alphas, options)
+    options = SolverOptions(multistart=args.multistart, multistart_seed=args.seed)
+    return fit_rp_path(data, args.alphas, options)
 
 
 def cmd_fit(args) -> int:
-    data, inputs, default_outliers = _resolve_data(args)
-    exclude = args.exclude if args.exclude is not None else ()
+    data, inputs = _resolve_data(args)
     blocks = [("all_rows", data)]
-    if exclude:
-        blocks.append(("excluded_" + "_".join(map(str, exclude)), exclude_rows(data, exclude)))
-    out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if args.exclude:
+        label = "excluded_" + "_".join(map(str, args.exclude))
+        blocks.append((label, exclude_rows(data, args.exclude)))
     status = EXIT_OK
     rows = []
     for label, block in blocks:
-        fits = _fit_block(block, args.alphas, args.seed, args.multistart)
+        fits = _fit_block(block, args)
         for a in args.alphas:
             fit = fits[float(a)]
             if not fit.converged:
@@ -183,27 +196,16 @@ def cmd_fit(args) -> int:
             )
     p = data.n_params
     columns = ["subset", "alpha", "sigma", *[f"beta{i}" for i in range(p)], "objective", "converged"]
-    if args.format == "csv":
-        out = out_dir / "fit.csv"
-        _write_csv(out, columns, rows)
-    else:
-        out = out_dir / "fit.json"
-        _write_json(out, {"columns": columns, "rows": rows})
-    _manifest(out, args, inputs)
-    print(f"wrote {out}")
+    _write_table(args, "fit", columns, rows, inputs)
     return status
 
 
 def cmd_test(args) -> int:
-    data, inputs, _ = _resolve_data(args)
-    exclude = args.exclude if args.exclude is not None else ()
-    if exclude:
-        data = exclude_rows(data, exclude)
-    dim = data.n_params + 1
-    hyp = _parse_hypothesis(args.null, dim)
-    fits = _fit_block(data, args.alphas, args.seed, args.multistart)
-    out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    data, inputs = _resolve_data(args)
+    if args.exclude:
+        data = exclude_rows(data, args.exclude)
+    hyp = _parse_hypothesis(args.null, data.n_params + 1)
+    fits = _fit_block(data, args)
     rows = []
     status = EXIT_OK
     for a in args.alphas:
@@ -215,28 +217,19 @@ def cmd_test(args) -> int:
             [a, outcome.statistic, outcome.df, outcome.p_value, outcome.reject_at(args.level), fit.converged]
         )
     columns = ["alpha", "statistic", "df", "p_value", f"reject_at_{args.level}", "converged"]
-    if args.format == "csv":
-        out = out_dir / "test.csv"
-        _write_csv(out, columns, rows)
-    else:
-        out = out_dir / "test.json"
-        _write_json(out, {"null": args.null, "columns": columns, "rows": rows})
-    _manifest(out, args, inputs)
-    print(f"wrote {out}")
+    _write_table(args, "test", columns, rows, inputs, null=args.null)
     return status
 
 
 def cmd_influence(args) -> int:
-    data, inputs, _ = _resolve_data(args)
+    data, inputs = _resolve_data(args)
     if args.exclude:
         data = exclude_rows(data, args.exclude)
-    fits = _fit_block(data, args.alphas, args.seed)
+    fits = _fit_block(data, args)
     if len(args.t_grid) != 3:
         raise DomainError("--t-grid expects lo,hi,count")
     lo, hi, count = args.t_grid
     grid = np.linspace(lo, hi, int(count))
-    out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     summary = {}
     direction = "all" if args.direction < 0 else args.direction
@@ -260,109 +253,95 @@ def cmd_influence(args) -> int:
         }
     p = data.n_params
     columns = ["alpha", "t", "if_norm", *[f"if_beta{i}" for i in range(p)], "if_sigma", "if2_simple"]
-    out = out_dir / ("influence.csv" if args.format == "csv" else "influence.json")
-    if args.format == "csv":
-        _write_csv(out, columns, rows)
-    else:
-        _write_json(out, {"columns": columns, "rows": rows, "summary": summary})
-    _write_json(out_dir / "influence_summary.json", summary)
-    _manifest(out, args, inputs)
-    _manifest(out_dir / "influence_summary.json", args, inputs)
-    print(f"wrote {out}")
+    out = _write_table(args, "influence", columns, rows, inputs, summary=summary)
+    summary_path = out.parent / "influence_summary.json"
+    _write_json(summary_path, summary)
+    _manifest(summary_path, args, inputs)
     return EXIT_OK
 
 
 def cmd_are(args) -> int:
-    out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for a in args.alphas:
         eb, es = are(float(a))
         rows.append([a, 100.0 * eb, 100.0 * es])
-    columns = ["alpha", "are_beta_x100", "are_sigma_x100"]
-    out = out_dir / ("are.csv" if args.format == "csv" else "are.json")
-    if args.format == "csv":
-        _write_csv(out, columns, rows)
-    else:
-        _write_json(out, {"columns": columns, "rows": rows})
-    _manifest(out, args)
-    print(f"wrote {out}")
+    _write_table(args, "are", ["alpha", "are_beta_x100", "are_sigma_x100"], rows)
     return EXIT_OK
 
 
 def cmd_power(args) -> int:
     table = contiguous_table(args.alphas, args.dx, args.sigma, args.level)
-    out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = [
         [a, d, power]
         for a, row in sorted(table.items())
         for d, power in sorted(row.items())
     ]
-    columns = ["alpha", "d_x", "power"]
-    out = out_dir / ("power.csv" if args.format == "csv" else "power.json")
-    if args.format == "csv":
-        _write_csv(out, columns, rows)
-    else:
-        _write_json(out, {"columns": columns, "rows": rows})
-    _manifest(out, args)
-    print(f"wrote {out}")
+    _write_table(args, "power", ["alpha", "d_x", "power"], rows)
     return EXIT_OK
 
 
+# config key -> (what it sets, field name, parser).  "design",
+# "contamination" and "study" are the keyword arguments of DesignSpec,
+# ContaminationSpec and StudyConfig; "beta1" and "sigma" override entries of
+# StudyConfig's default hypotheses.  An absent key is not passed, so the
+# dataclass default holds.
+_CONFIG_KEYS = {
+    "design": ("design", "kind", str),
+    "n": ("design", "n", int),
+    "a": ("design", "a", float),
+    "b": ("design", "b", float),
+    "design_seed": ("design", "seed", int),
+    "contamination_fraction": ("contamination", "fraction", float),
+    "contaminating_beta": ("contamination", "contaminating_beta", _float_list),
+    "placement": ("contamination", "placement", str),
+    "placement_seed": ("contamination", "placement_seed", int),
+    "true_beta": ("study", "true_beta", _float_list),
+    "true_sigma": ("study", "true_sigma", float),
+    "alphas": ("study", "alphas", _float_list),
+    "replications": ("study", "replications", int),
+    "level": ("study", "level", float),
+    "seed": ("study", "seed", int),
+    "sample_sizes": ("study", "sample_sizes", _int_list),
+    "beta1_null": ("beta1", "null", float),
+    "beta1_alternative": ("beta1", "alternative", float),
+    "sigma_null": ("sigma", "null", float),
+    "sigma_alternative": ("sigma", "alternative", float),
+}
+
+
 def _parse_config_file(path, seed_override=None, workers=1) -> StudyConfig:
-    """Flat key=value file mapping onto the study configuration."""
-    known = {
-        "design", "n", "a", "b", "design_seed", "true_beta", "true_sigma",
-        "alphas", "replications", "level", "seed", "contamination_fraction",
-        "contaminating_beta", "placement", "placement_seed", "sample_sizes",
-        "beta1_null", "beta1_alternative", "sigma_null", "sigma_alternative",
-    }
-    raw = {}
+    """Flat key=value file mapping onto the study configuration;
+    contamination is on when ``contamination_fraction > 0``."""
+    specs = {"design": {}, "contamination": {}, "study": {}, "beta1": {}, "sigma": {}}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise DomainError(f"{path}:{lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in known:
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in _CONFIG_KEYS:
             raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
-        raw[key] = value.strip()
-    design = DesignSpec(
-        kind=raw.get("design", "two_point"),
-        n=int(raw.get("n", 200)),
-        a=float(raw.get("a", 1.0)),
-        b=float(raw.get("b", 5.0)),
-        seed=int(raw.get("design_seed", 0)),
-    )
-    contamination = None
-    if float(raw.get("contamination_fraction", 0.0)) > 0:
-        contamination = ContaminationSpec(
-            fraction=float(raw["contamination_fraction"]),
-            contaminating_beta=_float_list(raw.get("contaminating_beta", "1.5,2.0")),
-            placement=raw.get("placement", "first_block"),
-            placement_seed=int(raw.get("placement_seed", 0)),
-        )
-    hypotheses = (
-        ("beta1", 1, float(raw.get("beta1_null", 1.0)),
-         float(raw["beta1_alternative"]) if "beta1_alternative" in raw else 0.45),
-        ("sigma", 2, float(raw.get("sigma_null", 1.0)),
-         float(raw["sigma_alternative"]) if "sigma_alternative" in raw else 0.8),
+        spec, name, parse = _CONFIG_KEYS[key]
+        try:
+            specs[spec][name] = parse(value)
+        except ValueError:
+            raise DomainError(f"{path}:{lineno}: bad value {value!r} for {key}") from None
+    if seed_override is not None:
+        specs["study"]["seed"] = seed_override
+    contamination = specs["contamination"]
+    hypotheses = tuple(
+        (name, index, specs[name].get("null", null), specs[name].get("alternative", alt))
+        for name, index, null, alt in StudyConfig.hypotheses
     )
     return StudyConfig(
-        design=design,
-        true_beta=_float_list(raw.get("true_beta", "1.0,1.0")),
-        true_sigma=float(raw.get("true_sigma", 1.0)),
-        alphas=_float_list(raw.get("alphas", "0.0,0.3,0.7,1.0")),
-        replications=int(raw.get("replications", 1000)),
-        level=float(raw.get("level", 0.05)),
-        seed=seed_override if seed_override is not None else int(raw.get("seed", 0)),
-        contamination=contamination,
-        sample_sizes=_int_list(raw["sample_sizes"]) if "sample_sizes" in raw else None,
+        design=DesignSpec(**specs["design"]),
+        contamination=(
+            ContaminationSpec(**contamination) if contamination.get("fraction", 0.0) > 0 else None
+        ),
         hypotheses=hypotheses,
         n_workers=workers,
+        **specs["study"],
     )
 
 
@@ -395,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated tuning values (default 0,0.2,...,1)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
         if data:
             p.add_argument("--data", required=True,
                            help="brain_weight, first_word, or a CSV path")
@@ -409,6 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="1-based rows to drop for a second fit block")
             p.add_argument("--multistart", type=int, default=0,
                            help="random restarts per tuning value (0 = continuation only)")
+            p.add_argument("--seed", type=int, default=0, help="seed of the restarts")
 
     p_fit = sub.add_parser("fit", help="estimate over a grid of tuning values")
     add_common(p_fit, data=True)
@@ -457,7 +436,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, DegenerateFitError, OSError) as err:
+    except (DomainError, DecompositionError, DegenerateFitError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
 

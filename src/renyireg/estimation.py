@@ -5,7 +5,7 @@ asymptotic covariance matrices of both.
 The alpha > 0 objective is non-concave, so the solver tracks the branch
 rooted at the maximum-likelihood solution by continuation: starting from the
 closed-form fit at alpha = 0, it increases alpha in steps of at most
-``alpha_step`` and runs a damped Newton iteration at each stage, warm-started
+``ALPHA_STEP`` and runs a damped Newton iteration at each stage, warm-started
 from the previous stage.  An optional multistart pass probes other basins.
 """
 
@@ -36,6 +36,9 @@ __all__ = [
 MIN_DESIGN_EIGENVALUE = 1e-12
 MULTISTART_MARGIN = 1e-12
 DEGENERATE_SCALE_FACTOR = 1e-10
+TOL = 1e-8
+MAX_ITER = 200
+ALPHA_STEP = 0.1
 
 
 @dataclass(frozen=True)
@@ -71,15 +74,14 @@ class DesignDiagnostics:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    tol: float = 1e-8
-    max_iter: int = 200
-    alpha_step: float = 0.1
+    """Random restarts per tuning value (0: continuation only) and their seed."""
+
     multistart: int = 0
     multistart_seed: int = 0
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iter < 1 or not 0 < self.alpha_step <= 0.1 + 1e-12:
-            raise DomainError("invalid solver options")
+        if self.multistart < 0:
+            raise DomainError(f"multistart must be nonnegative, got {self.multistart}")
 
 
 def design_diagnostics(data: ModelData) -> DesignDiagnostics:
@@ -127,7 +129,7 @@ def _require_full_rank(data: ModelData) -> None:
 
 
 def _response_scale(y: np.ndarray) -> float:
-    return max(1.0, float(np.sqrt(np.mean(y * y))))
+    return float(np.sqrt(np.mean(y * y)))
 
 
 def covariance_mlrm(data: ModelData, theta: Theta, alpha: float) -> CovarianceTriple:
@@ -196,6 +198,24 @@ def _scaled_gradient_norm(grad, s):
     return float(np.max(np.abs(g_check)))
 
 
+def _saddle_free_direction(x, s, val, neg, grad):
+    """Ascent direction where ``neg`` (minus the Hessian) is not positive
+    definite, or None where the derivatives are not finite: each generalised
+    eigenvector of ``neg`` against ``val * diag(X'X / (n sigma^2), 2)``, a
+    metric that changes with the units of y and X as the Hessian does, gets
+    the absolute value of its curvature, floored at 1e-8 of the largest."""
+    if not (val > 0 and np.all(np.isfinite(neg)) and np.all(np.isfinite(grad))):
+        return None
+    n, p = x.shape
+    metric = np.zeros((p + 1, p + 1))
+    metric[:p, :p] = (x.T @ x) / (n * math.exp(2.0 * s))
+    metric[p, p] = 2.0
+    root_inv = np.linalg.inv(np.linalg.cholesky(val * metric))
+    curvature, vectors = np.linalg.eigh(root_inv @ neg @ root_inv.T)
+    curvature = np.maximum(np.abs(curvature), 1e-8 * np.max(np.abs(curvature)))
+    return root_inv.T @ (vectors @ ((vectors.T @ (root_inv @ grad)) / curvature))
+
+
 class _Stage(NamedTuple):
     """Where a Newton stage ended, with the kernel's value and gradient there."""
 
@@ -207,33 +227,33 @@ class _Stage(NamedTuple):
     gradient: np.ndarray
 
 
-def _newton_stage(x, y, beta, s, a, tol, max_iter, scale_floor) -> _Stage:
+def _newton_stage(x, y, beta, s, a, scale_floor) -> _Stage:
     """Damped Newton ascent at fixed alpha.
 
     Each point costs one kernel evaluation: the line search evaluates value,
     gradient and Hessian at every trial point and the accepted one carries
-    them into the next iteration.
+    them into the next iteration.  The stage has converged when a Newton step
+    on a concave neighbourhood predicts a relative gain of at most ``TOL**2``:
+    the decrement ``grad @ direction`` does not change under X -> XA, and it
+    scales with the objective value under y -> c y, so the rule has no units.
     """
     beta = beta.copy()
-    eye = np.eye(x.shape[1] + 1)
     val, grad, hess = _objective_grad_hess(x, y, beta, s, a)
-    for it in range(max_iter):
+    for it in range(MAX_ITER):
         if math.exp(s) < scale_floor:
             raise DegenerateFitError(
                 f"scale collapsed below {scale_floor:.3e} during fitting"
             )
-        if _scaled_gradient_norm(grad, s) <= tol:
-            return _Stage(beta, s, True, it, val, grad)
         neg = -hess
-        mu = 0.0
-        for _ in range(64):
-            try:
-                direction = numerics.solve_spd(neg + mu * eye, grad)
-                break
-            except DecompositionError:
-                mu = 1e-8 if mu == 0.0 else 10.0 * mu
-        else:  # pragma: no cover - mu growth always terminates
-            return _Stage(beta, s, False, it, val, grad)
+        try:
+            direction = numerics.solve_spd(neg, grad)
+        except DecompositionError:
+            direction = _saddle_free_direction(x, s, val, neg, grad)
+            if direction is None:
+                return _Stage(beta, s, False, it, val, grad)
+        else:
+            if float(grad @ direction) <= TOL**2 * val:
+                return _Stage(beta, s, True, it, val, grad)
         # keep single stages from tunnelling into the degenerate spike
         if abs(direction[-1]) > 1.0:
             direction = direction / abs(direction[-1])
@@ -253,7 +273,7 @@ def _newton_stage(x, y, beta, s, a, tol, max_iter, scale_floor) -> _Stage:
             step *= 0.5
         else:
             return _Stage(beta, s, False, it, val, grad)
-    return _Stage(beta, s, False, max_iter, val, grad)
+    return _Stage(beta, s, False, MAX_ITER, val, grad)
 
 
 def fit_mle(data: ModelData) -> FitResult:
@@ -265,7 +285,8 @@ def fit_mle(data: ModelData) -> FitResult:
     beta = numerics.solve_spd(x.T @ x, x.T @ y)
     resid = y - x @ beta
     sigma = float(np.sqrt(np.mean(resid * resid)))
-    if sigma < DEGENERATE_SCALE_FACTOR * _response_scale(y):
+    # <= keeps a zero response (rms 0, sigma 0) a degenerate fit
+    if sigma <= DEGENERATE_SCALE_FACTOR * _response_scale(y):
         raise DegenerateFitError(
             "residuals vanish: the likelihood is unbounded as sigma -> 0"
         )
@@ -314,14 +335,14 @@ def fit_rp_path(data: ModelData, alphas, options: SolverOptions | None = None):
     x, y = np.asfortranarray(data.design), data.response
     floor = DEGENERATE_SCALE_FACTOR * _response_scale(y)
     results: dict[float, FitResult] = {}
-    targets, ladder = _continuation_targets(alphas, opts.alpha_step)
+    targets, ladder = _continuation_targets(alphas, ALPHA_STEP)
     if 0.0 in targets:
         results[0.0] = mle
     beta = mle.theta_hat.beta.copy()
     s = math.log(mle.theta_hat.sigma)
     target_set = {t for t in targets if t != 0.0}
     for a in ladder:
-        stage = _newton_stage(x, y, beta, s, a, opts.tol, opts.max_iter, floor)
+        stage = _newton_stage(x, y, beta, s, a, floor)
         beta, s = stage.beta, stage.s
         if a in target_set:
             if opts.multistart > 0:
@@ -369,7 +390,7 @@ def _multistart_refine(x, y, a, stage, opts):
             continue
         s0 = math.log(sd * (0.3 + 0.9 * gen.random()))
         try:
-            cand = _newton_stage(x, y, b0, s0, a, opts.tol, opts.max_iter, floor)
+            cand = _newton_stage(x, y, b0, s0, a, floor)
         except DegenerateFitError:
             continue
         if cand.converged and cand.value > best.value + MULTISTART_MARGIN * abs(best.value):
@@ -393,16 +414,13 @@ def fit_rp(
     """
     if alpha < 0:
         raise DomainError(f"alpha must be nonnegative, got {alpha}")
-    opts = options or SolverOptions()
     if alpha == 0.0:
         return fit_mle(data)
-    result = fit_rp_path(data, [alpha], opts)[alpha]
+    result = fit_rp_path(data, [alpha], options)[alpha]
     if init is not None:
         x, y = np.asfortranarray(data.design), data.response
         floor = DEGENERATE_SCALE_FACTOR * _response_scale(y)
-        stage = _newton_stage(
-            x, y, init.beta.copy(), math.log(init.sigma), alpha, opts.tol, opts.max_iter, floor
-        )
+        stage = _newton_stage(x, y, init.beta.copy(), math.log(init.sigma), alpha, floor)
         alt = _package_fit(data, alpha, stage)
         if (alt.converged and not result.converged) or (
             alt.converged == result.converged

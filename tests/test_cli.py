@@ -1,5 +1,6 @@
 """Command-line interface: reports, manifests, determinism, exit codes."""
 
+import argparse
 import csv
 import dataclasses
 import json
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 from renyireg import cli
-from renyireg.cli import EXIT_ERROR, EXIT_NONCONVERGED, EXIT_OK, main
+from renyireg.cli import EXIT_ERROR, EXIT_NONCONVERGED, EXIT_OK, build_parser, main
+from renyireg.simulation import ContaminationSpec, DesignSpec, StudyConfig
 
 
 def read_csv(path):
@@ -105,6 +107,23 @@ class TestFit:
         code = main(["fit", "--data", "missing.csv", "--output", str(tmp_path)])
         assert code == EXIT_ERROR
         assert "error:" in capsys.readouterr().err
+
+    def test_rank_deficient_design_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "flat.csv"
+        path.write_text("y,x\n" + "".join(f"{v},3.0\n" for v in (1.0, 2.5, 2.0, 4.0, 3.5)))
+        code = main(
+            ["fit", "--data", str(path), "--response", "y", "--covariates", "x",
+             "--output", str(tmp_path / "out")]
+        )
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: design is rank deficient")
+
+    def test_negative_multistart_is_an_error(self, tmp_path, capsys):
+        code = main(
+            ["fit", "--data", "brain_weight", "--multistart", "-3", "--output", str(tmp_path)]
+        )
+        assert code == EXIT_ERROR
+        assert "multistart" in capsys.readouterr().err
 
 
 class TestTest:
@@ -260,6 +279,57 @@ class TestSimulate:
         assert code == EXIT_ERROR
         assert "nonsense" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["n = abc", "alphas = 0,x", "level ="])
+    def test_bad_value_names_its_line(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# study\n{line}\n")
+        code = main(["simulate", "--config", str(cfg), "--output", str(tmp_path)])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: {cfg}:2: ")
+
+
+class TestConfigDefaults:
+    def test_absent_keys_take_dataclass_defaults(self, tmp_path):
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("# nothing set\n")
+        assert cli._parse_config_file(cfg) == StudyConfig()
+
+    def test_every_key_sets_its_field(self, tmp_path):
+        values = {
+            "design": "fixed_normal", "n": "50", "a": "2", "b": "7", "design_seed": "3",
+            "contamination_fraction": "0.3", "contaminating_beta": "1,1",
+            "placement": "random_indices", "placement_seed": "4", "true_beta": "2,2",
+            "true_sigma": "2", "alphas": "0,0.5", "replications": "7", "level": "0.1",
+            "seed": "9", "sample_sizes": "20,40", "beta1_null": "2",
+            "beta1_alternative": "0.5", "sigma_null": "2", "sigma_alternative": "0.6",
+        }
+        assert set(values) == set(cli._CONFIG_KEYS)
+        cfg = tmp_path / "full.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+        assert cli._parse_config_file(cfg, workers=2) == StudyConfig(
+            design=DesignSpec(kind="fixed_normal", n=50, a=2.0, b=7.0, seed=3),
+            true_beta=(2.0, 2.0),
+            true_sigma=2.0,
+            alphas=(0.0, 0.5),
+            replications=7,
+            level=0.1,
+            seed=9,
+            contamination=ContaminationSpec(
+                fraction=0.3,
+                contaminating_beta=(1.0, 1.0),
+                placement="random_indices",
+                placement_seed=4,
+            ),
+            sample_sizes=(20, 40),
+            hypotheses=(("beta1", 1, 2.0, 0.5), ("sigma", 2, 2.0, 0.6)),
+            n_workers=2,
+        )
+
+    def test_zero_contamination_fraction_is_clean(self, tmp_path):
+        cfg = tmp_path / "clean.cfg"
+        cfg.write_text("contamination_fraction = 0\nplacement = random_indices\n")
+        assert cli._parse_config_file(cfg).contamination is None
+
 
 class TestPositionalColumns:
     def test_headerless_csv_with_indices(self, tmp_path):
@@ -284,3 +354,92 @@ class TestPositionalColumns:
         assert code == EXIT_OK
         rows = read_csv(tmp_path / "out" / "fit.csv")
         assert float(rows[0]["beta1"]) == pytest.approx(1.05, abs=0.1)
+
+
+def user_csv(tmp_path):
+    path = tmp_path / "user.csv"
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(15, 2))
+    y = 1.0 + x @ np.array([2.0, -1.0]) + 0.2 * rng.normal(size=15)
+    rows = "".join(f"{a!r},{b!r},{c!r}\n" for a, (b, c) in zip(y.tolist(), x.tolist()))
+    path.write_text("y,x1,x2\n" + rows)
+    return path
+
+
+TABLE_RUNS = {
+    "fit": ["fit", "--data", "first_word", "--alphas", "0,0.5", "--exclude", "18"],
+    "test": ["test", "--data", "brain_weight", "--alphas", "0,0.5", "--null", "beta1=0.7"],
+    "influence": ["influence", "--data", "first_word", "--alphas", "0,0.5", "--direction", "3"],
+    "are": ["are", "--alphas", "0,0.5,1"],
+    "power": ["power", "--alphas", "0,0.5", "--dx", "0,10"],
+}
+
+
+class TestReportFormats:
+    @pytest.mark.parametrize("stem", sorted(TABLE_RUNS))
+    def test_json_holds_the_csv_table(self, tmp_path, stem):
+        argv = TABLE_RUNS[stem]
+        assert main(argv + ["--output", str(tmp_path / "c")]) == EXIT_OK
+        assert main(argv + ["--format", "json", "--output", str(tmp_path / "j")]) == EXIT_OK
+        with open(tmp_path / "c" / f"{stem}.csv") as handle:
+            header, *rows = list(csv.reader(handle))
+        table = json.loads((tmp_path / "j" / f"{stem}.json").read_text())
+        assert table["columns"] == header
+        assert [[str(v) for v in row] for row in table["rows"]] == rows
+        assert (tmp_path / "j" / f"{stem}.json.manifest.json").exists()
+
+    def test_influence_cells_are_numbers(self, tmp_path):
+        # every cell parses as a float equal to the JSON value of the same run
+        argv = ["influence", "--data", "first_word", "--direction", "3"]
+        assert main(argv + ["--output", str(tmp_path / "c")]) == EXIT_OK
+        assert main(argv + ["--format", "json", "--output", str(tmp_path / "j")]) == EXIT_OK
+        with open(tmp_path / "c" / "influence.csv") as handle:
+            rows = list(csv.reader(handle))[1:]
+        table = json.loads((tmp_path / "j" / "influence.json").read_text())
+        assert len(rows) == len(table["rows"]) == 606
+        for row, expected in zip(rows, table["rows"]):
+            assert [float(cell) for cell in row] == expected
+
+
+class TestEveryOptionIsRead:
+    """Each option a subcommand parses changes what it does: the command
+    reads it.  The manifest records options through ``vars()``, which does
+    not count as a read."""
+
+    @staticmethod
+    def run_recording(argv):
+        reads = set()
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, name):
+                if not name.startswith("__"):
+                    reads.add(name)
+                return super().__getattribute__(name)
+
+        args = build_parser().parse_args(argv, namespace=Recording())
+        func = args.func
+        parsed = set(vars(args)) - {"func"}
+        reads.clear()
+        assert func(args) == EXIT_OK
+        return parsed - reads
+
+    def test_data_subcommands_on_a_user_csv(self, tmp_path):
+        data = ["--data", str(user_csv(tmp_path)), "--response", "y", "--covariates", "x1,x2"]
+        runs = [
+            ["fit", "--alphas", "0,0.5"],
+            ["test", "--alphas", "0,0.5", "--null", "beta1=2"],
+            ["influence", "--alphas", "0,0.5", "--t-grid", "0,2,3"],
+        ]
+        for argv in runs:
+            unread = self.run_recording(argv + data + ["--output", str(tmp_path / argv[0])])
+            assert not unread, (argv[0], unread)
+
+    @pytest.mark.parametrize("stem", ["are", "power"])
+    def test_tables_without_data(self, tmp_path, stem):
+        assert not self.run_recording(TABLE_RUNS[stem] + ["--output", str(tmp_path)])
+
+    def test_simulate(self, tmp_path):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(CONFIG)
+        argv = ["simulate", "--config", str(cfg), "--output", str(tmp_path / "o")]
+        assert not self.run_recording(argv)

@@ -1,5 +1,6 @@
 """Fitting, covariance matrices, and design diagnostics."""
 
+import dataclasses
 import itertools
 import math
 
@@ -70,23 +71,25 @@ class TestFitMle:
             assert design_diagnostics(data).max_scaled_leverage == math.inf
 
     def test_rank_check_ignores_covariate_units(self):
-        # X -> X diag(1, 1e-6) leaves the fit unchanged up to units: the
-        # slope becomes 1e6 beta_1
+        # X -> X diag(1, u) leaves the fit unchanged up to units: the slope
+        # becomes beta_1 / u
         gen = np.random.default_rng(8)
         n = 80
         x = np.column_stack([np.ones(n), gen.uniform(size=n)])
         y = x @ np.array([1.0, 2.0]) + 0.3 * gen.normal(size=n)
         y[:8] += 2.0
-        units = np.array([1.0, 1e-6])
         alphas = (0.0, 0.3, 1.0)
         ref = fit_rp_path(ModelData(design=x, response=y), alphas)
-        scaled = fit_rp_path(ModelData(design=x * units, response=y), alphas)
-        for a in alphas:
-            assert scaled[a].converged
-            np.testing.assert_allclose(
-                scaled[a].theta_hat.beta * units, ref[a].theta_hat.beta, rtol=1e-10
-            )
-            assert scaled[a].theta_hat.sigma == pytest.approx(ref[a].theta_hat.sigma, rel=1e-10)
+        for units in (np.array([1.0, 1e-6]), np.array([1.0, 1e6])):
+            scaled = fit_rp_path(ModelData(design=x * units, response=y), alphas)
+            for a in alphas:
+                assert scaled[a].converged
+                np.testing.assert_allclose(
+                    scaled[a].theta_hat.beta * units, ref[a].theta_hat.beta, rtol=1e-10
+                )
+                assert scaled[a].theta_hat.sigma == pytest.approx(
+                    ref[a].theta_hat.sigma, rel=1e-10
+                )
 
     def test_brain_weight_table_row(self):
         # exact closed form on the bundled data; the published row drifts a
@@ -562,3 +565,77 @@ class TestDegenerateCollapse:
         init = Theta(beta=np.array([2.0, 0.5]), sigma=1e-7)
         with pytest.raises(DegenerateFitError):
             fit_rp(data, 1.5, init=init)
+
+
+class TestUnitFreeConvergence:
+    """The stopping rule and the degenerate-scale floor have no units: the
+    fit of c * y is c times the fit of y, found in the same iterations."""
+
+    @staticmethod
+    def contaminated():
+        gen = np.random.default_rng(0)
+        n = 300
+        x = np.column_stack([np.ones(n), gen.normal(size=n)])
+        y = x @ np.array([1.0, 2.0]) + gen.normal(size=n)
+        y[:30] += 8.0
+        return x, y
+
+    def test_response_units(self):
+        x, y = self.contaminated()
+        ref = fit_rp_path(ModelData(design=x, response=y), [0.7])[0.7]
+        assert ref.converged
+        for c in 10.0 ** np.arange(-6, 9):
+            fit = fit_rp_path(ModelData(design=x, response=c * y), [0.7])[0.7]
+            assert fit.converged
+            assert fit.iterations == ref.iterations
+            np.testing.assert_allclose(
+                fit.theta_hat.to_array() / c, ref.theta_hat.to_array(), rtol=1e-10
+            )
+
+    def test_indefinite_newton_steps_have_no_units(self):
+        # the alpha = 1 stage starts where the Newton matrix is indefinite;
+        # an absolute regulariser (mu * I) left c >= 1e4 unconverged after
+        # 200 iterations, 67% off from c >= 1e6
+        gen = np.random.default_rng(451)
+        n = 60
+        x = np.column_stack([np.ones(n), gen.normal(size=(n, 2))])
+        y = x @ np.array([1.0, 2.0, -1.0]) + gen.normal(size=n)
+        y[:6] += 6.0
+        ref = fit_rp_path(ModelData(design=x, response=y), [1.0])[1.0]
+        assert ref.converged
+        for c in (1e-8, 1e-4, 1e4, 1e6, 1e8):
+            fit = fit_rp_path(ModelData(design=x, response=c * y), [1.0])[1.0]
+            assert fit.converged
+            assert fit.iterations == ref.iterations
+            np.testing.assert_allclose(
+                fit.theta_hat.to_array() / c, ref.theta_hat.to_array(), rtol=1e-10
+            )
+
+    def test_tiny_response_scale_fits(self):
+        x, y = self.contaminated()
+        ref = fit_rp(ModelData(design=x, response=y), 0.7)
+        fit = fit_rp(ModelData(design=x, response=1e-12 * y), 0.7)
+        assert fit.converged
+        np.testing.assert_allclose(
+            fit.theta_hat.to_array() * 1e12, ref.theta_hat.to_array(), rtol=1e-10
+        )
+
+    def test_zero_response_is_degenerate(self):
+        x, _ = self.contaminated()
+        data = ModelData(design=x, response=np.zeros(x.shape[0]))
+        with pytest.raises(DegenerateFitError):
+            fit_mle(data)
+        with pytest.raises(DegenerateFitError):
+            fit_rp_path(data, [0.0, 0.5])
+
+
+class TestSolverOptions:
+    def test_only_restart_settings(self):
+        assert [f.name for f in dataclasses.fields(SolverOptions)] == [
+            "multistart",
+            "multistart_seed",
+        ]
+
+    def test_negative_multistart_refused(self):
+        with pytest.raises(DomainError):
+            SolverOptions(multistart=-3)
