@@ -128,8 +128,9 @@ def _require_full_rank(data: ModelData) -> None:
         )
 
 
-def _response_scale(y: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(y * y)))
+def _collapse_floor(y: np.ndarray) -> float:
+    """Scale below which a fit counts as collapsed: ``1e-10 rms(y)``."""
+    return DEGENERATE_SCALE_FACTOR * float(np.sqrt(np.mean(y * y)))
 
 
 def covariance_mlrm(data: ModelData, theta: Theta, alpha: float) -> CovarianceTriple:
@@ -286,7 +287,7 @@ def fit_mle(data: ModelData) -> FitResult:
     resid = y - x @ beta
     sigma = float(np.sqrt(np.mean(resid * resid)))
     # <= keeps a zero response (rms 0, sigma 0) a degenerate fit
-    if sigma <= DEGENERATE_SCALE_FACTOR * _response_scale(y):
+    if sigma <= _collapse_floor(y):
         raise DegenerateFitError(
             "residuals vanish: the likelihood is unbounded as sigma -> 0"
         )
@@ -333,7 +334,7 @@ def fit_rp_path(data: ModelData, alphas, options: SolverOptions | None = None):
     mle = fit_mle(data)
     # the kernel's design products run faster on a column-major copy
     x, y = np.asfortranarray(data.design), data.response
-    floor = DEGENERATE_SCALE_FACTOR * _response_scale(y)
+    floor = _collapse_floor(y)
     results: dict[float, FitResult] = {}
     targets, ladder = _continuation_targets(alphas, ALPHA_STEP)
     if 0.0 in targets:
@@ -346,7 +347,7 @@ def fit_rp_path(data: ModelData, alphas, options: SolverOptions | None = None):
         beta, s = stage.beta, stage.s
         if a in target_set:
             if opts.multistart > 0:
-                stage = _multistart_refine(x, y, a, stage, opts)
+                stage = _multistart_refine(x, y, a, stage, opts, floor)
             results[a] = _package_fit(data, a, stage)
     return results
 
@@ -364,7 +365,7 @@ def _package_fit(data, a, stage):
     )
 
 
-def _multistart_refine(x, y, a, stage, opts):
+def _multistart_refine(x, y, a, stage, opts, floor):
     """Probe other basins from subsample starting points; keep the best
     converged stationary point by objective value, ``stage`` included.
 
@@ -372,7 +373,6 @@ def _multistart_refine(x, y, a, stage, opts):
     replaces the current best only when it is higher by more than
     ``MULTISTART_MARGIN`` relative; ties keep the earlier fit."""
     n, p = x.shape
-    floor = DEGENERATE_SCALE_FACTOR * _response_scale(y)
     best = stage
     stream = numerics.RngStream(opts.multistart_seed, stream_id=0)
     gen = stream.generator
@@ -419,7 +419,7 @@ def fit_rp(
     result = fit_rp_path(data, [alpha], options)[alpha]
     if init is not None:
         x, y = np.asfortranarray(data.design), data.response
-        floor = DEGENERATE_SCALE_FACTOR * _response_scale(y)
+        floor = _collapse_floor(y)
         stage = _newton_stage(x, y, init.beta.copy(), math.log(init.sigma), alpha, floor)
         alt = _package_fit(data, alpha, stage)
         if (alt.converged and not result.converged) or (

@@ -266,15 +266,15 @@ class NormalLinearFamily(DensityFamily):
 
 class QuadratureFamily(DensityFamily):
     """Wraps a family's pointwise functions and supplies the power integrals
-    by numerical quadrature.
+    by 64-node Gauss-Hermite quadrature.
 
     Used as the generic backend for families without closed forms, and as an
     independent evaluation route when validating closed-form families.
     """
 
-    def __init__(self, base: DensityFamily, rule: numerics.QuadratureRule | None = None):
+    def __init__(self, base: DensityFamily):
         self.base = base
-        self.rule = rule if rule is not None else numerics.gauss_hermite_rule(64)
+        self.rule = numerics.gauss_hermite_rule(64)
         self.n_directions = base.n_directions
         self.param_dim = base.param_dim
 

@@ -269,6 +269,3 @@ class RngStream:
 
     def normal(self, size=None):
         return self._gen.standard_normal(size)
-
-    def uniform(self, size=None):
-        return self._gen.random(size)

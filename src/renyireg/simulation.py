@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimation import SolverOptions, fit_rp_path
+from .estimation import fit_rp_path
 from .exceptions import DegenerateFitError, DomainError
 from .inference import LinearHypothesis, contiguous_power, wald_composite
 from .model import ModelData, Theta
@@ -111,6 +111,8 @@ class StudyConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise DomainError("need at least one replication")
+        if not self.alphas or not self.hypotheses:
+            raise DomainError("need at least one alpha and one hypothesis")
         if any(a < 0 for a in self.alphas):
             raise DomainError("alphas must be nonnegative")
         if not 0.0 < self.level < 1.0:
@@ -161,137 +163,103 @@ def generate_data(
 
 
 def _replication(args):
-    """One replication: fit every alpha on the null draw and on each
-    alternative draw, evaluate every hypothesis.  Returns per-alpha arrays
-    or None when a fit fails (excluded upstream)."""
-    (config, n, rep) = args
+    """Outcome record of replication ``rep`` at sample size ``n``.
+
+    Draws the null response, then one response per alternative in
+    ``config.hypotheses`` order, from ``RngStream(config.seed, rep)``, and
+    fits every alpha on each draw.  None when a fit degenerates, which
+    excludes the replication; otherwise one entry per alpha: None when a fit
+    at that alpha did not converge, else ``(squared error, rejections under
+    the null per hypothesis, rejections under each alternative)``.
+    """
+    config, n, rep = args
     design = make_design(config.design.with_n(n))
     theta_true = Theta(beta=np.asarray(config.true_beta, dtype=float), sigma=config.true_sigma)
+    truth = theta_true.to_array()
+    thetas, hyps, alt_hyps = [theta_true], [], []
+    for _, index, null_value, alt_value in config.hypotheses:
+        hyps.append(LinearHypothesis.coordinates([index], [null_value], truth.size))
+        if alt_value is not None:
+            alt = truth.copy()
+            alt[index] = alt_value
+            thetas.append(Theta.from_array(alt))
+            alt_hyps.append(hyps[-1])
     rng = RngStream(config.seed, stream_id=rep)
-    y_null = generate_data(design, theta_true, config.contamination, rng)
-    alt_draws = {}
-    for name, index, null_value, alt_value in config.hypotheses:
-        if alt_value is None:
-            continue
-        arr = theta_true.to_array()
-        arr[index] = alt_value
-        alt_draws[name] = generate_data(
-            design, Theta.from_array(arr), config.contamination, rng
-        )
-    options = SolverOptions()
-    out = {}
+    draws = [ModelData(design, generate_data(design, t, config.contamination, rng)) for t in thetas]
     try:
-        data_null = ModelData(design, y_null)
-        fits_null = fit_rp_path(data_null, config.alphas, options)
-        alt_fits = {}
-        for name, y_alt in alt_draws.items():
-            data_alt = ModelData(design, y_alt)
-            alt_fits[name] = (data_alt, fit_rp_path(data_alt, config.alphas, options))
+        paths = [fit_rp_path(data, config.alphas) for data in draws]
     except DegenerateFitError:
-        return rep, None
-    hyps = {
-        name: LinearHypothesis.coordinates([index], [null_value], theta_true.dim)
-        for name, index, null_value, _ in config.hypotheses
-    }
+        return None
+    outcomes = []
     for a in config.alphas:
-        fit = fits_null[float(a)]
-        if not fit.converged:
-            out[a] = ("nonconverged",)
+        fits = [path[float(a)] for path in paths]
+        if not all(fit.converged for fit in fits):
+            outcomes.append(None)
             continue
-        err = fit.theta_hat.to_array() - theta_true.to_array()
-        rejections = {}
-        powers = {}
-        ok = True
-        for name, _, _, alt_value in config.hypotheses:
-            hyp = hyps[name]
-            rejections[name] = wald_composite(data_null, fit, hyp).reject_at(config.level)
-            if alt_value is None:
-                continue
-            data_alt, fits_alt = alt_fits[name]
-            fit_alt = fits_alt[float(a)]
-            if not fit_alt.converged:
-                ok = False
-                break
-            powers[name] = wald_composite(data_alt, fit_alt, hyp).reject_at(config.level)
-        if not ok:
-            out[a] = ("nonconverged",)
-            continue
-        out[a] = (float(err @ err), rejections, powers)
-    return rep, out
+        err = fits[0].theta_hat.to_array() - truth
+        level = [wald_composite(draws[0], fits[0], h).reject_at(config.level) for h in hyps]
+        power = [
+            wald_composite(data, fit, h).reject_at(config.level)
+            for data, fit, h in zip(draws[1:], fits[1:], alt_hyps)
+        ]
+        outcomes.append((float(err @ err), level, power))
+    return outcomes
 
 
 def run_study(config: StudyConfig) -> StudyResult:
     """Run the full replicated study.
 
-    Per (alpha, n) cell: root-mean-square estimation error against the clean
-    generating parameter, empirical level per hypothesis under the null
-    draw, and empirical power per hypothesis under the alternative draw.
-    Replications whose fit degenerates are excluded and counted; a
-    non-converged fit excludes only its own (alpha, n) cell contribution.
+    Every ``(n, rep)`` replication returns its outcome record (see
+    ``_replication``); the study only counts them.  Per (alpha, n) cell:
+    root-mean-square estimation error against the clean generating
+    parameter, and empirical level and power per hypothesis, each the
+    rejection count over the ``replications_used``.  A degenerate fit
+    excludes its whole replication; a non-converged fit excludes the
+    replication from that cell only.  All replications run in one pass, on
+    at most one process pool.
     """
+    jobs = [(config, n, rep) for n in config.ns for rep in range(config.replications)]
+    if config.n_workers > 1:
+        with ProcessPoolExecutor(max_workers=config.n_workers) as pool:
+            records = list(pool.map(_replication, jobs, chunksize=32))
+    else:
+        records = [_replication(job) for job in jobs]
+    names = [name for name, *_ in config.hypotheses]
+    alt_names = [name for name, *_, alt_value in config.hypotheses if alt_value is not None]
     cells = {}
     total_nonconv = 0
     total_excluded = 0
-    for n in config.ns:
-        jobs = [(config, n, rep) for rep in range(config.replications)]
-        if config.n_workers > 1:
-            with ProcessPoolExecutor(max_workers=config.n_workers) as pool:
-                raw = list(pool.map(_replication, jobs, chunksize=32))
-        else:
-            raw = [_replication(job) for job in jobs]
-        # deterministic aggregation order, independent of completion order
-        raw.sort(key=lambda pair: pair[0])
-        for a in config.alphas:
-            sq_errors = []
-            counts = {name: 0 for name, *_ in config.hypotheses}
-            power_counts = {name: 0 for name, *_ in config.hypotheses}
-            power_totals = {name: 0 for name, *_ in config.hypotheses}
-            used = 0
-            nonconv = 0
-            for rep, payload in raw:
-                if payload is None:
-                    continue
-                cell = payload[a]
-                if cell[0] == "nonconverged":
-                    nonconv += 1
-                    continue
-                sq, rejections, powers = cell
-                used += 1
-                sq_errors.append(sq)
-                for name, rejected in rejections.items():
-                    counts[name] += rejected
-                for name, rejected in powers.items():
-                    power_counts[name] += rejected
-                    power_totals[name] += 1
-            excluded = config.replications - used - nonconv
-            total_nonconv += nonconv
-            total_excluded += excluded
-            if used == 0:
+    reps = config.replications
+    for block, n in enumerate(config.ns):
+        block_records = records[block * reps : (block + 1) * reps]
+        kept = [record for record in block_records if record is not None]
+        for i, a in enumerate(config.alphas):
+            used = [record[i] for record in kept if record[i] is not None]
+            total_nonconv += len(kept) - len(used)
+            total_excluded += reps - len(kept)
+            if not used:
                 raise DegenerateFitError("all replications failed; study is empty")
+            sq_errors, levels, powers = zip(*used)
+            # counts are Python sums in replication order, as rejections arrive
             cells[(float(a), int(n))] = {
                 "rmse": float(np.sqrt(np.mean(sq_errors))),
-                "level": {name: counts[name] / used for name in counts},
-                "power": {
-                    name: (power_counts[name] / power_totals[name])
-                    for name in power_counts
-                    if power_totals[name] > 0
-                },
-                "replications_used": used,
-                "non_converged": nonconv,
+                "level": {name: sum(c) / len(used) for name, c in zip(names, zip(*levels))},
+                "power": {name: sum(c) / len(used) for name, c in zip(alt_names, zip(*powers))},
+                "replications_used": len(used),
+                "non_converged": len(kept) - len(used),
             }
-    result = StudyResult(
-        config=config,
-        cells=cells,
-        non_convergence_count=total_nonconv,
-        excluded_replications=total_excluded,
-    )
-    frac = total_nonconv / max(1, config.replications * len(config.ns) * len(config.alphas))
+    frac = total_nonconv / max(1, reps * len(config.ns) * len(config.alphas))
     if frac > 0.01:
         warnings.warn(
             f"{100 * frac:.1f}% of fits did not converge and were excluded",
             stacklevel=2,
         )
-    return result
+    return StudyResult(
+        config=config,
+        cells=cells,
+        non_convergence_count=total_nonconv,
+        excluded_replications=total_excluded,
+    )
 
 
 def contiguous_table(alphas, d_values, sigma: float, level: float) -> dict:
@@ -347,23 +315,12 @@ def study_result_rows(result: StudyResult):
     return rows
 
 
-_CSV_COLUMNS = [
-    "alpha",
-    "n",
-    "hypothesis",
-    "rmse_theta",
-    "empirical_level",
-    "empirical_power",
-    "replications_used",
-    "non_converged",
-]
-
-
 def write_study_csv(result: StudyResult, path) -> None:
+    rows = study_result_rows(result)
     with open(path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=_CSV_COLUMNS)
+        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
         writer.writeheader()
-        for row in study_result_rows(result):
+        for row in rows:
             writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
 
 

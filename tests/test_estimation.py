@@ -432,9 +432,9 @@ class TestMultistartTies:
         restarts = {}
         refine, stage = estimation._multistart_refine, estimation._newton_stage
 
-        def recording_refine(x, y, a, st, opts):
+        def recording_refine(x, y, a, st, *args):
             restarts[a] = []
-            return refine(x, y, a, st, opts)
+            return refine(x, y, a, st, *args)
 
         def recording_stage(x, y, beta, s, a, *args):
             out = stage(x, y, beta, s, a, *args)

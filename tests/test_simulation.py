@@ -1,9 +1,13 @@
 """Designs, data generation, replicated studies, and the local-power table."""
 
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from renyireg.exceptions import DomainError
+from renyireg import simulation
+from renyireg.exceptions import DegenerateFitError, DomainError
 from renyireg.model import Theta
 from renyireg.numerics import RngStream
 from renyireg.simulation import (
@@ -91,6 +95,12 @@ def tiny_config(**kwargs):
 
 
 class TestRunStudy:
+    def test_needs_alphas_and_hypotheses(self):
+        with pytest.raises(DomainError):
+            tiny_config(alphas=())
+        with pytest.raises(DomainError):
+            tiny_config(hypotheses=())
+
     def test_deterministic_across_worker_counts(self):
         serial = run_study(tiny_config(n_workers=1))
         parallel = run_study(tiny_config(n_workers=2))
@@ -125,6 +135,83 @@ class TestRunStudy:
     def test_sample_size_sweep(self):
         result = run_study(tiny_config(sample_sizes=(20, 40)))
         assert set(result.cells) == {(0.0, 20), (0.5, 20), (0.0, 40), (0.5, 40)}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_sample_size_owns_its_block(self, workers, monkeypatch):
+        # replication streams do not depend on n, so a sweep's cells equal
+        # those of one study per sample size
+        pools = []
+
+        class CountingPool(simulation.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", CountingPool)
+        swept = run_study(tiny_config(sample_sizes=(20, 40), n_workers=workers))
+        assert len(pools) == (1 if workers > 1 else 0)
+        for n in (20, 40):
+            alone = run_study(tiny_config(sample_sizes=(n,), n_workers=workers))
+            assert {key: cell for key, cell in swept.cells.items() if key[1] == n} == alone.cells
+
+    def test_failed_fits_are_counted_per_cell(self, monkeypatch):
+        # fits run in draw order, three per replication (the null, then the
+        # beta1 and sigma alternatives); a DegenerateFitError ends its
+        # replication, which is excluded from every cell
+        degenerate = {(2, 0), (5, 2)}  # (replication, draw)
+        unconverged = (6, 1, 0.5)  # (replication, draw, alpha)
+        real_fit = simulation.fit_rp_path
+        state = {"rep": 0, "draw": 0}
+        owner, null_fits = {}, {}
+
+        def fake_fit(data, alphas, options=None):
+            rep, draw = state["rep"], state["draw"]
+            last = draw == 2 or (rep, draw) in degenerate
+            state.update(rep=rep + last, draw=0 if last else draw + 1)
+            if (rep, draw) in degenerate:
+                raise DegenerateFitError("planned")
+            fits = real_fit(data, alphas)
+            if (rep, draw) == unconverged[:2]:
+                a = unconverged[2]
+                fits[a] = dataclasses.replace(fits[a], converged=False)
+            for fit in fits.values():
+                owner[id(fit)] = (rep, fit)  # the fit stays alive, so ids stay unique
+            if draw == 0:
+                null_fits[rep] = fits
+            return fits
+
+        def fake_wald(data, fit, hyp):
+            # odd replications reject every hypothesis on every draw
+            return SimpleNamespace(reject_at=lambda level: owner[id(fit)][0] % 2 == 1)
+
+        monkeypatch.setattr(simulation, "fit_rp_path", fake_fit)
+        monkeypatch.setattr(simulation, "wald_composite", fake_wald)
+        with pytest.warns(UserWarning, match="6.2% of fits did not converge"):
+            result = run_study(tiny_config(replications=8, n_workers=1))
+
+        truth = np.array([1.0, 1.0, 1.0])
+        kept = {0.0: [0, 1, 3, 4, 6, 7], 0.5: [0, 1, 3, 4, 7]}
+        for a, reps in kept.items():
+            cell = result.cells[(a, 40)]
+            used = len(reps)
+            share = sum(rep % 2 for rep in reps) / used
+            errors = [null_fits[rep][a].theta_hat.to_array() - truth for rep in reps]
+            assert cell["replications_used"] == used
+            assert cell["non_converged"] == (1 if a == 0.5 else 0)
+            assert cell["level"] == {"beta1": share, "sigma": share}
+            assert cell["power"] == {"beta1": share, "sigma": share}
+            assert cell["rmse"] == float(np.sqrt(np.mean([float(e @ e) for e in errors])))
+        assert result.non_convergence_count == 1
+        # two degenerate replications, excluded from each of the two cells
+        assert result.excluded_replications == 4
+
+    def test_empty_cell_raises(self, monkeypatch):
+        def degenerate(data, alphas, options=None):
+            raise DegenerateFitError("planned")
+
+        monkeypatch.setattr(simulation, "fit_rp_path", degenerate)
+        with pytest.raises(DegenerateFitError, match="study is empty"):
+            run_study(tiny_config(replications=2))
 
     def test_csv_round_trip(self, tmp_path):
         result = run_study(tiny_config())
