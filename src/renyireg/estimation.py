@@ -39,6 +39,8 @@ DEGENERATE_SCALE_FACTOR = 1e-10
 TOL = 1e-8
 MAX_ITER = 200
 ALPHA_STEP = 0.1
+# rows per block of the Newton kernel's sums: a block's temporaries fit in L2
+_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,7 @@ def design_diagnostics(data: ModelData) -> DesignDiagnostics:
     n = data.n_obs
     lam = numerics.min_eigenvalue(data.xtx_over_n)
     if _unit_diagonal_min_eigenvalue(data) > MIN_DESIGN_EIGENVALUE:
-        xtx_inv = numerics.spd_inverse(x.T @ x)
+        xtx_inv = data.xtx_over_n_inverse / n
         leverage = np.einsum("ij,jk,ik->i", x, xtx_inv, x)
         max_lev = float(n * leverage.max())
     else:
@@ -128,9 +130,10 @@ def _require_full_rank(data: ModelData) -> None:
         )
 
 
-def _collapse_floor(y: np.ndarray) -> float:
-    """Scale below which a fit counts as collapsed: ``1e-10 rms(y)``."""
-    return DEGENERATE_SCALE_FACTOR * float(np.sqrt(np.mean(y * y)))
+def _collapse_floor(mle: FitResult) -> float:
+    """Scale below which a Newton stage counts as collapsed: ``1e-10`` of the
+    maximum-likelihood scale, which moves with the fit under y -> c y + X d."""
+    return DEGENERATE_SCALE_FACTOR * mle.theta_hat.sigma
 
 
 def covariance_mlrm(data: ModelData, theta: Theta, alpha: float) -> CovarianceTriple:
@@ -167,28 +170,49 @@ def covariance_mlrm(data: ModelData, theta: Theta, alpha: float) -> CovarianceTr
 def _objective_grad_hess(x, y, beta, s, a):
     """Objective value, gradient and Hessian at ``(beta, s)``.
 
+    With ``r = (y - x beta) / sigma`` and ``v = exp(-a r^2 / 2)``, every entry
+    is a constant times one of three moments ``sum v r^{0,2,4}`` or one of
+    three weighted design products.  They are summed over blocks of ``_ROWS``
+    rows, so that each block's temporaries stay in cache.
+
     A non-finite value is returned as ``-inf``, so a line search rejects the
     point; the derivatives are then meaningless.
     """
     n, p = x.shape
     sig = math.exp(s)
-    r = (y - x @ beta) / sig
-    c = ((1 + a) / (2 * math.pi)) ** (a / (2 * (1 + a)))
-    with np.errstate(over="ignore", under="ignore"):
-        v = c * sig ** (-a / (1 + a)) * np.exp(-0.5 * a * r * r)
-    q = r * r - 1.0 / (1 + a)
-    val = float(v.sum()) / n
+    k = 1.0 / (1 + a)
+    m0 = m2 = m4 = 0.0
+    g = np.zeros(p)
+    cross = np.zeros(p)
+    h = np.zeros((p, p))
+    with np.errstate(under="ignore"):
+        for start in range(0, n, _ROWS):
+            xb = x[start : start + _ROWS]
+            r = y[start : start + _ROWS] - xb @ beta
+            r /= sig
+            r2 = r * r
+            v = np.exp(-0.5 * a * r2)
+            vr = v * r
+            vr2 = vr * r
+            m0 += float(v.sum())
+            m2 += float(vr2.sum())
+            m4 += float(vr2 @ r2)
+            g += vr @ xb
+            cross += (vr * (a * r2 - (a * k + 2.0))) @ xb
+            h += xb.T @ (xb * (a * vr2 - v)[:, None])
+    c = ((1 + a) / (2 * math.pi)) ** (a / (2 * (1 + a))) * sig ** (-a / (1 + a))
+    val = c * m0 / n
     if not math.isfinite(val):
         val = -math.inf
     grad = np.empty(p + 1)
-    grad[:p] = a / (n * sig) * (x.T @ (v * r))
-    grad[p] = a * (float((v * q).sum()) / n)
+    grad[:p] = a * c / (n * sig) * g
+    grad[p] = a * c / n * (m2 - k * m0)
     hess = np.empty((p + 1, p + 1))
-    hess[:p, :p] = a / (n * sig**2) * (x.T @ (x * (v * (a * r * r - 1.0))[:, None]))
-    cross = a / (n * sig) * (x.T @ (v * r * (a * q - 2.0)))
+    hess[:p, :p] = a * c / (n * sig**2) * h
+    cross *= a * c / (n * sig)
     hess[:p, p] = cross
     hess[p, :p] = cross
-    hess[p, p] = a * (float((v * (a * q * q - 2.0 * r * r)).sum()) / n)
+    hess[p, p] = a * c / n * (a * (m4 - 2.0 * k * m2 + k * k * m0) - 2.0 * m2)
     return val, grad, 0.5 * (hess + hess.T)
 
 
@@ -283,11 +307,11 @@ def fit_mle(data: ModelData) -> FitResult:
     _require_full_rank(data)
     x, y = data.design, data.response
     n = data.n_obs
-    beta = numerics.solve_spd(x.T @ x, x.T @ y)
+    beta = numerics.solve_spd(data.xtx_over_n, x.T @ y / n)
     resid = y - x @ beta
     sigma = float(np.sqrt(np.mean(resid * resid)))
     # <= keeps a zero response (rms 0, sigma 0) a degenerate fit
-    if sigma <= _collapse_floor(y):
+    if sigma <= DEGENERATE_SCALE_FACTOR * float(np.sqrt(np.mean(y * y))):
         raise DegenerateFitError(
             "residuals vanish: the likelihood is unbounded as sigma -> 0"
         )
@@ -334,7 +358,7 @@ def fit_rp_path(data: ModelData, alphas, options: SolverOptions | None = None):
     mle = fit_mle(data)
     # the kernel's design products run faster on a column-major copy
     x, y = np.asfortranarray(data.design), data.response
-    floor = _collapse_floor(y)
+    floor = _collapse_floor(mle)
     results: dict[float, FitResult] = {}
     targets, ladder = _continuation_targets(alphas, ALPHA_STEP)
     if 0.0 in targets:
@@ -416,10 +440,12 @@ def fit_rp(
         raise DomainError(f"alpha must be nonnegative, got {alpha}")
     if alpha == 0.0:
         return fit_mle(data)
-    result = fit_rp_path(data, [alpha], options)[alpha]
+    # the path's alpha = 0 fit sets the collapse floor of the init run
+    fits = fit_rp_path(data, [0.0, alpha], options)
+    result = fits[alpha]
     if init is not None:
         x, y = np.asfortranarray(data.design), data.response
-        floor = _collapse_floor(y)
+        floor = _collapse_floor(fits[0.0])
         stage = _newton_stage(x, y, init.beta.copy(), math.log(init.sigma), alpha, floor)
         alt = _package_fit(data, alpha, stage)
         if (alt.converged and not result.converged) or (

@@ -324,6 +324,30 @@ class TestDiagnostics:
         assert diag.max_abs_covariate == 5.0
 
 
+def assert_kernel_matches_central_differences(x, y, point, alpha):
+    """The kernel's gradient and Hessian at ``point = (beta, log sigma)``
+    against central differences of its value and gradient."""
+    p = x.shape[1]
+
+    def kernel(t):
+        return _objective_grad_hess(x, y, t[:p], t[p], alpha)
+
+    val, grad, hess = kernel(point)
+    h = 1e-5
+    fd_grad = np.empty(p + 1)
+    fd_hess = np.empty((p + 1, p + 1))
+    for i in range(p + 1):
+        e = np.zeros(p + 1)
+        e[i] = h
+        up, down = kernel(point + e), kernel(point - e)
+        fd_grad[i] = (up[0] - down[0]) / (2 * h)
+        fd_hess[:, i] = (up[1] - down[1]) / (2 * h)
+    assert np.max(np.abs(grad)) > 1e-3
+    np.testing.assert_allclose(grad, fd_grad, rtol=1e-6, atol=1e-9)
+    np.testing.assert_allclose(hess, fd_hess, rtol=1e-6, atol=1e-9)
+    np.testing.assert_array_equal(hess, hess.T)
+
+
 class TestSolverKernel:
     """Finite-difference checks of the vectorized kernel the Newton solver
     runs on, in its own (beta, log sigma) coordinates."""
@@ -343,26 +367,7 @@ class TestSolverKernel:
     @pytest.mark.parametrize("outliers", [False, True])
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0])
     def test_derivatives_match_central_differences(self, outliers, alpha):
-        x, y, point = self.instance(outliers)
-        p = x.shape[1]
-
-        def kernel(t):
-            return _objective_grad_hess(x, y, t[:p], t[p], alpha)
-
-        val, grad, hess = kernel(point)
-        h = 1e-5
-        fd_grad = np.empty(p + 1)
-        fd_hess = np.empty((p + 1, p + 1))
-        for i in range(p + 1):
-            e = np.zeros(p + 1)
-            e[i] = h
-            up, down = kernel(point + e), kernel(point - e)
-            fd_grad[i] = (up[0] - down[0]) / (2 * h)
-            fd_hess[:, i] = (up[1] - down[1]) / (2 * h)
-        assert np.max(np.abs(grad)) > 1e-3
-        np.testing.assert_allclose(grad, fd_grad, rtol=1e-6, atol=1e-9)
-        np.testing.assert_allclose(hess, fd_hess, rtol=1e-6, atol=1e-9)
-        np.testing.assert_array_equal(hess, hess.T)
+        assert_kernel_matches_central_differences(*self.instance(outliers), alpha)
 
     @pytest.mark.parametrize("alpha", [0.1, 1.0])
     def test_non_finite_value_is_minus_inf(self, alpha):
@@ -372,6 +377,59 @@ class TestSolverKernel:
         beta[1] = np.nan
         val, _, _ = _objective_grad_hess(x, y, beta, point[-1], alpha)
         assert val == -math.inf
+
+
+class TestBlockedKernel:
+    """The kernel sums over blocks of ``_ROWS`` rows; on a design of two full
+    blocks and a short one it agrees with a single block over every row."""
+
+    N = 2 * estimation._ROWS + 17
+    ALPHAS = (0.3, 0.7, 1.0)
+
+    @classmethod
+    def instance(cls):
+        gen = np.random.default_rng(29)
+        n = cls.N
+        x = np.asfortranarray(np.column_stack([np.ones(n), gen.normal(size=(n, 2))]))
+        y = x @ np.array([1.0, 2.0, -1.0]) + gen.normal(size=n)
+        y[gen.choice(n, size=n // 10, replace=False)] += 6.0
+        # off the optimum, so the gradient is not near zero
+        beta0 = np.linalg.lstsq(x, y, rcond=None)[0] + np.array([0.1, -0.05, 0.02])
+        return x, y, np.append(beta0, math.log(1.2))
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0])
+    def test_blocks_match_one_block(self, alpha, monkeypatch):
+        x, y, point = self.instance()
+        blocked = _objective_grad_hess(x, y, point[:-1], point[-1], alpha)
+        monkeypatch.setattr(estimation, "_ROWS", self.N)
+        whole = _objective_grad_hess(x, y, point[:-1], point[-1], alpha)
+        for got, want in zip(blocked, whole):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0])
+    def test_derivatives_match_central_differences(self, alpha):
+        assert_kernel_matches_central_differences(*self.instance(), alpha)
+
+    def test_non_finite_row_in_last_block_is_minus_inf(self):
+        x, y, point = self.instance()
+        y = y.copy()
+        y[-1] = np.nan
+        assert self.N - 1 >= 2 * estimation._ROWS
+        val, _, _ = _objective_grad_hess(x, y, point[:-1], point[-1], 0.5)
+        assert val == -math.inf
+
+    def test_path_does_not_depend_on_block_size(self, monkeypatch):
+        x, y, _ = self.instance()
+        data = ModelData(design=x, response=y)
+        blocked = fit_rp_path(data, self.ALPHAS)
+        monkeypatch.setattr(estimation, "_ROWS", self.N)
+        whole = fit_rp_path(data, self.ALPHAS)
+        for a in self.ALPHAS:
+            assert blocked[a].converged and whole[a].converged
+            assert blocked[a].iterations == whole[a].iterations
+            np.testing.assert_allclose(
+                blocked[a].theta_hat.to_array(), whole[a].theta_hat.to_array(), rtol=1e-12
+            )
 
 
 class TestMultistart:
@@ -591,6 +649,27 @@ class TestUnitFreeConvergence:
             np.testing.assert_allclose(
                 fit.theta_hat.to_array() / c, ref.theta_hat.to_array(), rtol=1e-10
             )
+
+    def test_response_offset(self):
+        # the collapse floor is 1e-10 of the maximum-likelihood scale, which
+        # does not move with y -> y + X d; 1e-10 rms(y) would be 1.0 at an
+        # offset of 1e10, above the robust scale of these data
+        x, y = self.contaminated()
+        ref = fit_rp_path(ModelData(design=x, response=y), [0.7])[0.7]
+        for offset in 10.0 ** np.arange(0, 11, 2):
+            fit = fit_rp_path(ModelData(design=x, response=y + offset), [0.7])[0.7]
+            shifted = fit.theta_hat.to_array() - np.array([offset, 0.0, 0.0])
+            if offset <= 1e8:
+                assert fit.converged
+                assert fit.iterations == ref.iterations
+                tol = 1e-6
+            else:
+                # the residuals y - X beta carry a rounding of eps * offset
+                # (2e-6 at 1e10) into every gradient, above what the
+                # stopping rule resolves: the stage ends unconverged after
+                # MAX_ITER steps, near the offset-free fit
+                tol = 1e-4
+            np.testing.assert_allclose(shifted, ref.theta_hat.to_array(), rtol=tol, atol=tol)
 
     def test_indefinite_newton_steps_have_no_units(self):
         # the alpha = 1 stage starts where the Newton matrix is indefinite;
