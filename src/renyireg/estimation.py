@@ -153,14 +153,21 @@ def covariance_mlrm(data: ModelData, theta: Theta, alpha: float) -> CovarianceTr
 
     psi = np.zeros((p + 1, p + 1))
     omega = np.zeros((p + 1, p + 1))
-    sigma_n = np.zeros((p + 1, p + 1))
     psi[:p, :p] = s / (sig2 * (1 + a) ** 1.5)
     psi[p, p] = 2.0 / (sig2 * (1 + a) ** 2.5)
     omega[:p, :p] = s / (sig2 * (2 * a + 1) ** 1.5)
     omega[p, p] = (3 * a * a + 4 * a + 2) / (sig2 * (1 + a) ** 2 * (2 * a + 1) ** 2.5)
+    return CovarianceTriple(psi_n=psi, omega_n=omega, sigma_n=_sigma_n(data, theta, a))
+
+
+def _sigma_n(data: ModelData, theta: Theta, a: float) -> np.ndarray:
+    """The sandwich ``sigma_n`` of :func:`covariance_mlrm` alone."""
+    sig2 = theta.sigma**2
+    p = data.n_params
+    sigma_n = np.zeros((p + 1, p + 1))
     sigma_n[:p, :p] = sig2 * (1 + a) ** 3 / (2 * a + 1) ** 1.5 * data.xtx_over_n_inverse
     sigma_n[p, p] = sig2 * (1 + a) ** 3 * (3 * a * a + 4 * a + 2) / (4 * (2 * a + 1) ** 2.5)
-    return CovarianceTriple(psi_n=psi, omega_n=omega, sigma_n=sigma_n)
+    return sigma_n
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +333,7 @@ def fit_mle(data: ModelData) -> FitResult:
         converged=True,
         iterations=0,
         gradient_norm=gnorm,
-        sigma_n=covariance_mlrm(data, theta, 0.0).sigma_n,
+        sigma_n=_sigma_n(data, theta, 0.0),
         objective_value=loglik,
     )
 
@@ -356,14 +363,13 @@ def fit_rp_path(data: ModelData, alphas, options: SolverOptions | None = None):
     """
     opts = options or SolverOptions()
     mle = fit_mle(data)
-    # the kernel's design products run faster on a column-major copy
-    x, y = np.asfortranarray(data.design), data.response
+    x, y = _centred_problem(data, mle)
     floor = _collapse_floor(mle)
     results: dict[float, FitResult] = {}
     targets, ladder = _continuation_targets(alphas, ALPHA_STEP)
     if 0.0 in targets:
         results[0.0] = mle
-    beta = mle.theta_hat.beta.copy()
+    beta = np.zeros(data.n_params)
     s = math.log(mle.theta_hat.sigma)
     target_set = {t for t in targets if t != 0.0}
     for a in ladder:
@@ -372,19 +378,30 @@ def fit_rp_path(data: ModelData, alphas, options: SolverOptions | None = None):
         if a in target_set:
             if opts.multistart > 0:
                 stage = _multistart_refine(x, y, a, stage, opts, floor)
-            results[a] = _package_fit(data, a, stage)
+            results[a] = _package_fit(data, a, stage, mle)
     return results
 
 
-def _package_fit(data, a, stage):
-    theta = Theta(beta=stage.beta, sigma=math.exp(stage.s))
+def _centred_problem(data: ModelData, mle: FitResult):
+    """The design and response that Newton stages run on: a column-major copy
+    of X, on which the kernel's design products run faster, and the residuals
+    ``y - X beta_MLE``.  Stage coefficients are offsets from ``beta_MLE``, so
+    that a response offset ``X d`` never enters the kernel's residuals, where
+    it would round ``eps |X d|`` into every gradient."""
+    x = np.asfortranarray(data.design)
+    return x, data.response - x @ mle.theta_hat.beta
+
+
+def _package_fit(data, a, stage, mle):
+    """The fit at ``a`` from a stage run on ``_centred_problem(data, mle)``."""
+    theta = Theta(beta=mle.theta_hat.beta + stage.beta, sigma=math.exp(stage.s))
     return FitResult(
         theta_hat=theta,
         alpha=a,
         converged=stage.converged,
         iterations=stage.iterations,
         gradient_norm=_scaled_gradient_norm(stage.gradient, stage.s),
-        sigma_n=covariance_mlrm(data, theta, a).sigma_n,
+        sigma_n=_sigma_n(data, theta, a),
         objective_value=stage.value,
     )
 
@@ -395,7 +412,9 @@ def _multistart_refine(x, y, a, stage, opts, floor):
 
     Restarts that reach the same point tie on value to rounding, so a restart
     replaces the current best only when it is higher by more than
-    ``MULTISTART_MARGIN`` relative; ties keep the earlier fit."""
+    ``MULTISTART_MARGIN`` relative; ties keep the earlier fit.  ``x`` and
+    ``y`` are the path's ``_centred_problem``, so restarts start and end in
+    its coordinates too."""
     n, p = x.shape
     best = stage
     stream = numerics.RngStream(opts.multistart_seed, stream_id=0)
@@ -440,14 +459,15 @@ def fit_rp(
         raise DomainError(f"alpha must be nonnegative, got {alpha}")
     if alpha == 0.0:
         return fit_mle(data)
-    # the path's alpha = 0 fit sets the collapse floor of the init run
+    # the path's alpha = 0 fit centres the init run and sets its collapse floor
     fits = fit_rp_path(data, [0.0, alpha], options)
     result = fits[alpha]
     if init is not None:
-        x, y = np.asfortranarray(data.design), data.response
-        floor = _collapse_floor(fits[0.0])
-        stage = _newton_stage(x, y, init.beta.copy(), math.log(init.sigma), alpha, floor)
-        alt = _package_fit(data, alpha, stage)
+        mle = fits[0.0]
+        x, y = _centred_problem(data, mle)
+        start = init.beta - mle.theta_hat.beta
+        stage = _newton_stage(x, y, start, math.log(init.sigma), alpha, _collapse_floor(mle))
+        alt = _package_fit(data, alpha, stage, mle)
         if (alt.converged and not result.converged) or (
             alt.converged == result.converged
             and alt.objective_value > result.objective_value

@@ -8,6 +8,7 @@ outputs, and RNG streams are fully specified by ``(seed, stream_id)``.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -185,6 +186,16 @@ def integrate(fn, rule: QuadratureRule, center: float, scale: float):
 # linear algebra
 # ---------------------------------------------------------------------------
 
+# orders up to which solve_spd factors in Python floats: at these sizes two
+# LAPACK dispatches cost more than the arithmetic
+_SMALL_ORDER = 4
+_EPS = float(np.finfo(float).eps)
+
+
+def _not_positive_definite(j: int) -> DecompositionError:
+    return DecompositionError(f"matrix is not positive definite (pivot {j})", pivot=j)
+
+
 def _has_cholesky(a: np.ndarray) -> bool:
     """Whether ``a`` is finite and has a Cholesky factor."""
     if not np.isfinite(a).all():
@@ -196,16 +207,76 @@ def _has_cholesky(a: np.ndarray) -> bool:
     return True
 
 
+def _small_solve(rows: list, cols: list) -> list:
+    """Solve ``a @ x = c`` in Python floats for each column ``c`` in
+    ``cols`` (lists, overwritten with the solutions), where ``rows`` are the
+    rows of ``a``.
+
+    Row ``j`` of the lower Cholesky factor completes the factor of the
+    leading ``j + 1`` block and advances every forward substitution by one
+    step, so the first row that fails is the pivot.  A row fails when that
+    block holds a non-finite entry (upper triangle included) or its pivot
+    ``d`` is at or below ``order * eps * a[j][j]``: the matrix is then not
+    positive definite to working precision.
+    """
+    n = len(rows)
+    bad = n  # first index whose leading block holds a non-finite entry
+    if not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
+        bad = min(
+            max(i, j)
+            for i, row in enumerate(rows)
+            for j, v in enumerate(row)
+            if not math.isfinite(v)
+        )
+    low = []
+    for j in range(n):
+        if j == bad:
+            raise _not_positive_definite(j)
+        row = rows[j]
+        lj = []
+        for k in range(j):
+            lk = low[k]
+            t = row[k]
+            for i in range(k):
+                t -= lj[i] * lk[i]
+            lj.append(t / lk[k])
+        d = row[j]
+        for u in lj:
+            d -= u * u
+        if not d > n * _EPS * row[j]:
+            raise _not_positive_definite(j)
+        r = math.sqrt(d)
+        lj.append(r)
+        low.append(lj)
+        for x in cols:
+            t = x[j]
+            for k in range(j):
+                t -= lj[k] * x[k]
+            x[j] = t / r
+    for x in cols:
+        for j in range(n - 1, -1, -1):
+            lj = low[j]
+            xj = x[j] = x[j] / lj[j]
+            for k in range(j):
+                x[k] -= lj[k] * xj
+    return cols
+
+
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``a @ x = b`` for symmetric positive-definite ``a``.
+
+    Up to order ``_SMALL_ORDER`` the matrix is factored once by a Cholesky in
+    Python floats (see ``_small_solve``); larger orders go to LAPACK, with
+    a Cholesky as the check and an LU solve.
 
     Raises
     ------
     DecompositionError
         If ``a`` has a non-finite entry or is not positive definite to
         working precision. The attached pivot is the last index of the first
-        leading block without a Cholesky factor, or the last index when only
-        the solve finds ``a`` singular.
+        leading block with a non-finite entry or without a Cholesky factor
+        (on the LAPACK path, the last index when only the solve finds ``a``
+        singular).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -213,6 +284,12 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise DomainError("matrix must be square")
     if b.shape[0] != a.shape[0]:
         raise DomainError("dimension mismatch between matrix and right-hand side")
+    if a.shape[0] <= _SMALL_ORDER and b.ndim <= 2:
+        if b.ndim == 1:
+            return np.array(_small_solve(a.tolist(), [b.tolist()])[0])
+        # one solve per column of b, transposed back to b's layout
+        cols = _small_solve(a.tolist(), b.T.tolist())
+        return np.array(cols).reshape(b.shape[::-1]).T.copy()
     if _has_cholesky(a):
         try:
             return np.linalg.solve(a, b)
@@ -222,7 +299,7 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             pass
     last = a.shape[0] - 1
     j = next((k for k in range(last) if not _has_cholesky(a[: k + 1, : k + 1])), last)
-    raise DecompositionError(f"matrix is not positive definite (pivot {j})", pivot=j)
+    raise _not_positive_definite(j)
 
 
 def spd_inverse(a: np.ndarray) -> np.ndarray:

@@ -38,6 +38,10 @@ __all__ = [
     "write_study_json",
 ]
 
+# jobs per pool task; records come back in job order, so the study output
+# does not depend on it
+_CHUNKSIZE = 32
+
 
 @dataclass(frozen=True)
 class DesignSpec:
@@ -221,7 +225,7 @@ def run_study(config: StudyConfig) -> StudyResult:
     jobs = [(config, n, rep) for n in config.ns for rep in range(config.replications)]
     if config.n_workers > 1:
         with ProcessPoolExecutor(max_workers=config.n_workers) as pool:
-            records = list(pool.map(_replication, jobs, chunksize=32))
+            records = list(pool.map(_replication, jobs, chunksize=_CHUNKSIZE))
     else:
         records = [_replication(job) for job in jobs]
     names = [name for name, *_ in config.hypotheses]

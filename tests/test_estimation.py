@@ -503,13 +503,15 @@ class TestMultistartTies:
         monkeypatch.setattr(estimation, "_multistart_refine", recording_refine)
         monkeypatch.setattr(estimation, "_newton_stage", recording_stage)
         multi = fit_rp_path(data, alphas, SolverOptions(multistart=2))
+        # stages run on y - X beta_MLE, their coefficients offsets from it
+        beta_mle = fit_mle(data).theta_hat.beta
 
         ties = 0
         for a in alphas:
             ref = plain[a].theta_hat.to_array()
 
             def at_continuation(st):
-                point = np.append(st.beta, math.exp(st.s))
+                point = np.append(beta_mle + st.beta, math.exp(st.s))
                 return np.max(np.abs(point - ref) / np.abs(ref)) <= 1e-6
 
             converged = [st for st in restarts[a] if st.converged]
@@ -653,23 +655,37 @@ class TestUnitFreeConvergence:
     def test_response_offset(self):
         # the collapse floor is 1e-10 of the maximum-likelihood scale, which
         # does not move with y -> y + X d; 1e-10 rms(y) would be 1.0 at an
-        # offset of 1e10, above the robust scale of these data
+        # offset of 1e10, above the robust scale of these data.  The stages
+        # run on y - X beta_MLE, so the offset never enters the kernel's
+        # residuals, where its rounding, eps * offset (2e-6 at 1e10), is
+        # above what the stopping rule resolves
         x, y = self.contaminated()
         ref = fit_rp_path(ModelData(design=x, response=y), [0.7])[0.7]
-        for offset in 10.0 ** np.arange(0, 11, 2):
+        for offset in 10.0 ** np.arange(0, 11):
             fit = fit_rp_path(ModelData(design=x, response=y + offset), [0.7])[0.7]
             shifted = fit.theta_hat.to_array() - np.array([offset, 0.0, 0.0])
-            if offset <= 1e8:
-                assert fit.converged
-                assert fit.iterations == ref.iterations
-                tol = 1e-6
-            else:
-                # the residuals y - X beta carry a rounding of eps * offset
-                # (2e-6 at 1e10) into every gradient, above what the
-                # stopping rule resolves: the stage ends unconverged after
-                # MAX_ITER steps, near the offset-free fit
-                tol = 1e-4
-            np.testing.assert_allclose(shifted, ref.theta_hat.to_array(), rtol=tol, atol=tol)
+            assert fit.converged
+            assert fit.iterations == ref.iterations
+            np.testing.assert_allclose(shifted, ref.theta_hat.to_array(), rtol=1e-6, atol=1e-6)
+
+    def test_init_run_is_centred(self, monkeypatch):
+        # the fit_rp(init=...) run works on y - X beta_MLE as the path does
+        x, y = self.contaminated()
+        offset = 1e10
+        ref = fit_rp_path(ModelData(design=x, response=y), [0.7])[0.7]
+        stages = []
+        stage = estimation._newton_stage
+
+        def recording(*args):
+            stages.append(stage(*args))
+            return stages[-1]
+
+        monkeypatch.setattr(estimation, "_newton_stage", recording)
+        init = Theta(beta=ref.theta_hat.beta + [offset, 0.0], sigma=1.2 * ref.theta_hat.sigma)
+        fit = fit_rp(ModelData(design=x, response=y + offset), 0.7, init=init)
+        assert stages[-1].converged
+        shifted = fit.theta_hat.to_array() - np.array([offset, 0.0, 0.0])
+        np.testing.assert_allclose(shifted, ref.theta_hat.to_array(), rtol=1e-6, atol=1e-6)
 
     def test_indefinite_newton_steps_have_no_units(self):
         # the alpha = 1 stage starts where the Newton matrix is indefinite;

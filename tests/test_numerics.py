@@ -257,7 +257,77 @@ class TestIntegrate:
             numerics.gauss_hermite_rule(8)
 
 
-class TestLinearAlgebra:
+class _SpdContract:
+    """The error contract of ``solve_spd`` at order ``ORDER``: the
+    subclasses run it on either side of the cut between the Python-float
+    Cholesky and LAPACK."""
+
+    ORDER: int
+
+    def test_not_spd_reports_pivot(self):
+        k = self.ORDER
+        a = np.eye(k)
+        a[1, 1] = -2.0
+        with pytest.raises(DecompositionError) as err:
+            numerics.solve_spd(a, np.ones(k))
+        assert err.value.pivot == 1
+        assert "pivot 1" in str(err.value)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (1, 0), (2, 2), (0, 2), (-1, 1)])
+    def test_non_finite_entry_raises(self, bad, where):
+        k = self.ORDER
+        a = np.eye(k) * 2.0
+        a[where] = bad
+        with pytest.raises(DecompositionError) as err:
+            numerics.solve_spd(a, np.ones(k))
+        # the first leading block holding the entry fails, whichever
+        # triangle the entry is in
+        assert err.value.pivot == max(i % k for i in where)
+
+    def test_pivot_zero_and_last(self):
+        k = self.ORDER
+        a = np.diag(np.arange(1.0, k + 1))
+        a[0, 0] = -1.0
+        with pytest.raises(DecompositionError) as err:
+            numerics.solve_spd(a, np.ones(k))
+        assert err.value.pivot == 0
+        # the leading block is the identity; the last Schur complement is 2 - k
+        a = np.eye(k)
+        a[-1, :] = a[:, -1] = 1.0
+        with pytest.raises(DecompositionError) as err:
+            numerics.solve_spd(a, np.ones(k))
+        assert err.value.pivot == k - 1
+
+    def test_numerically_singular_raises(self):
+        # a negated Newton Hessian met in a multistart run, in the leading
+        # block: a Cholesky passes it by rounding; the working-precision
+        # pivot rule rejects it, or above the cut the LU solve's exact zero
+        # pivot
+        k = self.ORDER
+        a = np.eye(k)
+        a[:3, :3] = [
+            [1.0098650625722085e22, -1.1229909170978357e22, 1.4575280775018532e06],
+            [-1.1229909170978357e22, 1.2487892161276397e22, -1.6208014843890255e06],
+            [1.4575280775018532e06, -1.6208014843890255e06, 8.1428110171251155e03],
+        ]
+        b = np.ones(k)
+        b[:3] = [5.6e5, -6.2e5, -3.1e3]
+        with pytest.raises(DecompositionError):
+            numerics.solve_spd(a, b)
+
+    def test_matrix_right_hand_side_matches_inverse(self, rng):
+        for order in (1, 2, self.ORDER):
+            m = rng.normal(size=(order, order))
+            a = m @ m.T + 0.5 * np.eye(order)
+            inv = numerics.spd_inverse(a)
+            ref = np.linalg.inv(a)
+            assert np.max(np.abs(inv - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestLinearAlgebra(_SpdContract):
+    ORDER = 3
+
     def test_identity(self):
         x = numerics.solve_spd(np.eye(2), np.array([3.0, 4.0]))
         assert x == pytest.approx([3.0, 4.0], abs=1e-15)
@@ -278,53 +348,27 @@ class TestLinearAlgebra:
             x = numerics.solve_spd(a, b)
             assert np.max(np.abs(a @ x - b)) <= 1e-10 * (1 + np.max(np.abs(b)))
 
-    def test_not_spd_reports_pivot(self):
-        a = np.array([[1.0, 0.0, 0.0], [0.0, -2.0, 0.0], [0.0, 0.0, 1.0]])
-        with pytest.raises(DecompositionError) as err:
-            numerics.solve_spd(a, np.ones(3))
-        assert err.value.pivot == 1
-        assert "pivot 1" in str(err.value)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("where", [(0, 0), (1, 0), (2, 2)])
-    def test_non_finite_entry_raises(self, bad, where):
-        a = np.eye(3) * 2.0
-        a[where] = bad
-        with pytest.raises(DecompositionError) as err:
-            numerics.solve_spd(a, np.ones(3))
-        # the first leading block holding the entry fails
-        assert err.value.pivot == where[0]
-
-    def test_pivot_zero_and_last(self):
-        with pytest.raises(DecompositionError) as err:
-            numerics.solve_spd(np.diag([-1.0, 2.0, 3.0]), np.ones(3))
-        assert err.value.pivot == 0
-        # the leading 2x2 block is the identity; the last Schur complement is -1
-        a = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
-        with pytest.raises(DecompositionError) as err:
-            numerics.solve_spd(a, np.ones(3))
-        assert err.value.pivot == 2
-
-    def test_numerically_singular_raises(self):
-        # a negated Newton Hessian met in a multistart run: Cholesky passes
-        # by rounding, the LU solve finds an exact zero pivot
-        a = np.array(
-            [
-                [1.0098650625722085e22, -1.1229909170978357e22, 1.4575280775018532e06],
-                [-1.1229909170978357e22, 1.2487892161276397e22, -1.6208014843890255e06],
-                [1.4575280775018532e06, -1.6208014843890255e06, 8.1428110171251155e03],
-            ]
-        )
-        with pytest.raises(DecompositionError):
-            numerics.solve_spd(a, np.array([5.6e5, -6.2e5, -3.1e3]))
-
-    def test_matrix_right_hand_side_matches_inverse(self, rng):
-        for k in (1, 2, 3, 6):
+    def test_agrees_with_lapack(self, rng):
+        for k in range(1, 9):
             m = rng.normal(size=(k, k))
-            a = m @ m.T + 0.5 * np.eye(k)
-            inv = numerics.spd_inverse(a)
-            ref = np.linalg.inv(a)
-            assert np.max(np.abs(inv - ref)) <= 1e-12 * np.max(np.abs(ref))
+            a = m @ m.T + k * np.eye(k)
+            for b in (rng.normal(size=k), rng.normal(size=(k, 2))):
+                x = numerics.solve_spd(a, b)
+                assert x.shape == b.shape and x.dtype == np.float64
+                assert x.flags.c_contiguous
+                np.testing.assert_allclose(x, np.linalg.solve(a, b), rtol=1e-12, atol=1e-14)
+
+    def test_small_orders_make_no_lapack_call(self, monkeypatch):
+        def lapack(*args):
+            raise AssertionError("LAPACK called")
+
+        monkeypatch.setattr(numerics.np.linalg, "cholesky", lapack)
+        monkeypatch.setattr(numerics.np.linalg, "solve", lapack)
+        small = numerics._SMALL_ORDER
+        for k in range(1, small + 1):
+            assert numerics.solve_spd(2.0 * np.eye(k), np.ones(k)) == pytest.approx(0.5)
+        with pytest.raises(AssertionError, match="LAPACK"):
+            numerics.solve_spd(2.0 * np.eye(small + 1), np.ones(small + 1))
 
     def test_min_eigenvalue_diagonal(self):
         assert numerics.min_eigenvalue(np.diag([2.0, 5.0])) == pytest.approx(2.0, abs=1e-12)
@@ -336,6 +380,10 @@ class TestLinearAlgebra:
             mine = numerics.min_eigenvalue(a)
             ref = float(np.min(np.linalg.eigvalsh(a)))
             assert mine == pytest.approx(ref, abs=1e-8)
+
+
+class TestSpdContractAboveCut(_SpdContract):
+    ORDER = numerics._SMALL_ORDER + 2
 
 
 class TestRngStream:

@@ -106,6 +106,25 @@ class TestRunStudy:
         parallel = run_study(tiny_config(n_workers=2))
         assert study_result_rows(serial) == study_result_rows(parallel)
 
+    @pytest.mark.parametrize("chunksize", [1, 7])
+    def test_csv_bytes_do_not_depend_on_pool_chunks(self, chunksize, tmp_path, monkeypatch):
+        # 24 jobs over two sample sizes: chunks of 7 straddle the blocks
+        config = tiny_config(sample_sizes=(20, 40), replications=12)
+        write_study_csv(run_study(config), tmp_path / "serial.csv")
+        chunks = []
+
+        class RecordingPool(simulation.ProcessPoolExecutor):
+            def map(self, fn, *iterables, **kwargs):
+                chunks.append(kwargs["chunksize"])
+                return super().map(fn, *iterables, **kwargs)
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(simulation, "_CHUNKSIZE", chunksize)
+        pooled = run_study(dataclasses.replace(config, n_workers=2))
+        write_study_csv(pooled, tmp_path / "pooled.csv")
+        assert chunks == [chunksize]
+        assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
     def test_deterministic_repeat(self):
         r1 = run_study(tiny_config())
         r2 = run_study(tiny_config())
