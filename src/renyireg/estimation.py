@@ -4,9 +4,10 @@ asymptotic covariance matrices of both.
 
 The alpha > 0 objective is non-concave, so the solver tracks the branch
 rooted at the maximum-likelihood solution by continuation: starting from the
-closed-form fit at alpha = 0, it increases alpha in steps of at most
-``ALPHA_STEP`` and runs a damped Newton iteration at each stage, warm-started
-from the previous stage.  An optional multistart pass probes other basins.
+closed-form fit at alpha = 0, it runs a damped Newton stage straight to each
+requested alpha in turn, warm-started from the previous one, and halves a
+step whose stage fails.  Every converged stage ends with one full Newton
+step.  An optional multistart pass probes other basins.
 """
 
 from __future__ import annotations
@@ -38,7 +39,9 @@ MULTISTART_MARGIN = 1e-12
 DEGENERATE_SCALE_FACTOR = 1e-10
 TOL = 1e-8
 MAX_ITER = 200
-ALPHA_STEP = 0.1
+# a Newton stage over an alpha step of at most this length is never halved
+# and may take saddle-free steps
+_MIN_ALPHA_STEP = 0.0125
 # rows per block of the Newton kernel's sums: a block's temporaries fit in L2
 _ROWS = 8192
 
@@ -230,17 +233,18 @@ def _scaled_gradient_norm(grad, s):
     return float(np.max(np.abs(g_check)))
 
 
-def _saddle_free_direction(x, s, val, neg, grad):
+def _saddle_free_direction(xtx, s, val, neg, grad):
     """Ascent direction where ``neg`` (minus the Hessian) is not positive
     definite, or None where the derivatives are not finite: each generalised
     eigenvector of ``neg`` against ``val * diag(X'X / (n sigma^2), 2)``, a
     metric that changes with the units of y and X as the Hessian does, gets
-    the absolute value of its curvature, floored at 1e-8 of the largest."""
+    the absolute value of its curvature, floored at 1e-8 of the largest.
+    ``xtx`` is X'X / n."""
     if not (val > 0 and np.all(np.isfinite(neg)) and np.all(np.isfinite(grad))):
         return None
-    n, p = x.shape
+    p = xtx.shape[0]
     metric = np.zeros((p + 1, p + 1))
-    metric[:p, :p] = (x.T @ x) / (n * math.exp(2.0 * s))
+    metric[:p, :p] = xtx / math.exp(2.0 * s)
     metric[p, p] = 2.0
     root_inv = np.linalg.inv(np.linalg.cholesky(val * metric))
     curvature, vectors = np.linalg.eigh(root_inv @ neg @ root_inv.T)
@@ -259,7 +263,7 @@ class _Stage(NamedTuple):
     gradient: np.ndarray
 
 
-def _newton_stage(x, y, beta, s, a, scale_floor) -> _Stage:
+def _newton_stage(x, y, beta, s, a, scale_floor, xtx, saddle_free=True) -> _Stage:
     """Damped Newton ascent at fixed alpha.
 
     Each point costs one kernel evaluation: the line search evaluates value,
@@ -268,6 +272,11 @@ def _newton_stage(x, y, beta, s, a, scale_floor) -> _Stage:
     on a concave neighbourhood predicts a relative gain of at most ``TOL**2``:
     the decrement ``grad @ direction`` does not change under X -> XA, and it
     scales with the objective value under y -> c y, so the rule has no units.
+    A converged stage then takes that full Newton step and reports the value
+    and gradient at its end, so that the fit does not depend on where the
+    stage started.  Where the Newton matrix is not positive definite the
+    stage takes a saddle-free step (``xtx`` is X'X / n), or with
+    ``saddle_free`` false ends there unconverged.
     """
     beta = beta.copy()
     val, grad, hess = _objective_grad_hess(x, y, beta, s, a)
@@ -280,11 +289,16 @@ def _newton_stage(x, y, beta, s, a, scale_floor) -> _Stage:
         try:
             direction = numerics.solve_spd(neg, grad)
         except DecompositionError:
-            direction = _saddle_free_direction(x, s, val, neg, grad)
+            if not saddle_free:
+                return _Stage(beta, s, False, it, val, grad)
+            direction = _saddle_free_direction(xtx, s, val, neg, grad)
             if direction is None:
                 return _Stage(beta, s, False, it, val, grad)
         else:
             if float(grad @ direction) <= TOL**2 * val:
+                beta = beta + direction[:-1]
+                s = s + float(direction[-1])
+                val, grad, _ = _objective_grad_hess(x, y, beta, s, a)
                 return _Stage(beta, s, True, it, val, grad)
         # keep single stages from tunnelling into the degenerate spike
         if abs(direction[-1]) > 1.0:
@@ -338,23 +352,31 @@ def fit_mle(data: ModelData) -> FitResult:
     )
 
 
-def _continuation_targets(alphas, step):
-    """Ascending ladder visiting every target with increments <= step.
+def _continue(x, y, xtx, beta, s, a_from, a_to, scale_floor) -> _Stage:
+    """Newton stages from ``(beta, s)``, the fit at ``a_from``, to ``a_to``.
 
-    Stage values are computed by exact endpoint interpolation so each target
-    is hit exactly (no floating-point drift from repeated addition).
+    Each stage steps straight to ``a_to``.  A stage whose alpha step is
+    longer than ``_MIN_ALPHA_STEP`` is abandoned when it meets a Newton
+    matrix that is not positive definite, ends unconverged or collapses, and
+    is retried from the last accepted fit with half the step.  A stage at or
+    below that length takes saddle-free steps and is accepted as it ends.
     """
-    targets = sorted(set(float(a) for a in alphas))
-    ladder = []
-    cur = 0.0
-    for t in targets:
-        if t == 0.0:
-            continue
-        stages = max(1, int(math.ceil((t - cur) / step - 1e-9)))
-        ladder.extend(cur + (t - cur) * (j / stages) for j in range(1, stages))
-        ladder.append(t)
-        cur = t
-    return targets, ladder
+    a = a_to
+    while True:
+        # the slack keeps a step halved down to the floor from rounding above it
+        may_halve = a - a_from > _MIN_ALPHA_STEP * (1 + 1e-9)
+        try:
+            stage = _newton_stage(x, y, beta, s, a, scale_floor, xtx, not may_halve)
+        except DegenerateFitError:
+            if not may_halve:
+                raise
+            stage = None
+        if may_halve and (stage is None or not stage.converged):
+            a = a_from + 0.5 * (a - a_from)
+        elif a == a_to:
+            return stage
+        else:
+            beta, s, a_from, a = stage.beta, stage.s, a, a_to
 
 
 def fit_rp_path(data: ModelData, alphas, options: SolverOptions | None = None):
@@ -364,21 +386,21 @@ def fit_rp_path(data: ModelData, alphas, options: SolverOptions | None = None):
     opts = options or SolverOptions()
     mle = fit_mle(data)
     x, y = _centred_problem(data, mle)
+    xtx = data.xtx_over_n
     floor = _collapse_floor(mle)
     results: dict[float, FitResult] = {}
-    targets, ladder = _continuation_targets(alphas, ALPHA_STEP)
-    if 0.0 in targets:
-        results[0.0] = mle
     beta = np.zeros(data.n_params)
     s = math.log(mle.theta_hat.sigma)
-    target_set = {t for t in targets if t != 0.0}
-    for a in ladder:
-        stage = _newton_stage(x, y, beta, s, a, floor)
-        beta, s = stage.beta, stage.s
-        if a in target_set:
-            if opts.multistart > 0:
-                stage = _multistart_refine(x, y, a, stage, opts, floor)
-            results[a] = _package_fit(data, a, stage, mle)
+    prev = 0.0
+    for a in sorted(set(float(a) for a in alphas)):
+        if a == 0.0:
+            results[0.0] = mle
+            continue
+        stage = _continue(x, y, xtx, beta, s, prev, a, floor)
+        beta, s, prev = stage.beta, stage.s, a
+        if opts.multistart > 0:
+            stage = _multistart_refine(x, y, a, stage, opts, floor, xtx)
+        results[a] = _package_fit(data, a, stage, mle)
     return results
 
 
@@ -406,7 +428,7 @@ def _package_fit(data, a, stage, mle):
     )
 
 
-def _multistart_refine(x, y, a, stage, opts, floor):
+def _multistart_refine(x, y, a, stage, opts, floor, xtx):
     """Probe other basins from subsample starting points; keep the best
     converged stationary point by objective value, ``stage`` included.
 
@@ -433,7 +455,7 @@ def _multistart_refine(x, y, a, stage, opts, floor):
             continue
         s0 = math.log(sd * (0.3 + 0.9 * gen.random()))
         try:
-            cand = _newton_stage(x, y, b0, s0, a, floor)
+            cand = _newton_stage(x, y, b0, s0, a, floor, xtx)
         except DegenerateFitError:
             continue
         if cand.converged and cand.value > best.value + MULTISTART_MARGIN * abs(best.value):
@@ -466,7 +488,9 @@ def fit_rp(
         mle = fits[0.0]
         x, y = _centred_problem(data, mle)
         start = init.beta - mle.theta_hat.beta
-        stage = _newton_stage(x, y, start, math.log(init.sigma), alpha, _collapse_floor(mle))
+        stage = _newton_stage(
+            x, y, start, math.log(init.sigma), alpha, _collapse_floor(mle), data.xtx_over_n
+        )
         alt = _package_fit(data, alpha, stage, mle)
         if (alt.converged and not result.converged) or (
             alt.converged == result.converged
