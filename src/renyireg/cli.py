@@ -18,28 +18,21 @@ the failure noted).
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .data import exclude_rows, load_csv, load_dataset
+from .data import BUNDLED_DATASETS, exclude_rows, load_csv, load_dataset, write_csv, write_json
 from .estimation import SolverOptions, fit_rp_path
 from .exceptions import DecompositionError, DegenerateFitError, DomainError
 from .inference import LinearHypothesis, wald_composite
 from .model import ModelData
-from .robustness import (
-    IFRequest,
-    UNBOUNDED_SENSITIVITY,
-    are,
-    gross_error_sensitivity,
-    if2_simple,
-)
+from .robustness import IFRequest, are, gross_error_sensitivity, if2_simple
 from .simulation import (
     ContaminationSpec,
     DesignSpec,
@@ -65,55 +58,45 @@ def _int_list(text):
     return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
 
 
-def _fmt(value):
-    # float() drops numpy's scalar type, whose repr is not a number
-    if isinstance(value, float):
-        return repr(float(value))
-    return value
-
-
-def _write_json(path, payload):
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True, default=str)
-
-
-def _write_table(args, stem, columns, rows, inputs=(), **extra):
-    """Write ``<stem>.csv`` or ``<stem>.json`` (per ``--format``) under
-    ``--output`` with its manifest; ``extra`` adds top-level JSON keys.
-    Returns the path written."""
-    out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = out_dir / f"{stem}.{args.format}"
-    if args.format == "csv":
-        with open(out, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
-    else:
-        _write_json(out, {"columns": columns, "rows": rows, **extra})
-    _manifest(out, args, inputs)
-    print(f"wrote {out}")
-    return out
-
-
-def _manifest(out_file: Path, args, inputs=()):
-    digest = {}
-    for p in inputs:
-        h = hashlib.sha256(Path(p).read_bytes()).hexdigest()
-        digest[str(p)] = h
-    payload = {
+def _emit(args, name, write, inputs=()):
+    """Write ``--output``/``name`` through ``write(path)``, then its
+    ``<file>.manifest.json``, and print the path written."""
+    out = Path(args.output) / name
+    out.parent.mkdir(parents=True, exist_ok=True)
+    write(out)
+    manifest = {
         "command": args.command,
         "options": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
         "library_version": __version__,
-        "input_checksums": digest,
+        "input_checksums": {
+            str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs
+        },
     }
-    _write_json(Path(str(out_file) + ".manifest.json"), payload)
+    write_json(Path(f"{out}.manifest.json"), manifest)
+    print(f"wrote {out}")
+
+
+def _write_table(args, stem, columns, rows, inputs=(), **extra):
+    """Emit ``<stem>.csv`` or ``<stem>.json`` (per ``--format``);
+    ``extra`` adds top-level JSON keys."""
+    if args.format == "csv":
+        write = partial(write_csv, columns=columns, rows=rows)
+    else:
+        write = partial(write_json, payload={"columns": columns, "rows": rows, **extra})
+    _emit(args, f"{stem}.{args.format}", write, inputs)
+
+
+def _status(*paths) -> int:
+    """EXIT_NONCONVERGED when a fit of any of the ``{alpha: FitResult}``
+    paths did not converge, else EXIT_OK."""
+    if all(fit.converged for path in paths for fit in path.values()):
+        return EXIT_OK
+    return EXIT_NONCONVERGED
 
 
 def _resolve_data(args):
     """Return (ModelData, input paths)."""
-    if args.data in ("brain_weight", "first_word"):
+    if args.data in BUNDLED_DATASETS:
         return load_dataset(args.data).data, []
     path = Path(args.data)
     if not path.exists():
@@ -176,14 +159,13 @@ def cmd_fit(args) -> int:
     if args.exclude:
         label = "excluded_" + "_".join(map(str, args.exclude))
         blocks.append((label, exclude_rows(data, args.exclude)))
-    status = EXIT_OK
+    paths = []
     rows = []
     for label, block in blocks:
         fits = _fit_block(block, args)
+        paths.append(fits)
         for a in args.alphas:
             fit = fits[float(a)]
-            if not fit.converged:
-                status = EXIT_NONCONVERGED
             rows.append(
                 [
                     label,
@@ -197,7 +179,7 @@ def cmd_fit(args) -> int:
     p = data.n_params
     columns = ["subset", "alpha", "sigma", *[f"beta{i}" for i in range(p)], "objective", "converged"]
     _write_table(args, "fit", columns, rows, inputs)
-    return status
+    return _status(*paths)
 
 
 def cmd_test(args) -> int:
@@ -207,57 +189,55 @@ def cmd_test(args) -> int:
     hyp = _parse_hypothesis(args.null, data.n_params + 1)
     fits = _fit_block(data, args)
     rows = []
-    status = EXIT_OK
     for a in args.alphas:
         fit = fits[float(a)]
-        if not fit.converged:
-            status = EXIT_NONCONVERGED
         outcome = wald_composite(data, fit, hyp)
         rows.append(
             [a, outcome.statistic, outcome.df, outcome.p_value, outcome.reject_at(args.level), fit.converged]
         )
     columns = ["alpha", "statistic", "df", "p_value", f"reject_at_{args.level}", "converged"]
     _write_table(args, "test", columns, rows, inputs, null=args.null)
-    return status
+    return _status(fits)
 
 
 def cmd_influence(args) -> int:
+    if len(args.t_grid) != 3 or args.t_grid[2] < 1:
+        raise DomainError("--t-grid expects lo,hi,count with count >= 1")
+    lo, hi, count = args.t_grid
+    grid = np.linspace(lo, hi, int(count))
     data, inputs = _resolve_data(args)
     if args.exclude:
         data = exclude_rows(data, args.exclude)
     fits = _fit_block(data, args)
-    if len(args.t_grid) != 3:
-        raise DomainError("--t-grid expects lo,hi,count")
-    lo, hi, count = args.t_grid
-    grid = np.linspace(lo, hi, int(count))
     rows = []
     summary = {}
     direction = "all" if args.direction < 0 else args.direction
     for a in args.alphas:
-        theta = fits[float(a)].theta_hat
+        fit = fits[float(a)]
         req = IFRequest(
-            contamination_points=grid, theta=theta, alpha=float(a), direction=direction
+            contamination_points=grid, theta=fit.theta_hat, alpha=float(a), direction=direction
         )
         report = if2_simple(data, req)
         for t, vec, second in zip(grid, report.first_order, report.second_order_simple):
             rows.append([a, t, float(np.linalg.norm(vec)), *vec.tolist(), second])
-        if a > 0 and isinstance(direction, int):
-            gb, gs = gross_error_sensitivity(data, direction, theta, float(a))
-        else:
-            gb = gs = UNBOUNDED_SENSITIVITY
+        gross = (None, None)  # no closed form covers all directions at once
+        if direction != "all":
+            gross = [
+                "unbounded" if math.isinf(g) else g
+                for g in gross_error_sensitivity(data, direction, fit.theta_hat, float(a))
+            ]
         summary[str(a)] = {
             "sup_norm_on_grid": report.sup_norm,
-            "gross_error_beta": "unbounded" if math.isinf(gb) else gb,
-            "gross_error_sigma": "unbounded" if math.isinf(gs) else gs,
+            "gross_error_beta": gross[0],
+            "gross_error_sigma": gross[1],
             "bounded": bool(a > 0),
+            "converged": fit.converged,
         }
     p = data.n_params
     columns = ["alpha", "t", "if_norm", *[f"if_beta{i}" for i in range(p)], "if_sigma", "if2_simple"]
-    out = _write_table(args, "influence", columns, rows, inputs, summary=summary)
-    summary_path = out.parent / "influence_summary.json"
-    _write_json(summary_path, summary)
-    _manifest(summary_path, args, inputs)
-    return EXIT_OK
+    _write_table(args, "influence", columns, rows, inputs, summary=summary)
+    _emit(args, "influence_summary.json", partial(write_json, payload=summary), inputs)
+    return _status(fits)
 
 
 def cmd_are(args) -> int:
@@ -348,16 +328,8 @@ def _parse_config_file(path, seed_override=None, workers=1) -> StudyConfig:
 def cmd_simulate(args) -> int:
     config = _parse_config_file(args.config, seed_override=args.seed, workers=args.workers)
     result = run_study(config)
-    out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_csv = out_dir / "study.csv"
-    out_json = out_dir / "study.json"
-    write_study_csv(result, out_csv)
-    write_study_json(result, out_json)
-    _manifest(out_csv, args, [args.config])
-    _manifest(out_json, args, [args.config])
-    print(f"wrote {out_csv}")
-    print(f"wrote {out_json}")
+    _emit(args, "study.csv", partial(write_study_csv, result), [args.config])
+    _emit(args, "study.json", partial(write_study_json, result), [args.config])
     return EXIT_NONCONVERGED if result.non_convergence_count > 0 else EXIT_OK
 
 
@@ -384,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--no-header", action="store_true")
             p.add_argument("--no-intercept", action="store_true")
             p.add_argument("--exclude", type=_int_list, default=None,
-                           help="1-based rows to drop for a second fit block")
+                           help="1-based rows: fit adds a second block without them; "
+                                "test and influence drop them")
             p.add_argument("--multistart", type=int, default=0,
                            help="random restarts per tuning value (0 = continuation only)")
             p.add_argument("--seed", type=int, default=0, help="seed of the restarts")

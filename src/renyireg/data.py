@@ -1,8 +1,10 @@
-"""CSV ingestion and the two bundled example datasets."""
+"""CSV ingestion, the two bundled example datasets, and the table writers
+of every report."""
 
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass
 from importlib import resources
 
@@ -17,6 +19,8 @@ __all__ = [
     "load_dataset",
     "exclude_rows",
     "BUNDLED_DATASETS",
+    "write_csv",
+    "write_json",
 ]
 
 
@@ -107,36 +111,27 @@ def load_csv(
     return ModelData(design=x, response=y)
 
 
-def _bundled_path(filename):
-    return resources.files("renyireg.datasets").joinpath(filename)
+def write_csv(path, columns, rows) -> None:
+    """Write a header and rows; floats are written with ``repr``, so reading
+    the table back reproduces them bit-exactly."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(columns)
+        for row in rows:
+            # float() drops numpy's scalar type, whose repr is not a number
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
 
-def _load_brain_weight() -> DatasetDescriptor:
-    with resources.as_file(_bundled_path("brain_weight.csv")) as path:
-        data = load_csv(
-            path,
-            response_column="brain_g",
-            covariate_columns=["body_kg"],
-            transform="log_log",
-        )
-    return DatasetDescriptor(
-        name="brain_weight", data=data, transform="log_log", outlier_rows=(6, 16, 25)
-    )
+def write_json(path, payload) -> None:
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True, default=str)
 
 
-def _load_first_word() -> DatasetDescriptor:
-    with resources.as_file(_bundled_path("first_word.csv")) as path:
-        data = load_csv(
-            path, response_column="gesell_score", covariate_columns=["age_months"]
-        )
-    return DatasetDescriptor(
-        name="first_word", data=data, transform="none", outlier_rows=(18,)
-    )
-
-
+# name -> (response column, covariate columns, transform, 1-based outlier
+# rows); the file is datasets/<name>.csv, see datasets/PROVENANCE.md
 BUNDLED_DATASETS = {
-    "brain_weight": _load_brain_weight,
-    "first_word": _load_first_word,
+    "brain_weight": ("brain_g", ("body_kg",), "log_log", (6, 16, 25)),
+    "first_word": ("gesell_score", ("age_months",), "none", (18,)),
 }
 
 
@@ -146,7 +141,13 @@ def load_dataset(name: str) -> DatasetDescriptor:
         raise DomainError(
             f"unknown dataset {name!r}; bundled: {sorted(BUNDLED_DATASETS)}"
         )
-    return BUNDLED_DATASETS[name]()
+    response, covariates, transform, outlier_rows = BUNDLED_DATASETS[name]
+    csv_file = resources.files("renyireg.datasets").joinpath(f"{name}.csv")
+    with resources.as_file(csv_file) as path:
+        data = load_csv(path, response, covariates, transform=transform)
+    return DatasetDescriptor(
+        name=name, data=data, transform=transform, outlier_rows=outlier_rows
+    )
 
 
 def exclude_rows(data: ModelData, rows_1based) -> ModelData:

@@ -22,7 +22,7 @@ proportional to sigma like every scale statistic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -81,6 +81,14 @@ class IFReport:
     sup_norm: float
     second_order_simple: np.ndarray | None = None
     second_order_composite: np.ndarray | None = None
+
+
+def _report(req: IFRequest, first_order: np.ndarray) -> IFReport:
+    return IFReport(
+        points=req.contamination_points,
+        first_order=first_order,
+        sup_norm=float(np.max(np.linalg.norm(first_order, axis=1))),
+    )
 
 
 def _direction_indices(req: IFRequest, n: int):
@@ -142,12 +150,7 @@ def if_general(family: DensityFamily, data: ModelData, req: IFRequest) -> IFRepo
         u = family.score_vector(i, pts, theta)
         f_alpha = np.exp(alpha * family.log_density(i, pts, theta))
         num += f_alpha[:, None] * (u * j0 - j1) / j0**2
-    values = num @ m_inv.T
-    return IFReport(
-        points=req.contamination_points,
-        first_order=values,
-        sup_norm=float(np.max(np.linalg.norm(values, axis=1))),
-    )
+    return _report(req, num @ m_inv.T)
 
 
 # ---------------------------------------------------------------------------
@@ -190,54 +193,41 @@ def if_mlrm_closed(data: ModelData, req: IFRequest) -> IFReport:
     """
     psi = covariance_mlrm(data, req.theta, req.alpha).psi_n
     scores = _stacked_scores(data, req)
-    values = np.linalg.solve(psi, scores.T).T
-    return IFReport(
-        points=req.contamination_points,
-        first_order=values,
-        sup_norm=float(np.max(np.linalg.norm(values, axis=1))),
-    )
+    return _report(req, np.linalg.solve(psi, scores.T).T)
 
 
 # ---------------------------------------------------------------------------
 # second-order influence of the Wald functionals
 # ---------------------------------------------------------------------------
 
+def _second_order(data: ModelData, req: IFRequest, m: np.ndarray):
+    """The first-order report and ``2 IF' M (M' sigma_n M)^{-1} M' IF`` for
+    the restriction matrix ``M``."""
+    cov = covariance_mlrm(data, req.theta, req.alpha)
+    base = if_mlrm_closed(data, req)
+    inner = m.T @ cov.sigma_n @ m
+    projected = base.first_order @ m
+    return base, 2.0 * np.einsum(
+        "ki,ij,kj->k", projected, numerics.spd_inverse(inner), projected
+    )
+
+
 def if2_simple(data: ModelData, req: IFRequest) -> IFReport:
     """Second-order influence of the simple-null Wald functional.
 
     The first-order term vanishes at the null, leaving the quadratic
-    ``2 psi' psi_n^{-1} sigma_n^{-1} psi_n^{-1} psi = 2 IF' sigma_n^{-1} IF``.
+    ``2 psi' psi_n^{-1} sigma_n^{-1} psi_n^{-1} psi = 2 IF' sigma_n^{-1} IF``,
+    the ``M = I`` case of the composite null.
     """
-    cov = covariance_mlrm(data, req.theta, req.alpha)
-    base = if_mlrm_closed(data, req)
-    second = 2.0 * np.einsum(
-        "ki,ij,kj->k", base.first_order, numerics.spd_inverse(cov.sigma_n), base.first_order
-    )
-    return IFReport(
-        points=req.contamination_points,
-        first_order=base.first_order,
-        sup_norm=base.sup_norm,
-        second_order_simple=second,
-    )
+    base, second = _second_order(data, req, np.eye(data.n_params + 1))
+    return replace(base, second_order_simple=second)
 
 
 def if2_composite(data: ModelData, req: IFRequest, hyp: LinearHypothesis) -> IFReport:
     """Second-order influence of the composite-null Wald functional:
     ``2 [psi_n^{-1} psi]' M (M' sigma_n M)^{-1} M' [psi_n^{-1} psi]``."""
-    cov = covariance_mlrm(data, req.theta, req.alpha)
-    base = if_mlrm_closed(data, req)
-    m = hyp.m_matrix
-    inner = m.T @ cov.sigma_n @ m
-    projected = base.first_order @ m
-    second = 2.0 * np.einsum(
-        "ki,ij,kj->k", projected, numerics.spd_inverse(inner), projected
-    )
-    return IFReport(
-        points=req.contamination_points,
-        first_order=base.first_order,
-        sup_norm=base.sup_norm,
-        second_order_composite=second,
-    )
+    base, second = _second_order(data, req, hyp.m_matrix)
+    return replace(base, second_order_composite=second)
 
 
 # ---------------------------------------------------------------------------

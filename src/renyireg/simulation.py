@@ -9,8 +9,6 @@ configuration and is bit-identical for any worker count.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -18,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimation import fit_rp_path
+from .data import write_csv, write_json
+from .estimation import covariance_mlrm, fit_rp_path
 from .exceptions import DegenerateFitError, DomainError
 from .inference import LinearHypothesis, contiguous_power, wald_composite
 from .model import ModelData, Theta
@@ -271,18 +270,15 @@ def contiguous_table(alphas, d_values, sigma: float, level: float) -> dict:
 
     ``d_values`` are design-normalized squared shifts; the noncentrality at
     tuning value a is ``d (2a+1)^{3/2} / (sigma^2 (1+a)^3)``, evaluated
-    through the general local-alternative machinery on a reference design
-    whose covariate second-moment equals one.
+    through the general local-alternative machinery with the sandwich of
+    ``covariance_mlrm`` on a reference design with ``X'X/n = I``.
     """
-    if sigma <= 0:
-        raise DomainError("sigma must be positive")
     hyp = LinearHypothesis.coordinates([1], [1.0], 3)
+    reference = ModelData(np.array([[1.0, 1.0], [1.0, -1.0]] * 2), np.zeros(4))
+    theta = Theta(beta=np.zeros(2), sigma=sigma)
     table = {}
     for a in alphas:
-        sigma_n = np.zeros((3, 3))
-        fac = sigma**2 * (1 + a) ** 3 / (2 * a + 1) ** 1.5
-        sigma_n[:2, :2] = fac * np.eye(2)
-        sigma_n[2, 2] = 1.0
+        sigma_n = covariance_mlrm(reference, theta, a).sigma_n
         row = {}
         for d in d_values:
             if d < 0:
@@ -321,11 +317,7 @@ def study_result_rows(result: StudyResult):
 
 def write_study_csv(result: StudyResult, path) -> None:
     rows = study_result_rows(result)
-    with open(path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
+    write_csv(path, list(rows[0]), [row.values() for row in rows])
 
 
 def write_study_json(result: StudyResult, path) -> None:
@@ -334,5 +326,4 @@ def write_study_json(result: StudyResult, path) -> None:
         "non_convergence_count": result.non_convergence_count,
         "excluded_replications": result.excluded_replications,
     }
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+    write_json(path, payload)

@@ -202,6 +202,32 @@ class TestInfluence:
         assert len(rows) == 2 * 29
 
 
+    def test_all_directions_summary_has_no_sensitivity(self, tmp_path):
+        # no closed-form sensitivity covers all directions at once
+        code = main(
+            ["influence", "--data", "first_word", "--alphas", "0,0.5", "--direction", "-1",
+             "--t-grid", "40,180,5", "--output", str(tmp_path)]
+        )
+        assert code == EXIT_OK
+        summary = json.loads((tmp_path / "influence_summary.json").read_text())
+        for key, bounded in (("0.0", False), ("0.5", True)):
+            assert summary[key]["gross_error_beta"] is None
+            assert summary[key]["gross_error_sigma"] is None
+            assert summary[key]["bounded"] is bounded
+            assert summary[key]["converged"] is True
+
+    @pytest.mark.parametrize("grid", ["0,1", "0,1,0"])
+    def test_grid_checked_before_fitting(self, tmp_path, monkeypatch, capsys, grid):
+        calls = []
+        monkeypatch.setattr(cli, "fit_rp_path", lambda *args, **kwargs: calls.append(args))
+        code = main(
+            ["influence", "--data", "first_word", "--t-grid", grid, "--output", str(tmp_path)]
+        )
+        assert code == EXIT_ERROR
+        assert "--t-grid" in capsys.readouterr().err
+        assert calls == []
+
+
 class TestPower:
     def test_table_cells(self, tmp_path):
         code = main(
@@ -443,3 +469,50 @@ class TestEveryOptionIsRead:
         cfg.write_text(CONFIG)
         argv = ["simulate", "--config", str(cfg), "--output", str(tmp_path / "o")]
         assert not self.run_recording(argv)
+
+
+@pytest.fixture
+def one_unconverged(monkeypatch):
+    """Every fit path the CLI runs reports its largest alpha unconverged."""
+    fit_rp_path = cli.fit_rp_path
+
+    def path(data, alphas, options=None):
+        fits = fit_rp_path(data, alphas, options)
+        last = max(fits)
+        fits[last] = dataclasses.replace(fits[last], converged=False)
+        return fits
+
+    monkeypatch.setattr(cli, "fit_rp_path", path)
+
+
+class TestNonconvergedExitCode:
+    @pytest.mark.parametrize("stem", ["fit", "test", "influence"])
+    def test_reports_written_and_exit_3(self, tmp_path, one_unconverged, stem):
+        argv = TABLE_RUNS[stem] + ["--format", "json", "--output", str(tmp_path)]
+        assert main(argv) == EXIT_NONCONVERGED
+        table = json.loads((tmp_path / f"{stem}.json").read_text())
+        if stem == "influence":
+            summary = json.loads((tmp_path / "influence_summary.json").read_text())
+            assert [v["converged"] for _, v in sorted(summary.items())] == [True, False]
+        else:
+            converged = [row[table["columns"].index("converged")] for row in table["rows"]]
+            assert converged.count(False) == (2 if stem == "fit" else 1)
+
+
+class TestEveryFileIsAnnounced:
+    @pytest.mark.parametrize("stem", sorted(TABLE_RUNS) + ["simulate"])
+    def test_printed_with_a_manifest(self, tmp_path, capsys, stem):
+        if stem == "simulate":
+            cfg = tmp_path / "study.cfg"
+            cfg.write_text(CONFIG)
+            argv = ["simulate", "--config", str(cfg)]
+        else:
+            argv = TABLE_RUNS[stem]
+        out = tmp_path / "out"
+        assert main(argv + ["--output", str(out)]) == EXIT_OK
+        printed = sorted(capsys.readouterr().out.splitlines())
+        reports = sorted(p for p in out.iterdir() if not p.name.endswith(".manifest.json"))
+        assert printed == [f"wrote {p}" for p in reports]
+        for report in reports:
+            manifest = json.loads(Path(f"{report}.manifest.json").read_text())
+            assert manifest["command"] == argv[0]

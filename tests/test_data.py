@@ -1,11 +1,19 @@
-"""CSV loading and bundled datasets."""
+"""CSV loading, bundled datasets and the table writers."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from renyireg.data import exclude_rows, load_csv, load_dataset
+from renyireg.data import (
+    BUNDLED_DATASETS,
+    exclude_rows,
+    load_csv,
+    load_dataset,
+    write_csv,
+    write_json,
+)
 from renyireg.exceptions import DomainError
 
 
@@ -69,6 +77,14 @@ class TestBundled:
         assert ds.data.design[17, 1] == 17.0
         assert ds.data.response[17] == 121.0
 
+    @pytest.mark.parametrize("name", sorted(BUNDLED_DATASETS))
+    def test_table_entry_loads(self, name):
+        response, covariates, transform, outlier_rows = BUNDLED_DATASETS[name]
+        ds = load_dataset(name)
+        assert (ds.name, ds.transform, ds.outlier_rows) == (name, transform, outlier_rows)
+        assert ds.data.design.shape == (ds.n_obs, len(covariates) + 1)
+        assert exclude_rows(ds.data, outlier_rows).n_obs == ds.n_obs - len(outlier_rows)
+
     def test_unknown_dataset(self):
         with pytest.raises(DomainError):
             load_dataset("nope")
@@ -81,3 +97,23 @@ class TestBundled:
             exclude_rows(ds.data, [0])
         with pytest.raises(DomainError):
             exclude_rows(ds.data, [29])
+
+
+class TestWriters:
+    def test_csv_floats_round_trip(self, tmp_path):
+        path = tmp_path / "t.csv"
+        values = [0.1, np.float64(1 / 3), -2.5e-300]
+        write_csv(path, ["x", "flag", "label"], [[v, True, "a"] for v in values])
+        header, *rows = path.read_text().splitlines()
+        assert header == "x,flag,label"
+        # numpy scalars are written as plain numbers
+        assert [row.split(",")[0] for row in rows] == [repr(float(v)) for v in values]
+        assert [float(row.split(",")[0]) for row in rows] == values
+        assert rows[0].split(",")[1:] == ["True", "a"]
+
+    def test_json_sorted_and_stringified(self, tmp_path):
+        path = tmp_path / "t.json"
+        write_json(path, {"b": 1.5, "a": tmp_path})
+        text = path.read_text()
+        assert text.index('"a"') < text.index('"b"')
+        assert json.loads(text) == {"a": str(tmp_path), "b": 1.5}

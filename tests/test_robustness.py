@@ -1,6 +1,7 @@
 """Influence functions, gross-error sensitivity, and relative efficiency."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -150,6 +151,20 @@ class TestSecondOrder:
             direct = 2.0 * vec @ np.linalg.solve(sigma, vec)
             assert second == pytest.approx(direct, rel=1e-10)
             assert second >= 0.0
+
+    def test_simple_is_composite_with_identity(self, rng):
+        data = small_data(rng)
+        theta = Theta(beta=np.array([1.0, 1.0]), sigma=1.0)
+        req = IFRequest(contamination_points=[0.3, 2.5, -4.0], theta=theta, alpha=0.6)
+        simple = if2_simple(data, req)
+        # LinearHypothesis needs r < dim(theta); M = I is the simple null
+        composite = if2_composite(data, req, SimpleNamespace(m_matrix=np.eye(3)))
+        np.testing.assert_array_equal(simple.first_order, composite.first_order)
+        np.testing.assert_array_equal(
+            simple.second_order_simple, composite.second_order_composite
+        )
+        assert simple.second_order_composite is None
+        assert composite.second_order_simple is None
 
     def test_zero_score_point(self, rng):
         data = small_data(rng)

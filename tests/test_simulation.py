@@ -9,7 +9,7 @@ import pytest
 from renyireg import simulation
 from renyireg.exceptions import DegenerateFitError, DomainError
 from renyireg.model import Theta
-from renyireg.numerics import RngStream
+from renyireg.numerics import RngStream, chisq_quantile, noncentral_chisq_sf
 from renyireg.simulation import (
     ContaminationSpec,
     DesignSpec,
@@ -260,9 +260,23 @@ class TestContiguousTable:
         assert table[1.0][20.0] == pytest.approx(0.95, abs=0.02)
         assert table[0.2][30.0] == pytest.approx(1.00, abs=0.005)
 
+    def test_closed_form_noncentrality(self):
+        # delta = d (2a+1)^{3/2} / (sigma^2 (1+a)^3) on a design with X'X/n = I
+        for sigma in (0.5, 2.0):
+            table = contiguous_table([0.0, 0.5, 1.5], [5.0, 20.0], sigma=sigma, level=0.1)
+            crit = chisq_quantile(1, 0.1)
+            for a, row in table.items():
+                for d, power in row.items():
+                    delta = d * (2 * a + 1) ** 1.5 / (sigma**2 * (1 + a) ** 3)
+                    assert power == pytest.approx(noncentral_chisq_sf(crit, 1, delta), rel=1e-12)
+
     def test_sigma_validation(self):
         with pytest.raises(DomainError):
             contiguous_table([0.0], [0.0], sigma=0.0, level=0.05)
+
+    def test_negative_alpha_rejected(self):
+        with pytest.raises(DomainError):
+            contiguous_table([-0.2], [5.0], sigma=1.0, level=0.05)
 
 
 class TestCalibrationProperties:
