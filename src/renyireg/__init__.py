@@ -50,11 +50,9 @@ from .model import (
     v_weight,
 )
 from .numerics import (
-    QuadratureRule,
     RngStream,
     chisq_quantile,
     chisq_sf,
-    gauss_hermite_rule,
     integrate,
     min_eigenvalue,
     noncentral_chisq_sf,

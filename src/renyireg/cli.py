@@ -50,12 +50,17 @@ EXIT_NONCONVERGED = 3
 DEFAULT_ALPHAS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 
 
-def _float_list(text):
-    return tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
+def _float_list(text, parse=float):
+    """Comma-separated values, empty tokens skipped; a list with no value
+    raises ValueError, which argparse and the config reader report."""
+    values = tuple(parse(tok) for tok in text.split(",") if tok.strip() != "")
+    if not values:
+        raise ValueError(f"empty list {text!r}")
+    return values
 
 
 def _int_list(text):
-    return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
+    return _float_list(text, int)
 
 
 def _emit(args, name, write, inputs=()):
@@ -235,7 +240,7 @@ def cmd_influence(args) -> int:
         }
     p = data.n_params
     columns = ["alpha", "t", "if_norm", *[f"if_beta{i}" for i in range(p)], "if_sigma", "if2_simple"]
-    _write_table(args, "influence", columns, rows, inputs, summary=summary)
+    _write_table(args, "influence", columns, rows, inputs)
     _emit(args, "influence_summary.json", partial(write_json, payload=summary), inputs)
     return _status(fits)
 

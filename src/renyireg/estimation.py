@@ -428,15 +428,23 @@ def _package_fit(data, a, stage, mle):
     )
 
 
+def _replaces(converged, value, current_converged, current_value) -> bool:
+    """Whether a candidate fit replaces the current one: only a converged
+    candidate does, when the current fit did not converge or the candidate's
+    objective is higher by more than ``MULTISTART_MARGIN`` relative.  Runs
+    that reach the same point tie on value to rounding, so ties keep the
+    current fit."""
+    return converged and (
+        not current_converged
+        or value > current_value + MULTISTART_MARGIN * abs(current_value)
+    )
+
+
 def _multistart_refine(x, y, a, stage, opts, floor, xtx):
     """Probe other basins from subsample starting points; keep the best
-    converged stationary point by objective value, ``stage`` included.
-
-    Restarts that reach the same point tie on value to rounding, so a restart
-    replaces the current best only when it is higher by more than
-    ``MULTISTART_MARGIN`` relative; ties keep the earlier fit.  ``x`` and
-    ``y`` are the path's ``_centred_problem``, so restarts start and end in
-    its coordinates too."""
+    stationary point by ``_replaces``, ``stage`` included.  ``x`` and ``y``
+    are the path's ``_centred_problem``, so restarts start and end in its
+    coordinates too."""
     n, p = x.shape
     best = stage
     stream = numerics.RngStream(opts.multistart_seed, stream_id=0)
@@ -458,7 +466,7 @@ def _multistart_refine(x, y, a, stage, opts, floor, xtx):
             cand = _newton_stage(x, y, b0, s0, a, floor, xtx)
         except DegenerateFitError:
             continue
-        if cand.converged and cand.value > best.value + MULTISTART_MARGIN * abs(best.value):
+        if _replaces(cand.converged, cand.value, best.converged, best.value):
             best = cand
     return best
 
@@ -473,9 +481,9 @@ def fit_rp(
 
     ``alpha = 0`` returns the closed-form fit.  For ``alpha > 0`` the default
     start is the alpha-continuation path from the maximum-likelihood fit; an
-    explicit ``init`` adds a direct Newton run from that point and the better
-    of the two stationary points (by objective value) is returned.  A
-    non-converged run is returned flagged, never silently.
+    explicit ``init`` adds a direct Newton run from that point, which
+    replaces the path's fit by the rule of ``_replaces``.  A non-converged
+    run is returned flagged, never silently.
     """
     if alpha < 0:
         raise DomainError(f"alpha must be nonnegative, got {alpha}")
@@ -491,10 +499,6 @@ def fit_rp(
         stage = _newton_stage(
             x, y, start, math.log(init.sigma), alpha, _collapse_floor(mle), data.xtx_over_n
         )
-        alt = _package_fit(data, alpha, stage, mle)
-        if (alt.converged and not result.converged) or (
-            alt.converged == result.converged
-            and alt.objective_value > result.objective_value
-        ):
-            result = alt
+        if _replaces(stage.converged, stage.value, result.converged, result.objective_value):
+            result = _package_fit(data, alpha, stage, mle)
     return result

@@ -207,7 +207,6 @@ def required_sample_size(
 def contiguous_power(
     hyp: LinearHypothesis,
     d: np.ndarray,
-    alpha: float,
     level: float,
     sigma_n: np.ndarray,
 ) -> float:

@@ -11,8 +11,8 @@ linked by ``(objective_alpha - 1)/alpha -> objective_0`` as ``alpha -> 0``.
 
 Only the normal linear regression family ships with closed-form integrals;
 any other family can be used through :class:`QuadratureFamily`, which
-evaluates the required integrals with the quadrature rules from
-:mod:`renyireg.numerics`.
+evaluates the required integrals by Gauss-Hermite quadrature
+(:func:`renyireg.numerics.integrate`).
 """
 
 from __future__ import annotations
@@ -274,7 +274,6 @@ class QuadratureFamily(DensityFamily):
 
     def __init__(self, base: DensityFamily):
         self.base = base
-        self.rule = numerics.gauss_hermite_rule(64)
         self.n_directions = base.n_directions
         self.param_dim = base.param_dim
 
@@ -307,7 +306,7 @@ class QuadratureFamily(DensityFamily):
             w = weight(y)
             return f_c.reshape(f_c.shape + (1,) * (w.ndim - 1)) * w
 
-        return numerics.integrate(fn, self.rule, center, scale)
+        return numerics.integrate(fn, center, scale)
 
     def power_integral(self, i, theta, c):
         return self._integrate(i, theta, c)

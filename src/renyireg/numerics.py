@@ -1,5 +1,5 @@
-"""Special functions, quadrature rules, reproducible RNG streams, and small
-dense linear algebra.
+"""Special functions, Gauss-Hermite quadrature, reproducible RNG streams,
+and small dense linear algebra.
 
 Everything here is deterministic: identical inputs produce bit-identical
 outputs, and RNG streams are fully specified by ``(seed, stream_id)``.
@@ -18,14 +18,12 @@ from scipy import special as _sp
 from .exceptions import DecompositionError, DomainError, NonFiniteIntegrandError
 
 __all__ = [
-    "QuadratureRule",
     "RngStream",
     "normal_cdf",
     "normal_quantile",
     "chisq_quantile",
     "chisq_sf",
     "noncentral_chisq_sf",
-    "gauss_hermite_rule",
     "integrate",
     "solve_spd",
     "min_eigenvalue",
@@ -99,52 +97,27 @@ def noncentral_chisq_sf(x, df, delta):
 # quadrature
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Hermite abscissas and positive weights for integration over the
-    real line.
+@functools.cache
+def _gauss_hermite() -> tuple:
+    """The 64-node Gauss-Hermite rule as read-only ``(nodes, weights)``.
 
     ``nodes`` are the standardized abscissas x_j and ``weights`` the combined
     factors w_j e^{x_j^2} sqrt(2), so that
 
-        integral of g  ~=  scale * sum_j weights[j] * g(center + sqrt(2) * scale * nodes[j])
+        integral of g  ~=  scale * sum_j weights[j] * g(center + sqrt(2) * scale * nodes[j]).
 
-    (the affine transform is applied by :func:`integrate`).  Both arrays are
-    read-only copies, so one rule can be shared by every caller.
+    Built on first use; every later call returns the same arrays.
     """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        for name in ("nodes", "weights"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if len(self.nodes) != len(self.weights) or len(self.nodes) < 2:
-            raise DomainError("nodes and weights must have equal length >= 2")
-        if np.any(self.weights <= 0):
-            raise DomainError("quadrature weights must all be positive")
-
-
-@functools.lru_cache(maxsize=16)
-def gauss_hermite_rule(n_nodes: int = 64) -> QuadratureRule:
-    """Gauss-Hermite rule with ``n_nodes`` points, transformed so that
-    integrating a unit-mass density centered at the rule's center gives 1.
-
-    Built on first use and cached: repeated calls return the same read-only
-    rule.
-    """
-    if n_nodes < 16:
-        raise DomainError(f"need at least 16 nodes, got {n_nodes}")
-    x, w = np.polynomial.hermite.hermgauss(n_nodes)
+    x, w = np.polynomial.hermite.hermgauss(64)
     # fold the e^{x^2} de-weighting and the sqrt(2) substitution Jacobian in
     combined = np.exp(np.log(w) + x * x) * math.sqrt(2.0)
-    return QuadratureRule(nodes=x, weights=combined)
+    for arr in (x, combined):
+        arr.setflags(write=False)
+    return x, combined
 
 
-def integrate(fn, rule: QuadratureRule, center: float, scale: float):
-    """Integrate ``fn`` over the real line.
+def integrate(fn, center: float, scale: float):
+    """Integrate ``fn`` over the real line by the 64-node Gauss-Hermite rule.
 
     ``fn`` is called once, on the 1-D array of transformed nodes, and
     returns one value per node along a leading points axis: shape ``(m,)``
@@ -166,7 +139,8 @@ def integrate(fn, rule: QuadratureRule, center: float, scale: float):
     """
     if scale <= 0:
         raise DomainError(f"scale must be positive, got {scale}")
-    points = center + math.sqrt(2.0) * scale * rule.nodes
+    nodes, weights = _gauss_hermite()
+    points = center + math.sqrt(2.0) * scale * nodes
     values = np.asarray(fn(points), dtype=float)
     if values.shape[:1] != points.shape:
         raise DomainError(
@@ -178,7 +152,7 @@ def integrate(fn, rule: QuadratureRule, center: float, scale: float):
         raise NonFiniteIntegrandError(
             "integrand not finite at a quadrature node", node=float(points[bad][0])
         )
-    total = scale * np.tensordot(rule.weights, values, axes=1)
+    total = scale * np.tensordot(weights, values, axes=1)
     return float(total) if total.ndim == 0 else total
 
 
@@ -194,17 +168,6 @@ _EPS = float(np.finfo(float).eps)
 
 def _not_positive_definite(j: int) -> DecompositionError:
     return DecompositionError(f"matrix is not positive definite (pivot {j})", pivot=j)
-
-
-def _has_cholesky(a: np.ndarray) -> bool:
-    """Whether ``a`` is finite and has a Cholesky factor."""
-    if not np.isfinite(a).all():
-        return False
-    try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 def _small_solve(rows: list, cols: list) -> list:
@@ -273,10 +236,9 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ------
     DecompositionError
         If ``a`` has a non-finite entry or is not positive definite to
-        working precision. The attached pivot is the last index of the first
-        leading block with a non-finite entry or without a Cholesky factor
-        (on the LAPACK path, the last index when only the solve finds ``a``
-        singular).
+        working precision.  The attached pivot is the row at which
+        ``_small_solve``'s working-precision rule fails (on the LAPACK path,
+        the last index when that rule passes a matrix LAPACK rejected).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -290,16 +252,16 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # one solve per column of b, transposed back to b's layout
         cols = _small_solve(a.tolist(), b.T.tolist())
         return np.array(cols).reshape(b.shape[::-1]).T.copy()
-    if _has_cholesky(a):
+    if np.isfinite(a).all():
         try:
+            np.linalg.cholesky(a)
             return np.linalg.solve(a, b)
         except np.linalg.LinAlgError:
             # Cholesky can pass by rounding on a matrix that is singular to
             # working precision; the LU step then meets a zero pivot
             pass
-    last = a.shape[0] - 1
-    j = next((k for k in range(last) if not _has_cholesky(a[: k + 1, : k + 1])), last)
-    raise _not_positive_definite(j)
+    _small_solve(a.tolist(), [])
+    raise _not_positive_definite(a.shape[0] - 1)
 
 
 def spd_inverse(a: np.ndarray) -> np.ndarray:

@@ -104,52 +104,40 @@ def _direction_indices(req: IFRequest, n: int):
 # general (integral-contract) route
 # ---------------------------------------------------------------------------
 
-def _sensitivity_matrix(family: DensityFamily, theta: Theta, alpha: float):
-    """Averaged sensitivity of the estimating functional at the model, and
-    each direction's tilted integrals ``(j0, j1)`` for the direction scores.
+def if_general(family: DensityFamily, data: ModelData, req: IFRequest) -> IFReport:
+    """First-order influence through the family's integral contract.
 
-    It is the difference of the two per-direction curvature blocks of the
-    estimating equations.  At the model they share every integral, with
-    exponent alpha + 1 throughout; the score-Jacobian integral cancels, and
-    what is left is the tilted score covariance (j2 j0 - j1 j1') / j0^2.
+    Works for any family (quadrature-backed or closed-form).  One pass over
+    the directions sums the averaged sensitivity matrix and the estimating
+    scores of the contaminated directions.  The matrix is the difference of
+    the two per-direction curvature blocks of the estimating equations; at
+    the model they share every integral, with exponent alpha + 1
+    throughout, the score-Jacobian integral cancels, and what is left is the
+    tilted score covariance (j2 j0 - j1 j1') / j0^2.
     """
+    theta, alpha = req.theta, req.alpha
     c = alpha + 1.0
     n = family.n_directions
-    dim = family.param_dim
-    total = np.zeros((dim, dim))
-    tilts = []
+    pts = req.contamination_points
+    contaminated = _direction_indices(req, n)
+    total = np.zeros((family.param_dim, family.param_dim))
+    num = np.zeros((pts.size, family.param_dim))
     for i in range(n):
         j0 = family.power_integral(i, theta, c)
         j1 = family.power_score_integral(i, theta, c)
         j2 = family.power_score_outer_integral(i, theta, c)
         total += (j2 * j0 - np.outer(j1, j1)) / j0**2
-        tilts.append((j0, j1))
-    return total / n, tilts
-
-
-def if_general(family: DensityFamily, data: ModelData, req: IFRequest) -> IFReport:
-    """First-order influence through the family's integral contract.
-
-    Works for any family (quadrature-backed or closed-form); at the model
-    the sensitivity matrix coincides with the estimating-score normalization
-    of ``psi_n`` up to the shared tilt factor, which cancels in the product.
-    """
-    theta, alpha = req.theta, req.alpha
-    m, tilts = _sensitivity_matrix(family, theta, alpha)
+        if i in contaminated:
+            # the estimating score of direction i at t, f_i(t)^alpha (u_i(t) j0 - j1) / j0^2,
+            # is 1/sqrt(1+alpha)-tilted relative to the psi normalization; the
+            # matrix carries the same factor, so scaling cancels
+            u = family.score_vector(i, pts, theta)
+            f_alpha = np.exp(alpha * family.log_density(i, pts, theta))
+            num += f_alpha[:, None] * (u * j0 - j1) / j0**2
     try:
-        m_inv = numerics.spd_inverse(m)
+        m_inv = numerics.spd_inverse(total / n)
     except DecompositionError as err:
         raise DecompositionError(f"sensitivity matrix singular: {err}") from err
-    # the estimating score of direction i at t, f_i(t)^alpha (u_i(t) j0 - j1) / j0^2,
-    # is 1/sqrt(1+alpha)-tilted relative to the psi normalization; m carries
-    # the same factor, so scaling cancels
-    pts = req.contamination_points
-    num = np.zeros((pts.size, family.param_dim))
-    for i in _direction_indices(req, family.n_directions):
-        j0, j1 = tilts[i]
-        u = family.score_vector(i, pts, theta)
-        f_alpha = np.exp(alpha * family.log_density(i, pts, theta))
-        num += f_alpha[:, None] * (u * j0 - j1) / j0**2
     return _report(req, num @ m_inv.T)
 
 

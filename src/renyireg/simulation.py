@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -61,9 +61,6 @@ class DesignSpec:
             raise DomainError("need n >= 4")
         if self.kind == "two_point" and self.n % 2 != 0:
             raise DomainError("two-point design requires even n")
-
-    def with_n(self, n: int) -> "DesignSpec":
-        return DesignSpec(kind=self.kind, n=n, a=self.a, b=self.b, seed=self.seed)
 
 
 @dataclass(frozen=True)
@@ -176,7 +173,7 @@ def _replication(args):
     the null per hypothesis, rejections under each alternative)``.
     """
     config, n, rep = args
-    design = make_design(config.design.with_n(n))
+    design = make_design(replace(config.design, n=n))
     theta_true = Theta(beta=np.asarray(config.true_beta, dtype=float), sigma=config.true_sigma)
     truth = theta_true.to_array()
     thetas, hyps, alt_hyps = [theta_true], [], []
@@ -285,7 +282,7 @@ def contiguous_table(alphas, d_values, sigma: float, level: float) -> dict:
                 raise DomainError("shift values must be nonnegative")
             shift = np.array([0.0, math.sqrt(d), 0.0])
             row[float(d)] = (
-                level if d == 0.0 else contiguous_power(hyp, shift, a, level, sigma_n)
+                level if d == 0.0 else contiguous_power(hyp, shift, level, sigma_n)
             )
         table[float(a)] = row
     return table

@@ -118,6 +118,17 @@ class TestFit:
         assert code == EXIT_ERROR
         assert capsys.readouterr().err.startswith("error: design is rank deficient")
 
+    @pytest.mark.parametrize(
+        "argv", [["fit", "--data", "first_word", "--alphas", ","], ["power", "--dx", " , "]]
+    )
+    def test_empty_list_is_refused(self, tmp_path, capsys, argv):
+        # refused by argparse, as a value that is not a number is
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--output", str(tmp_path)])
+        assert err.value.code == 2
+        assert "invalid _float_list value" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_negative_multistart_is_an_error(self, tmp_path, capsys):
         code = main(
             ["fit", "--data", "brain_weight", "--multistart", "-3", "--output", str(tmp_path)]
@@ -305,7 +316,9 @@ class TestSimulate:
         assert code == EXIT_ERROR
         assert "nonsense" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["n = abc", "alphas = 0,x", "level ="])
+    @pytest.mark.parametrize(
+        "line", ["n = abc", "alphas = 0,x", "level =", "sample_sizes =", "alphas = ,"]
+    )
     def test_bad_value_names_its_line(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"# study\n{line}\n")
@@ -425,6 +438,15 @@ class TestReportFormats:
         assert len(rows) == len(table["rows"]) == 606
         for row, expected in zip(rows, table["rows"]):
             assert [float(cell) for cell in row] == expected
+
+    def test_influence_summary_written_once(self, tmp_path):
+        # the summary lives in influence_summary.json only, in either format
+        argv = ["influence", "--data", "first_word", "--direction", "3", "--format", "json"]
+        assert main(argv + ["--output", str(tmp_path)]) == EXIT_OK
+        table = json.loads((tmp_path / "influence.json").read_text())
+        assert sorted(table) == ["columns", "rows"]
+        summary = json.loads((tmp_path / "influence_summary.json").read_text())
+        assert sorted(summary) == [str(a) for a in cli.DEFAULT_ALPHAS]
 
 
 class TestEveryOptionIsRead:

@@ -527,6 +527,34 @@ class TestMultistartTies:
         assert ties > 0
 
 
+class TestInitTies:
+    """A run from ``init`` that reaches the continuation fit's point ties with
+    it on objective value to rounding; ``fit_rp`` then keeps the continuation
+    fit as it is, by the rule that multistart uses."""
+
+    @pytest.mark.parametrize("name", ["brain_weight", "first_word"])
+    @pytest.mark.parametrize("without_outliers", [False, True])
+    def test_tied_init_keeps_continuation_fit(self, name, without_outliers):
+        desc = load_dataset(name)
+        data = exclude_rows(desc.data, desc.outlier_rows) if without_outliers else desc.data
+        for a in (round(0.1 * k, 1) for k in range(1, 11)):
+            plain = fit_rp(data, a)
+            init = Theta(beta=plain.theta_hat.beta * 1.0001, sigma=plain.theta_hat.sigma * 1.01)
+            fit = fit_rp(data, a, init=init)
+            assert fit.iterations == plain.iterations
+            np.testing.assert_array_equal(fit.theta_hat.to_array(), plain.theta_hat.to_array())
+
+    def test_acceptance_rule(self):
+        value = 0.5
+        tie = value * (1 + 0.5 * estimation.MULTISTART_MARGIN)
+        better = value * (1 + 2 * estimation.MULTISTART_MARGIN)
+        assert estimation._replaces(True, better, True, value)
+        assert not estimation._replaces(True, tie, True, value)
+        assert estimation._replaces(True, value - 1.0, False, value)
+        assert not estimation._replaces(False, better, False, value)
+        assert not estimation._replaces(False, better, True, value)
+
+
 class TestSolverEvaluations:
     """Each Newton point costs one kernel evaluation, and the reported
     objective and gradient belong to the returned estimate."""

@@ -200,27 +200,27 @@ class TestContiguousPower:
 
     def test_zero_shift_gives_level(self):
         hyp = LinearHypothesis.coordinates([1], [1.0], 3)
-        p = contiguous_power(hyp, np.zeros(3), 0.4, 0.05, self.sigma_for(0.4))
+        p = contiguous_power(hyp, np.zeros(3), 0.05, self.sigma_for(0.4))
         assert p == pytest.approx(0.05, abs=1e-10)
 
     def test_published_values(self):
         hyp = LinearHypothesis.coordinates([1], [1.0], 3)
-        p0 = contiguous_power(hyp, np.array([0.0, math.sqrt(10.0), 0.0]), 0.0, 0.05, self.sigma_for(0.0))
+        p0 = contiguous_power(hyp, np.array([0.0, math.sqrt(10.0), 0.0]), 0.05, self.sigma_for(0.0))
         assert p0 == pytest.approx(0.88, abs=0.01)
-        p5 = contiguous_power(hyp, np.array([0.0, math.sqrt(10.0), 0.0]), 0.5, 0.05, self.sigma_for(0.5))
+        p5 = contiguous_power(hyp, np.array([0.0, math.sqrt(10.0), 0.0]), 0.05, self.sigma_for(0.5))
         assert p5 == pytest.approx(0.81, abs=0.02)
 
     def test_monotone_in_shift_and_alpha(self):
         hyp = LinearHypothesis.coordinates([1], [1.0], 3)
         shifts = [0.5, 1.0, 2.0, 4.0, 8.0]
         powers = [
-            contiguous_power(hyp, np.array([0.0, s, 0.0]), 0.3, 0.05, self.sigma_for(0.3))
+            contiguous_power(hyp, np.array([0.0, s, 0.0]), 0.05, self.sigma_for(0.3))
             for s in shifts
         ]
         assert all(p2 > p1 for p1, p2 in zip(powers, powers[1:]))
         alphas = [0.0, 0.3, 0.6, 0.9, 1.2, 1.5]
         by_alpha = [
-            contiguous_power(hyp, np.array([0.0, 3.0, 0.0]), a, 0.05, self.sigma_for(a))
+            contiguous_power(hyp, np.array([0.0, 3.0, 0.0]), 0.05, self.sigma_for(a))
             for a in alphas
         ]
         assert all(p2 < p1 for p1, p2 in zip(by_alpha, by_alpha[1:]))

@@ -139,7 +139,7 @@ class TestArrayContract:
 
         x = np.column_stack([np.ones(3), rng.normal(size=3)])
         quad = QuadratureFamily(Counting(x))
-        nodes = (quad.rule.nodes.size,)
+        nodes = (64,)
         theta = Theta(beta=rng.normal(size=2), sigma=1.2)
         expected = {
             "power_integral": ["log_density"],
@@ -169,9 +169,8 @@ class TestLossAndWeight:
         fam = NormalLinearFamily(x)
         theta = Theta(beta=np.array([0.0, 0.0]), sigma=1.0)
         alpha = 0.5
-        rule = numerics.gauss_hermite_rule(64)
         mass = numerics.integrate(
-            lambda yy: np.exp((alpha + 1) * fam.log_density(0, yy, theta)), rule, 0.0, 1.0
+            lambda yy: np.exp((alpha + 1) * fam.log_density(0, yy, theta)), 0.0, 1.0
         )
         expected = math.log(mass) / (alpha + 1) - fam.log_density(0, 0.0, theta)
         assert rp_loss_single(fam, 0, 0.0, theta, alpha) == pytest.approx(expected, rel=1e-10)

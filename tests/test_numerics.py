@@ -151,8 +151,7 @@ def _std_normal_pdf(y):
 
 class TestIntegrate:
     def test_density_normalization(self):
-        rule = numerics.gauss_hermite_rule(64)
-        val = numerics.integrate(_std_normal_pdf, rule, 0.0, 1.0)
+        val = numerics.integrate(_std_normal_pdf, 0.0, 1.0)
         assert val == pytest.approx(1.0, abs=1e-10)
 
     def test_power_of_density_closed_form(self):
@@ -165,27 +164,21 @@ class TestIntegrate:
             (np.exp(-0.5 * grid**2) / math.sqrt(2 * math.pi)) ** (1 + a), grid
         )
         assert closed == pytest.approx(trap, abs=1e-10)
-        rule = numerics.gauss_hermite_rule(64)
-        val = numerics.integrate(lambda y: _std_normal_pdf(y) ** (1 + a), rule, 0.0, 1.0)
+        val = numerics.integrate(lambda y: _std_normal_pdf(y) ** (1 + a), 0.0, 1.0)
         assert val == pytest.approx(closed, abs=1e-10)
 
     def test_odd_function(self):
-        rule = numerics.gauss_hermite_rule(64)
-        val = numerics.integrate(lambda y: (y - 2.0) * _std_normal_pdf(y - 2.0), rule, 2.0, 1.0)
+        val = numerics.integrate(lambda y: (y - 2.0) * _std_normal_pdf(y - 2.0), 2.0, 1.0)
         assert abs(val) < 1e-12
 
     def test_linearity(self):
-        rule = numerics.gauss_hermite_rule(32)
         f = lambda y: _std_normal_pdf(y)
         g = lambda y: y * y * _std_normal_pdf(y)
-        combo = numerics.integrate(lambda y: 2.0 * f(y) + 3.0 * g(y), rule, 0.0, 1.0)
-        parts = 2.0 * numerics.integrate(f, rule, 0.0, 1.0) + 3.0 * numerics.integrate(
-            g, rule, 0.0, 1.0
-        )
+        combo = numerics.integrate(lambda y: 2.0 * f(y) + 3.0 * g(y), 0.0, 1.0)
+        parts = 2.0 * numerics.integrate(f, 0.0, 1.0) + 3.0 * numerics.integrate(g, 0.0, 1.0)
         assert combo == pytest.approx(parts, rel=1e-13)
 
     def test_array_integrand_is_entrywise(self):
-        rule = numerics.gauss_hermite_rule(64)
         parts = [
             lambda y: _std_normal_pdf(y - 1.0),
             lambda y: y * _std_normal_pdf(y - 1.0),
@@ -196,65 +189,54 @@ class TestIntegrate:
             lambda y: np.moveaxis(
                 np.array([[f(y) for f in parts[:2]], [f(y) for f in parts[2:]]]), -1, 0
             ),
-            rule, 1.0, 1.0,
+            1.0, 1.0,
         )
-        singles = np.array([numerics.integrate(f, rule, 1.0, 1.0) for f in parts])
+        singles = np.array([numerics.integrate(f, 1.0, 1.0) for f in parts])
         assert stacked.shape == (2, 2)
         np.testing.assert_allclose(stacked.ravel(), singles, rtol=1e-14)
         np.testing.assert_allclose(singles[:3], [1.0, 1.0, 2.0], rtol=1e-12)
 
     def test_nonfinite_integrand_reports_node(self):
-        rule = numerics.gauss_hermite_rule(32)
         with pytest.raises(NonFiniteIntegrandError) as err:
-            numerics.integrate(lambda y: np.where(y > 0.5, math.nan, 1.0), rule, 0.0, 1.0)
+            numerics.integrate(lambda y: np.where(y > 0.5, math.nan, 1.0), 0.0, 1.0)
         assert err.value.node is not None and err.value.node > 0.5
 
     def test_nonfinite_entry_reports_node(self):
-        rule = numerics.gauss_hermite_rule(32)
         with pytest.raises(NonFiniteIntegrandError) as err:
             numerics.integrate(
                 lambda y: np.stack([np.ones_like(y), np.where(y < -0.5, math.inf, y)], -1),
-                rule, 0.0, 1.0,
+                0.0, 1.0,
             )
         assert err.value.node is not None and err.value.node < -0.5
 
     def test_bad_scale(self):
-        rule = numerics.gauss_hermite_rule(32)
         with pytest.raises(DomainError):
-            numerics.integrate(_std_normal_pdf, rule, 0.0, 0.0)
+            numerics.integrate(_std_normal_pdf, 0.0, 0.0)
 
     def test_rule_is_cached_and_read_only(self):
-        rule = numerics.gauss_hermite_rule(64)
-        assert numerics.gauss_hermite_rule(64) is rule
-        assert numerics.gauss_hermite_rule(32) is not rule
-        for arr in (rule.nodes, rule.weights):
+        rule = numerics._gauss_hermite()
+        assert numerics._gauss_hermite() is rule
+        assert [arr.size for arr in rule] == [64, 64]
+        for arr in rule:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
     def test_integrand_called_once_on_all_nodes(self):
-        rule = numerics.gauss_hermite_rule(32)
         shapes = []
 
         def fn(y):
             shapes.append(y.shape)
             return _std_normal_pdf(y)
 
-        assert numerics.integrate(fn, rule, 0.0, 1.0) == pytest.approx(1.0, abs=1e-10)
-        assert shapes == [(32,)]
+        assert numerics.integrate(fn, 0.0, 1.0) == pytest.approx(1.0, abs=1e-10)
+        assert shapes == [(64,)]
 
     def test_integrand_without_points_axis_rejected(self):
-        rule = numerics.gauss_hermite_rule(32)
         with pytest.raises(DomainError):
-            numerics.integrate(lambda y: 1.0, rule, 0.0, 1.0)
+            numerics.integrate(lambda y: 1.0, 0.0, 1.0)
         with pytest.raises(DomainError):
-            numerics.integrate(lambda y: np.ones(3), rule, 0.0, 1.0)
-
-    def test_rule_validation(self):
-        with pytest.raises(DomainError):
-            numerics.QuadratureRule(nodes=np.array([0.0, 1.0]), weights=np.array([1.0, -1.0]))
-        with pytest.raises(DomainError):
-            numerics.gauss_hermite_rule(8)
+            numerics.integrate(lambda y: np.ones(3), 0.0, 1.0)
 
 
 class _SpdContract:
@@ -303,7 +285,7 @@ class _SpdContract:
         # a negated Newton Hessian met in a multistart run, in the leading
         # block: a Cholesky passes it by rounding; the working-precision
         # pivot rule rejects it, or above the cut the LU solve's exact zero
-        # pivot
+        # pivot.  Either way the pivot is the working-precision rule's
         k = self.ORDER
         a = np.eye(k)
         a[:3, :3] = [
@@ -313,8 +295,9 @@ class _SpdContract:
         ]
         b = np.ones(k)
         b[:3] = [5.6e5, -6.2e5, -3.1e3]
-        with pytest.raises(DecompositionError):
+        with pytest.raises(DecompositionError) as err:
             numerics.solve_spd(a, b)
+        assert err.value.pivot == 1
 
     def test_matrix_right_hand_side_matches_inverse(self, rng):
         for order in (1, 2, self.ORDER):
@@ -385,6 +368,15 @@ class TestLinearAlgebra(_SpdContract):
 class TestSpdContractAboveCut(_SpdContract):
     ORDER = numerics._SMALL_ORDER + 2
 
+    def test_lapack_failure_passed_by_pivot_rule_reports_last_index(self, monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(numerics.np.linalg, "solve", singular)
+        with pytest.raises(DecompositionError) as err:
+            numerics.solve_spd(2.0 * np.eye(self.ORDER), np.ones(self.ORDER))
+        assert err.value.pivot == self.ORDER - 1
+
 
 class TestRngStream:
     def test_reproducible(self):
@@ -413,7 +405,6 @@ class TestGaussHermiteExactness:
     def test_polynomial_times_gaussian_kernel(self):
         # degree-9 polynomial against a normal kernel: the transformed rule
         # must integrate it to machine precision (closed form via moments)
-        rule = numerics.gauss_hermite_rule(32)
         c, s = 1.3, 0.7
         coeffs = [0.5, -1.0, 2.0, 0.25, -0.125, 0.3, 0.0, 0.01, 0.0, 0.002]
         # E[(y - c)^k] for y ~ N(c, s^2): 0 for odd k, s^k (k-1)!! for even k
@@ -427,5 +418,5 @@ class TestGaussHermiteExactness:
             dens = np.exp(-0.5 * (z / s) ** 2) / (math.sqrt(2 * math.pi) * s)
             return sum(a * z**k for k, a in enumerate(coeffs)) * dens
 
-        got = numerics.integrate(fn, rule, c, s)
+        got = numerics.integrate(fn, c, s)
         assert got == pytest.approx(expected, rel=1e-13)
