@@ -122,17 +122,31 @@ class ModelData:
         return ModelData(self.design[keep], self.response[keep])
 
 
+def _outer(v):
+    """Outer product of the last axis, ``v v'``, for every leading index."""
+    return v[..., :, None] * v[..., None, :]
+
+
 class DensityFamily:
     """Contract for a family of densities sharing a common parameter.
 
     Subclasses provide the pointwise quantities (log-density, score vector
     u_i = d log f_i / d theta, and its Jacobian), each evaluated at a response
-    ``y`` that is a scalar or a 1-D array of points.  For an array of m
-    points the outputs gain a leading points axis: ``log_density`` returns
-    shape ``(m,)``, ``score_vector`` ``(m, dim)`` and ``score_jacobian``
-    ``(m, dim, dim)``; for a scalar they return a number, ``(dim,)`` and
-    ``(dim, dim)``.  :class:`QuadratureFamily` evaluates a base family once
-    per integral on the whole node array, so it needs this array form.
+    ``y`` that is a scalar or an array of points.  For an array of shape
+    ``s`` the outputs gain those leading axes: ``log_density`` returns shape
+    ``s``, ``score_vector`` ``s + (dim,)`` and ``score_jacobian``
+    ``s + (dim, dim)``; for a scalar they return a number, ``(dim,)`` and
+    ``(dim, dim)``.
+
+    The direction ``i`` is an int or a 1-D index array of k directions.  An
+    index array adds a leading directions axis: ``y`` then carries the
+    directions on its first axis, of length k or 1, so ``y[d]`` holds the
+    responses of direction ``i[d]`` (shape ``(k,)`` for one point each,
+    ``(k, m)`` for m points each, ``(1, m)`` for the same m points in every
+    direction), and ``center``, ``scale`` and the power integrals return
+    one entry per direction along a leading axis of length k.
+    :class:`QuadratureFamily` evaluates a base family once per integral on
+    the whole ``(k, 64)`` node array, so it needs both forms.
 
     They also provide the power integrals
 
@@ -190,37 +204,51 @@ class NormalLinearFamily(DensityFamily):
         self.n_directions = self.design.shape[0]
         self.param_dim = self.design.shape[1] + 1
 
-    def _resid(self, i, y, theta):
-        mu = float(self.design[i] @ theta.beta)
-        return (np.asarray(y, dtype=float) - mu) / theta.sigma
+    def _rows(self, i, ndim):
+        """Design row of direction ``i``, or the rows of an index array
+        shaped ``(k, 1, ..., p)`` to broadcast against ``ndim`` axes."""
+        x = self.design[i]
+        if x.ndim == 1:
+            return x
+        return x.reshape(x.shape[:1] + (1,) * max(ndim - 1, 0) + x.shape[1:])
+
+    @staticmethod
+    def _mean(x, theta):
+        # one dot product per row, so k directions get the bits of k int calls
+        return (x[..., None, :] @ theta.beta)[..., 0]
+
+    def _resid(self, x, y, theta):
+        return (np.asarray(y, dtype=float) - self._mean(x, theta)) / theta.sigma
 
     def log_density(self, i, y, theta):
-        r = self._resid(i, y, theta)
+        r = self._resid(self._rows(i, np.ndim(y)), y, theta)
         return -0.5 * LOG_2PI - math.log(theta.sigma) - 0.5 * r * r
 
     def score_vector(self, i, y, theta):
-        r = self._resid(i, y, theta)[..., None]
+        x = self._rows(i, np.ndim(y))
+        r = self._resid(x, y, theta)[..., None]
         sig = theta.sigma
-        return np.concatenate([r * self.design[i] / sig, (r * r - 1.0) / sig], axis=-1)
+        return np.concatenate([r * x / sig, (r * r - 1.0) / sig], axis=-1)
 
     def score_jacobian(self, i, y, theta):
-        r = self._resid(i, y, theta)
+        x = self._rows(i, np.ndim(y))
+        r = self._resid(x, y, theta)
         sig = theta.sigma
-        x = self.design[i]
-        p = x.size
-        jac = np.zeros(r.shape + (p + 1, p + 1))
-        jac[..., :p, :p] = -np.outer(x, x) / sig**2
+        p = x.shape[-1]
         cross = -2.0 * r[..., None] * x / sig**2
+        jac = np.zeros(cross.shape[:-1] + (p + 1, p + 1))
+        jac[..., :p, :p] = -_outer(x) / sig**2
         jac[..., :p, p] = cross
         jac[..., p, :p] = cross
         jac[..., p, p] = (1.0 - 3.0 * r * r) / sig**2
         return jac
 
     def center(self, i, theta):
-        return float(self.design[i] @ theta.beta)
+        mu = self._mean(self.design[i], theta)
+        return float(mu) if np.ndim(i) == 0 else mu
 
     def scale(self, i, theta):
-        return theta.sigma
+        return theta.sigma if np.ndim(i) == 0 else np.full(np.shape(i), theta.sigma)
 
     # closed-form integrals ------------------------------------------------
     # For c > 0, f^c = K_c * N(mu, sigma^2/c) with
@@ -233,34 +261,35 @@ class NormalLinearFamily(DensityFamily):
     def power_integral(self, i, theta, c):
         if c <= 0:
             raise DomainError(f"power exponent must be positive, got {c}")
-        return self._mass(theta, c)
+        mass = self._mass(theta, c)
+        return mass if np.ndim(i) == 0 else np.full(np.shape(i), mass)
 
     def power_score_integral(self, i, theta, c):
         # under N(mu, sigma^2/c): E[u_beta] = 0, E[u_sigma] = (1/c - 1)/sigma
         k = self._mass(theta, c)
-        out = np.zeros(self.param_dim)
-        out[-1] = k * (1.0 / c - 1.0) / theta.sigma
+        out = np.zeros(np.shape(i) + (self.param_dim,))
+        out[..., -1] = k * (1.0 / c - 1.0) / theta.sigma
         return out
 
     def power_score_outer_integral(self, i, theta, c):
         k = self._mass(theta, c)
         sig = theta.sigma
         x = self.design[i]
-        p = x.size
-        out = np.zeros((p + 1, p + 1))
-        out[:p, :p] = np.outer(x, x) / (c * sig**2)
+        p = x.shape[-1]
+        out = np.zeros(x.shape[:-1] + (p + 1, p + 1))
+        out[..., :p, :p] = _outer(x) / (c * sig**2)
         # E[(r^2 - 1)^2] with r^2 averaging 1/c and E r^4 = 3/c^2
-        out[p, p] = (3.0 / c**2 - 2.0 / c + 1.0) / sig**2
+        out[..., p, p] = (3.0 / c**2 - 2.0 / c + 1.0) / sig**2
         return k * out
 
     def power_score_jacobian_integral(self, i, theta, c):
         k = self._mass(theta, c)
         sig = theta.sigma
         x = self.design[i]
-        p = x.size
-        out = np.zeros((p + 1, p + 1))
-        out[:p, :p] = -np.outer(x, x) / sig**2
-        out[p, p] = (1.0 - 3.0 / c) / sig**2
+        p = x.shape[-1]
+        out = np.zeros(x.shape[:-1] + (p + 1, p + 1))
+        out[..., :p, :p] = -_outer(x) / sig**2
+        out[..., p, p] = (1.0 - 3.0 / c) / sig**2
         return k * out
 
 
@@ -294,7 +323,8 @@ class QuadratureFamily(DensityFamily):
 
     def _integrate(self, i, theta, c, weight=None):
         """int f_i^c weight dy; ``weight`` maps the node array to one value
-        or array per node, and each function is evaluated once on all nodes."""
+        or array per node, and each function is evaluated once on all nodes
+        (``(64,)`` for an int ``i``, ``(k, 64)`` for k directions)."""
         center = self.base.center(i, theta)
         # f^c concentrates like the base density narrowed by sqrt(c)
         scale = self.base.scale(i, theta) / math.sqrt(max(c, 1e-12))
@@ -304,7 +334,7 @@ class QuadratureFamily(DensityFamily):
             if weight is None:
                 return f_c
             w = weight(y)
-            return f_c.reshape(f_c.shape + (1,) * (w.ndim - 1)) * w
+            return f_c.reshape(f_c.shape + (1,) * (w.ndim - f_c.ndim)) * w
 
         return numerics.integrate(fn, center, scale)
 
@@ -315,11 +345,7 @@ class QuadratureFamily(DensityFamily):
         return self._integrate(i, theta, c, lambda y: self.base.score_vector(i, y, theta))
 
     def power_score_outer_integral(self, i, theta, c):
-        def outer(y):
-            u = self.base.score_vector(i, y, theta)
-            return u[:, :, None] * u[:, None, :]
-
-        return self._integrate(i, theta, c, outer)
+        return self._integrate(i, theta, c, lambda y: _outer(self.base.score_vector(i, y, theta)))
 
     def power_score_jacobian_integral(self, i, theta, c):
         return self._integrate(i, theta, c, lambda y: self.base.score_jacobian(i, y, theta))

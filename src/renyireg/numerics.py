@@ -97,9 +97,14 @@ def noncentral_chisq_sf(x, df, delta):
 # quadrature
 # ---------------------------------------------------------------------------
 
+# nodes of the Gauss-Hermite rule that ``integrate`` uses
+QUADRATURE_NODES = 64
+
+
 @functools.cache
 def _gauss_hermite() -> tuple:
-    """The 64-node Gauss-Hermite rule as read-only ``(nodes, weights)``.
+    """The ``QUADRATURE_NODES``-node Gauss-Hermite rule as read-only
+    ``(nodes, weights)``.
 
     ``nodes`` are the standardized abscissas x_j and ``weights`` the combined
     factors w_j e^{x_j^2} sqrt(2), so that
@@ -108,7 +113,7 @@ def _gauss_hermite() -> tuple:
 
     Built on first use; every later call returns the same arrays.
     """
-    x, w = np.polynomial.hermite.hermgauss(64)
+    x, w = np.polynomial.hermite.hermgauss(QUADRATURE_NODES)
     # fold the e^{x^2} de-weighting and the sqrt(2) substitution Jacobian in
     combined = np.exp(np.log(w) + x * x) * math.sqrt(2.0)
     for arr in (x, combined):
@@ -116,43 +121,71 @@ def _gauss_hermite() -> tuple:
     return x, combined
 
 
-def integrate(fn, center: float, scale: float):
+def _first_bad(values: np.ndarray, ok: np.ndarray) -> float:
+    return float(values[~ok][0])
+
+
+def integrate(fn, center, scale):
     """Integrate ``fn`` over the real line by the 64-node Gauss-Hermite rule.
 
-    ``fn`` is called once, on the 1-D array of transformed nodes, and
-    returns one value per node along a leading points axis: shape ``(m,)``
-    for a scalar integrand, ``(m, ...)`` for an array-valued one.  An array
-    integrand is integrated entrywise and returned with its trailing shape,
-    a scalar one as a float.  The rule is recentered and rescaled: it is
-    accurate for integrands that are concentrated around ``center`` with
-    width of order ``scale`` (e.g. powers of a normal density with mean
-    ``center`` and sd ``scale``).
+    ``fn`` is called once, on the array of transformed nodes, and returns
+    one value per node along the nodes' axes: shape ``(m,)`` for a scalar
+    integrand, ``(m, ...)`` for an array-valued one.  An array integrand is
+    integrated entrywise and returned with its trailing shape, a scalar one
+    as a float.  The rule is recentered and rescaled: it is accurate for
+    integrands that are concentrated around ``center`` with width of order
+    ``scale`` (e.g. powers of a normal density with mean ``center`` and sd
+    ``scale``).
+
+    ``center`` and ``scale`` may also be 1-D arrays of shape ``(k,)``, one
+    entry per direction (a scalar broadcasts against the other).  ``fn``
+    then gets the nodes as ``(k, m)``, row d placed by ``center[d]`` and
+    ``scale[d]``, returns ``(k, m, ...)``, and the result is ``(k, ...)``:
+    k integrals from one call.
 
     Raises
     ------
     DomainError
-        If ``scale`` is not positive, or ``fn`` does not return one value
-        per node on its leading axis.
+        If an entry of ``center`` is not finite, an entry of ``scale`` is
+        not finite and positive, the two are not scalars or 1-D arrays of
+        one shape, or ``fn`` does not return one value per node on the
+        nodes' leading axes.
     NonFiniteIntegrandError
         If any entry of ``fn`` is non-finite at a node; the first such node
-        is attached to the exception.
+        (directions first, then nodes) is attached to the exception.
     """
-    if scale <= 0:
-        raise DomainError(f"scale must be positive, got {scale}")
+    try:
+        center, scale = np.broadcast_arrays(
+            np.asarray(center, dtype=float), np.asarray(scale, dtype=float)
+        )
+    except ValueError as err:
+        raise DomainError(f"center and scale do not broadcast: {err}") from err
+    if center.ndim > 1:
+        raise DomainError(f"center and scale must be scalars or 1-D, got shape {center.shape}")
+    ok = np.isfinite(scale) & (scale > 0)
+    if not ok.all():
+        raise DomainError(f"scale must be finite and positive, got {_first_bad(scale, ok)}")
+    ok = np.isfinite(center)
+    if not ok.all():
+        raise DomainError(f"center must be finite, got {_first_bad(center, ok)}")
     nodes, weights = _gauss_hermite()
-    points = center + math.sqrt(2.0) * scale * nodes
+    points = center[..., None] + math.sqrt(2.0) * scale[..., None] * nodes
     values = np.asarray(fn(points), dtype=float)
-    if values.shape[:1] != points.shape:
+    if values.shape[: points.ndim] != points.shape:
         raise DomainError(
-            f"integrand must return one value per node on a leading axis of length "
-            f"{points.size}, got shape {values.shape}"
+            f"integrand must return one value per node on leading axes of shape "
+            f"{points.shape}, got shape {values.shape}"
         )
-    bad = ~np.isfinite(values.reshape(len(points), -1)).all(axis=1)
-    if bad.any():
+    ok = np.isfinite(values).all(axis=tuple(range(points.ndim, values.ndim)))
+    if not ok.all():
         raise NonFiniteIntegrandError(
-            "integrand not finite at a quadrature node", node=float(points[bad][0])
+            "integrand not finite at a quadrature node", node=_first_bad(points, ok)
         )
-    total = scale * np.tensordot(weights, values, axes=1)
+    trailing = values.shape[points.ndim:]
+    # one weights-row product per direction, as for a single direction
+    flat = weights @ values.reshape(points.shape + (math.prod(trailing),))
+    total = scale[..., None] * flat
+    total = total.reshape(center.shape + trailing)
     return float(total) if total.ndim == 0 else total
 
 

@@ -46,8 +46,19 @@ __all__ = [
 
 UNBOUNDED_SENSITIVITY = math.inf
 
-# residuals per block of the points x directions matrix in _stacked_scores
+# residuals per block of the points x directions matrix in _stacked_scores,
+# and evaluation points (quadrature nodes or contamination points) per block
+# of directions in if_general
 _STACKED_BLOCK_RESIDUALS = 1 << 16
+
+
+def _is_index(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_alpha(alpha):
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise DomainError(f"alpha must be finite and nonnegative, got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -68,9 +79,11 @@ class IFRequest:
         object.__setattr__(self, "contamination_points", pts)
         if pts.size < 1:
             raise DomainError("need at least one contamination point")
-        if self.alpha < 0:
-            raise DomainError(f"alpha must be nonnegative, got {self.alpha}")
-        if self.direction != "all" and not isinstance(self.direction, (int, np.integer)):
+        if not np.all(np.isfinite(pts)):
+            raise DomainError("contamination points must be finite")
+        _check_alpha(self.alpha)
+        direction = self.direction
+        if not (_is_index(direction) or isinstance(direction, str) and direction == "all"):
             raise DomainError("direction must be an observation index or 'all'")
 
 
@@ -91,13 +104,13 @@ def _report(req: IFRequest, first_order: np.ndarray) -> IFReport:
     )
 
 
-def _direction_indices(req: IFRequest, n: int):
-    if req.direction == "all":
-        return range(n)
+def _direction_indices(req: IFRequest, n: int) -> np.ndarray:
+    if isinstance(req.direction, str):
+        return np.arange(n)
     i0 = int(req.direction)
     if not 0 <= i0 < n:
         raise DomainError(f"direction {i0} outside 0..{n - 1}")
-    return [i0]
+    return np.array([i0])
 
 
 # ---------------------------------------------------------------------------
@@ -107,33 +120,46 @@ def _direction_indices(req: IFRequest, n: int):
 def if_general(family: DensityFamily, data: ModelData, req: IFRequest) -> IFReport:
     """First-order influence through the family's integral contract.
 
-    Works for any family (quadrature-backed or closed-form).  One pass over
-    the directions sums the averaged sensitivity matrix and the estimating
-    scores of the contaminated directions.  The matrix is the difference of
-    the two per-direction curvature blocks of the estimating equations; at
-    the model they share every integral, with exponent alpha + 1
-    throughout, the score-Jacobian integral cancels, and what is left is the
-    tilted score covariance (j2 j0 - j1 j1') / j0^2.
+    Works for any family (quadrature-backed or closed-form) whose directions
+    are the observations of ``data``.  The directions are taken in blocks,
+    each one index array for the family: per block three integrals give the
+    block's share of the averaged sensitivity matrix, and the contaminated
+    directions in it add their estimating scores.  The matrix is the
+    difference of the two per-direction curvature blocks of the estimating
+    equations; at the model they share every integral, with exponent
+    alpha + 1 throughout, the score-Jacobian integral cancels, and what is
+    left is the tilted score covariance (j2 j0 - j1 j1') / j0^2.
     """
+    n = family.n_directions
+    if n != data.n_obs:
+        raise DomainError(f"family has {n} directions but the data {data.n_obs} observations")
     theta, alpha = req.theta, req.alpha
     c = alpha + 1.0
-    n = family.n_directions
     pts = req.contamination_points
-    contaminated = _direction_indices(req, n)
+    hit = np.zeros(n, dtype=bool)
+    hit[_direction_indices(req, n)] = True
     total = np.zeros((family.param_dim, family.param_dim))
     num = np.zeros((pts.size, family.param_dim))
-    for i in range(n):
-        j0 = family.power_integral(i, theta, c)
-        j1 = family.power_score_integral(i, theta, c)
-        j2 = family.power_score_outer_integral(i, theta, c)
-        total += (j2 * j0 - np.outer(j1, j1)) / j0**2
-        if i in contaminated:
+    size = max(1, _STACKED_BLOCK_RESIDUALS // max(numerics.QUADRATURE_NODES, pts.size))
+    for start in range(0, n, size):
+        block = np.arange(start, min(start + size, n))
+        j0 = family.power_integral(block, theta, c)
+        j1 = family.power_score_integral(block, theta, c)
+        j2 = family.power_score_outer_integral(block, theta, c)
+        total += np.sum(
+            (j2 * j0[:, None, None] - j1[:, :, None] * j1[:, None, :]) / (j0**2)[:, None, None],
+            axis=0,
+        )
+        sel = hit[block]
+        if sel.any():
             # the estimating score of direction i at t, f_i(t)^alpha (u_i(t) j0 - j1) / j0^2,
             # is 1/sqrt(1+alpha)-tilted relative to the psi normalization; the
             # matrix carries the same factor, so scaling cancels
-            u = family.score_vector(i, pts, theta)
-            f_alpha = np.exp(alpha * family.log_density(i, pts, theta))
-            num += f_alpha[:, None] * (u * j0 - j1) / j0**2
+            i = block[sel]
+            u = family.score_vector(i, pts[None, :], theta)
+            f_alpha = np.exp(alpha * family.log_density(i, pts[None, :], theta))
+            k0, k1 = j0[sel, None, None], j1[sel, None, :]
+            num += np.sum(f_alpha[..., None] * (u * k0 - k1) / k0**2, axis=0)
     try:
         m_inv = numerics.spd_inverse(total / n)
     except DecompositionError as err:
@@ -154,7 +180,7 @@ def _stacked_scores(data: ModelData, req: IFRequest) -> np.ndarray:
     whole points of at most ``_STACKED_BLOCK_RESIDUALS`` entries (one point
     when a point alone is larger), so memory stays O(n p).
     """
-    x = data.design[list(_direction_indices(req, data.n_obs))]
+    x = data.design[_direction_indices(req, data.n_obs)]
     sig, alpha = req.theta.sigma, req.alpha
     fitted = x @ req.theta.beta
     pts = req.contamination_points
@@ -230,10 +256,9 @@ def gross_error_sensitivity(data: ModelData, i0: int, theta: Theta, alpha: float
     ``1/sqrt(a)``, the scale part at ``r^2 = (3a+2)/(a(a+1))``.  Both are
     infinite at ``alpha = 0``.
     """
-    if not 0 <= i0 < data.n_obs:
-        raise DomainError(f"direction {i0} outside 0..{data.n_obs - 1}")
-    if alpha < 0:
-        raise DomainError(f"alpha must be nonnegative, got {alpha}")
+    if not (_is_index(i0) and 0 <= i0 < data.n_obs):
+        raise DomainError(f"direction {i0!r} is not an index in 0..{data.n_obs - 1}")
+    _check_alpha(alpha)
     if alpha == 0.0:
         return UNBOUNDED_SENSITIVITY, UNBOUNDED_SENSITIVITY
     a = alpha
@@ -250,8 +275,7 @@ def are(alpha: float):
     """Asymptotic efficiency of the robust estimator relative to maximum
     likelihood, as variance ratios in (0, 1]: one value for the coefficients
     and one for the scale."""
-    if alpha < 0:
-        raise DomainError(f"alpha must be nonnegative, got {alpha}")
+    _check_alpha(alpha)
     a = alpha
     are_beta = (2 * a + 1) ** 1.5 / (1 + a) ** 3
     are_sigma = 2.0 * (2 * a + 1) ** 2.5 / ((1 + a) ** 3 * (3 * a * a + 4 * a + 2))

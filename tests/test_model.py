@@ -106,7 +106,8 @@ class TestNormalFamilyIntegrals:
 
 class TestArrayContract:
     """Pointwise functions accept a 1-D array of responses and add a leading
-    points axis; the quadrature route evaluates them once per integral."""
+    points axis, and an index array of directions adds a leading directions
+    axis; the quadrature route evaluates them once per integral."""
 
     def test_array_calls_equal_stacked_scalar_calls(self, rng):
         x = np.column_stack([np.ones(4), rng.normal(size=(4, 2))])
@@ -119,6 +120,43 @@ class TestArrayContract:
                 stacked = np.array([fn(i, float(y), theta) for y in ys])
                 got = fn(i, ys, theta)
                 assert got.shape == stacked.shape
+                np.testing.assert_array_equal(got, stacked)
+
+    def test_index_array_equals_stacked_scalar_calls(self, rng):
+        x = np.column_stack([np.ones(5), rng.normal(size=(5, 2))])
+        fam = NormalLinearFamily(x)
+        quad = QuadratureFamily(fam)
+        theta = Theta(beta=rng.normal(size=3), sigma=0.7)
+        idx = np.array([4, 0, 2, 2])
+        ys = rng.normal(scale=3.0, size=(idx.size, 6))
+        for name in ("log_density", "score_vector", "score_jacobian"):
+            fn = getattr(fam, name)
+            # m points per direction, one point per direction, shared points
+            for y, single in (
+                (ys, lambda d: ys[d]),
+                (ys[:, 0], lambda d: float(ys[d, 0])),
+                (ys[:1], lambda d: ys[0]),
+            ):
+                got = fn(idx, y, theta)
+                stacked = np.array([fn(int(i), single(d), theta) for d, i in enumerate(idx)])
+                assert got.shape == stacked.shape, (name, np.shape(y))
+                np.testing.assert_array_equal(got, stacked)
+        for name in ("center", "scale"):
+            got = getattr(fam, name)(idx, theta)
+            np.testing.assert_array_equal(
+                got, [getattr(fam, name)(int(i), theta) for i in idx]
+            )
+        for family in (fam, quad):
+            for name in (
+                "power_integral",
+                "power_score_integral",
+                "power_score_outer_integral",
+                "power_score_jacobian_integral",
+            ):
+                fn = getattr(family, name)
+                got = fn(idx, theta, 1.6)
+                stacked = np.array([fn(int(i), theta, 1.6) for i in idx])
+                assert got.shape == stacked.shape, (type(family).__name__, name)
                 np.testing.assert_array_equal(got, stacked)
 
     def test_quadrature_integrals_evaluate_base_once(self, rng):
@@ -139,7 +177,6 @@ class TestArrayContract:
 
         x = np.column_stack([np.ones(3), rng.normal(size=3)])
         quad = QuadratureFamily(Counting(x))
-        nodes = (64,)
         theta = Theta(beta=rng.normal(size=2), sigma=1.2)
         expected = {
             "power_integral": ["log_density"],
@@ -147,10 +184,12 @@ class TestArrayContract:
             "power_score_outer_integral": ["log_density", "score_vector"],
             "power_score_jacobian_integral": ["log_density", "score_jacobian"],
         }
-        for method, names in expected.items():
-            calls.clear()
-            getattr(quad, method)(1, theta, 1.6)
-            assert sorted(calls) == [(name, nodes) for name in names], method
+        # one direction, then a block of directions on one (k, 64) node array
+        for i, nodes in ((1, (64,)), (np.array([0, 2, 1]), (3, 64))):
+            for method, names in expected.items():
+                calls.clear()
+                getattr(quad, method)(i, theta, 1.6)
+                assert sorted(calls) == [(name, nodes) for name in names], (method, nodes)
 
 
 class TestLossAndWeight:

@@ -213,6 +213,61 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             numerics.integrate(_std_normal_pdf, 0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "center, scale",
+        [
+            (0.0, -1.0),
+            (0.0, math.inf),
+            (0.0, math.nan),
+            (math.nan, 1.0),
+            (-math.inf, 1.0),
+            (np.zeros(3), np.array([1.0, math.inf, 1.0])),
+            (np.zeros(3), np.array([1.0, 2.0, 0.0])),
+            (np.array([0.0, 1.0, math.nan]), 1.0),
+            (np.zeros(3), np.ones(2)),
+            (np.zeros((2, 2)), 1.0),
+        ],
+    )
+    def test_nonfinite_or_misshapen_center_or_scale(self, center, scale):
+        with pytest.raises(DomainError):
+            numerics.integrate(_std_normal_pdf, center, scale)
+
+    def test_per_direction_center_and_scale(self):
+        centers = np.array([-1.0, 0.5, 2.0])
+        scales = np.array([0.5, 1.0, 3.0])
+        shapes = []
+
+        def moments(c, s):
+            def fn(y):
+                shapes.append(y.shape)
+                z = (y - c) / s
+                dens = np.exp(-0.5 * z * z) / (math.sqrt(2 * math.pi) * s)
+                return np.stack([dens, y * dens, y * y * dens], axis=-1)
+
+            return fn
+
+        got = numerics.integrate(moments(centers[:, None], scales[:, None]), centers, scales)
+        assert shapes == [(3, 64)] and got.shape == (3, 3)
+        singles = np.array(
+            [numerics.integrate(moments(c, s), c, s) for c, s in zip(centers, scales)]
+        )
+        np.testing.assert_array_equal(got, singles)
+        np.testing.assert_allclose(got[:, 2], scales**2 + centers**2, rtol=1e-12)
+        # a scalar scale is shared by every direction, and a scalar integrand
+        # gives one float per direction
+        mass = numerics.integrate(lambda y: _std_normal_pdf(y - centers[:, None]), centers, 1.0)
+        assert mass.shape == (3,)
+        np.testing.assert_allclose(mass, 1.0, rtol=1e-12)
+
+    def test_nonfinite_entry_of_one_direction_reports_node(self):
+        centers = np.array([0.0, 10.0])
+        with pytest.raises(NonFiniteIntegrandError) as err:
+            numerics.integrate(
+                lambda y: np.where(y > 10.5, math.nan, _std_normal_pdf(y - centers[:, None])),
+                centers, 1.0,
+            )
+        assert err.value.node is not None and err.value.node > 10.5
+
     def test_rule_is_cached_and_read_only(self):
         rule = numerics._gauss_hermite()
         assert numerics._gauss_hermite() is rule
@@ -237,6 +292,8 @@ class TestIntegrate:
             numerics.integrate(lambda y: 1.0, 0.0, 1.0)
         with pytest.raises(DomainError):
             numerics.integrate(lambda y: np.ones(3), 0.0, 1.0)
+        with pytest.raises(DomainError):
+            numerics.integrate(lambda y: np.ones(64), np.zeros(2), 1.0)
 
 
 class _SpdContract:

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from renyireg import robustness
+from renyireg import numerics, robustness
 from renyireg.estimation import covariance_mlrm
 from renyireg.exceptions import DomainError
 from renyireg.inference import LinearHypothesis
@@ -49,6 +49,51 @@ class TestFirstOrder:
             assert general.shape == closed.shape == (points.size, 3)
             scale = np.maximum(np.abs(closed), 1e-12)
             assert np.max(np.abs(general - closed) / scale) < 1e-6, (case, direction)
+
+    def test_three_quadrature_calls_per_block(self, rng, monkeypatch):
+        calls = []
+        integrate = numerics.integrate
+
+        def counting(fn, center, scale):
+            calls.append(np.shape(center))
+            return integrate(fn, center, scale)
+
+        monkeypatch.setattr(numerics, "integrate", counting)
+        data = small_data(rng, n=8)
+        quad = QuadratureFamily(NormalLinearFamily(data.design))
+        theta = Theta(beta=np.array([1.0, 0.5]), sigma=1.3)
+        for direction in ("all", 5):
+            req = IFRequest(np.linspace(-4, 4, 11), theta, 0.4, direction)
+            calls.clear()
+            whole = if_general(quad, data, req).first_order
+            assert calls == [(8,)] * 3
+            # four directions per block: 128 evaluation points of 64 nodes,
+            # and then one block per direction
+            for block, sizes in ((256, [(4,)] * 6), (1, [(1,)] * 24)):
+                with monkeypatch.context() as patch:
+                    patch.setattr(robustness, "_STACKED_BLOCK_RESIDUALS", block)
+                    calls.clear()
+                    blocked = if_general(quad, data, req).first_order
+                assert calls == sizes
+                assert np.max(np.abs(blocked - whole)) <= 1e-14 * np.max(np.abs(whole))
+
+    def test_many_directions_match_closed_form(self, rng):
+        # several blocks of directions at the default block size
+        data = small_data(rng, n=3000)
+        quad = QuadratureFamily(NormalLinearFamily(data.design))
+        theta = Theta(beta=np.array([0.9, 1.1]), sigma=0.8)
+        req = IFRequest(np.linspace(-3.0, 5.0, 7), theta, 0.5, "all")
+        general = if_general(quad, data, req).first_order
+        closed = if_mlrm_closed(data, req).first_order
+        scale = np.maximum(np.abs(closed), 1e-12)
+        assert np.max(np.abs(general - closed) / scale) < 1e-6
+
+    def test_family_must_cover_the_data(self, rng):
+        data = small_data(rng, n=8)
+        quad = QuadratureFamily(NormalLinearFamily(data.design[:5]))
+        req = IFRequest([1.0, 3.0], Theta(beta=np.ones(2), sigma=1.0), 0.5, direction=2)
+        with pytest.raises(DomainError):
+            if_general(quad, data, req)
 
     def test_zero_residual_beta_component_vanishes(self, rng):
         data = small_data(rng)
@@ -276,8 +321,9 @@ class TestEfficiency:
         assert all(0.0 < v <= 1.0 for pair in vals for v in pair)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            are(-0.5)
+        for alpha in (-0.5, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                are(alpha)
 
 
 class TestRequestValidation:
@@ -293,3 +339,29 @@ class TestRequestValidation:
             IFRequest(
                 contamination_points=[], theta=Theta(beta=np.zeros(1), sigma=1.0), alpha=0.3
             )
+
+    @pytest.mark.parametrize(
+        "points, alpha, direction",
+        [
+            ([0.0], 0.3, True),
+            ([0.0], 0.3, np.bool_(False)),
+            ([0.0], 0.3, 1.0),
+            ([0.0], 0.3, "All"),
+            ([0.0], math.nan, 0),
+            ([0.0], math.inf, "all"),
+            ([0.0], -0.1, 0),
+            ([0.0, math.nan], 0.3, 0),
+            ([math.inf], 0.3, "all"),
+        ],
+    )
+    def test_rejects_malformed_request(self, points, alpha, direction):
+        with pytest.raises(DomainError):
+            IFRequest(points, Theta(beta=np.zeros(2), sigma=1.0), alpha, direction)
+
+    @pytest.mark.parametrize(
+        "i0, alpha", [(True, 0.5), (1.0, 0.5), (-1, 0.5), (0, math.nan), (0, math.inf)]
+    )
+    def test_gross_error_rejects_malformed_arguments(self, rng, i0, alpha):
+        data = small_data(rng)
+        with pytest.raises(DomainError):
+            gross_error_sensitivity(data, i0, Theta(beta=np.zeros(2), sigma=1.0), alpha)
