@@ -67,8 +67,8 @@ class TestFirstOrder:
             calls.clear()
             whole = if_general(quad, data, req).first_order
             assert calls == [(8,)] * 3
-            # four directions per block: 128 evaluation points of 64 nodes,
-            # and then one block per direction
+            # a budget of 256 evaluation points holds four directions of 64
+            # nodes; a budget of 1 still takes one direction per block
             for block, sizes in ((256, [(4,)] * 6), (1, [(1,)] * 24)):
                 with monkeypatch.context() as patch:
                     patch.setattr(robustness, "_STACKED_BLOCK_RESIDUALS", block)
