@@ -76,9 +76,12 @@ class WaldOutcome:
     p_value: float
 
     def reject_at(self, level: float) -> bool:
+        """Whether the test rejects at ``level``: ``p_value < level``, the
+        decision ``statistic > chisq_quantile(df, level)`` without the
+        quantile, and never at odds with the reported p-value."""
         if not 0.0 < level < 1.0:
             raise DomainError(f"level must lie in (0, 1), got {level}")
-        return self.statistic > numerics.chisq_quantile(self.df, level)
+        return self.p_value < level
 
 
 @dataclass(frozen=True)

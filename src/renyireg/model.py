@@ -122,6 +122,13 @@ class ModelData:
         return ModelData(self.design[keep], self.response[keep])
 
 
+def _check_exponent(c):
+    """The power integrals ``int f^c ...`` diverge or are undefined unless
+    ``c`` is finite and positive."""
+    if not (math.isfinite(c) and c > 0):
+        raise DomainError(f"power exponent must be finite and positive, got {c}")
+
+
 def _outer(v):
     """Outer product of the last axis, ``v v'``, for every leading index."""
     return v[..., :, None] * v[..., None, :]
@@ -255,12 +262,11 @@ class NormalLinearFamily(DensityFamily):
     # K_c = (2 pi)^{(1-c)/2} sigma^{1-c} c^{-1/2}.
 
     def _mass(self, theta, c):
+        _check_exponent(c)
         sig = theta.sigma
         return (2.0 * math.pi) ** ((1.0 - c) / 2.0) * sig ** (1.0 - c) / math.sqrt(c)
 
     def power_integral(self, i, theta, c):
-        if c <= 0:
-            raise DomainError(f"power exponent must be positive, got {c}")
         mass = self._mass(theta, c)
         return mass if np.ndim(i) == 0 else np.full(np.shape(i), mass)
 
@@ -325,9 +331,10 @@ class QuadratureFamily(DensityFamily):
         """int f_i^c weight dy; ``weight`` maps the node array to one value
         or array per node, and each function is evaluated once on all nodes
         (``(64,)`` for an int ``i``, ``(k, 64)`` for k directions)."""
+        _check_exponent(c)
         center = self.base.center(i, theta)
         # f^c concentrates like the base density narrowed by sqrt(c)
-        scale = self.base.scale(i, theta) / math.sqrt(max(c, 1e-12))
+        scale = self.base.scale(i, theta) / math.sqrt(c)
 
         def fn(y):
             f_c = np.exp(c * self.base.log_density(i, y, theta))

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special as _sp
 
 from .exceptions import DecompositionError, DomainError, NonFiniteIntegrandError
 
@@ -34,9 +33,19 @@ __all__ = [
 # distributions
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _special():
+    """``scipy.special``, imported on first use: the import costs about
+    0.3 s and 25 MB, and only the quantiles, ``normal_cdf`` and the
+    noncentral tail need it (``chisq_sf`` is closed-form)."""
+    from scipy import special
+
+    return special
+
+
 def normal_cdf(x):
     """Standard normal distribution function Phi(x)."""
-    return _sp.ndtr(x)
+    return _special().ndtr(x)
 
 
 def normal_quantile(p):
@@ -50,15 +59,55 @@ def normal_quantile(p):
     p_arr = np.asarray(p, dtype=float)
     if np.any(p_arr <= 0.0) or np.any(p_arr >= 1.0):
         raise DomainError(f"quantile probability must lie in (0, 1), got {p}")
-    out = _sp.ndtri(p_arr)
+    out = _special().ndtri(p_arr)
     return float(out) if np.isscalar(p) or p_arr.ndim == 0 else out
 
 
+def _integer_df(df) -> int:
+    """``df`` as an int; the chi-square functions take integer degrees of
+    freedom only, so that ``chisq_sf`` can use its finite sum."""
+    if isinstance(df, bool) or not isinstance(df, (int, np.integer)) or df < 1:
+        raise DomainError(f"df must be an integer >= 1, got {df!r}")
+    return int(df)
+
+
+def _chisq_sf_scalar(x: float, df: int) -> float:
+    if x <= 0.0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    h = 0.5 * x
+    log_h = math.log(h)
+    # Q(a, h) = Q(a - 1, h) + h^{a-1} e^{-h} / Gamma(a) down to Q(1, h) = e^{-h}
+    # (even df) or Q(1/2, h) = erfc(sqrt h) (odd df)
+    start = 0.5 * (df % 2)
+    total = math.erfc(math.sqrt(h)) if df % 2 else 0.0
+    for k in range(df // 2):
+        s = start + k
+        total += math.exp(s * log_h - h - math.lgamma(s + 1.0))
+    return min(total, 1.0)
+
+
 def chisq_sf(x, df):
-    """Survival function P(chi2_df > x)."""
-    if df < 1:
-        raise DomainError(f"df must be >= 1, got {df}")
-    return _sp.gammaincc(df / 2.0, np.maximum(np.asarray(x, dtype=float), 0.0) / 2.0)
+    """Survival function P(chi2_df > x) for an integer ``df >= 1``.
+
+    Evaluated by the exact finite sum of the upper incomplete gamma function
+    at integer and half-integer order, each term in log space, so the tail
+    stays accurate where ``e^{-x/2}`` underflows.  ``x <= 0`` gives 1.  A
+    scalar ``x`` gives a float, an array one an array of its shape.
+
+    Raises
+    ------
+    DomainError
+        If ``df`` is not an integer >= 1.
+    """
+    df = _integer_df(df)
+    x_arr = np.asarray(x, dtype=float)
+    if x_arr.ndim == 0:
+        return _chisq_sf_scalar(float(x_arr), df)
+    return np.array([_chisq_sf_scalar(v, df) for v in x_arr.ravel().tolist()]).reshape(
+        x_arr.shape
+    )
 
 
 def chisq_quantile(df, upper_tail):
@@ -67,30 +116,28 @@ def chisq_quantile(df, upper_tail):
     Parameters
     ----------
     df : int
-        Degrees of freedom, >= 1.
+        Degrees of freedom, an integer >= 1.
     upper_tail : float
         Upper-tail probability, strictly inside (0, 1).
     """
-    if df < 1:
-        raise DomainError(f"df must be >= 1, got {df}")
+    df = _integer_df(df)
     if not 0.0 < upper_tail < 1.0:
         raise DomainError(f"upper-tail probability must lie in (0, 1), got {upper_tail}")
-    return float(2.0 * _sp.gammainccinv(df / 2.0, upper_tail))
+    return float(2.0 * _special().gammainccinv(df / 2.0, upper_tail))
 
 
 def noncentral_chisq_sf(x, df, delta):
     """Survival function of the noncentral chi-square distribution,
     ``P(chi2_df(delta) > x)``, as the complement of
     ``scipy.special.chndtr``.  At ``delta = 0`` this is the central survival
-    function.
+    function.  ``df`` is an integer >= 1.
     """
-    if df < 1:
-        raise DomainError(f"df must be >= 1, got {df}")
+    df = _integer_df(df)
     if x < 0 or delta < 0:
         raise DomainError("x and delta must be nonnegative")
     if delta == 0.0:
-        return float(chisq_sf(x, df))
-    return min(max(1.0 - float(_sp.chndtr(x, df, delta)), 0.0), 1.0)
+        return chisq_sf(x, df)
+    return min(max(1.0 - float(_special().chndtr(x, df, delta)), 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------

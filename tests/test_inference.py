@@ -1,16 +1,19 @@
 """Wald-type tests, power approximation, sample size, local alternatives."""
 
+import csv
 import math
 
 import numpy as np
 import pytest
 
 from renyireg import numerics
+from renyireg.cli import EXIT_OK, main
 from renyireg.estimation import covariance_mlrm, fit_mle, fit_rp
 from renyireg.exceptions import DecompositionError, DomainError
 from renyireg.inference import (
     UNBOUNDED_SAMPLE_SIZE,
     LinearHypothesis,
+    WaldOutcome,
     approx_power,
     contiguous_power,
     required_sample_size,
@@ -114,6 +117,54 @@ class TestWaldTests:
         rejections = [outcome.reject_at(nu) for nu in (0.01, 0.05, 0.1, 0.5)]
         assert rejections == sorted(rejections)
         assert 0.0 <= outcome.p_value <= 1.0
+
+
+class TestRejectAt:
+    """``reject_at`` decides by the reported p-value."""
+
+    LEVELS = (0.001, 0.01, 0.05, 0.1, 0.5, 0.9)
+
+    @staticmethod
+    def _outcome(stat, df):
+        return WaldOutcome(statistic=float(stat), df=df, p_value=numerics.chisq_sf(stat, df))
+
+    def test_agrees_with_p_value(self, rng):
+        for df in range(1, 5):
+            for stat in rng.chisquare(df, size=200) * rng.uniform(0.2, 3.0, size=200):
+                outcome = self._outcome(stat, df)
+                for level in self.LEVELS:
+                    assert outcome.reject_at(level) == (outcome.p_value < level)
+
+    def test_agrees_with_critical_value_off_the_ulp_band(self, rng):
+        for df in range(1, 5):
+            for level in self.LEVELS:
+                crit = numerics.chisq_quantile(df, level)
+                near = crit * (1.0 + np.array([-1e-6, -1e-9, 1e-9, 1e-6]))
+                for stat in np.concatenate([rng.chisquare(df, size=100), near]):
+                    if abs(stat - crit) > 1e-12 * crit:
+                        assert self._outcome(stat, df).reject_at(level) == (stat > crit), (
+                            df, level, stat,
+                        )
+
+    def test_level_domain(self):
+        outcome = self._outcome(3.0, 2)
+        for bad in (0.0, 1.0, -0.1, math.nan):
+            with pytest.raises(DomainError):
+                outcome.reject_at(bad)
+
+    def test_cli_reject_column_matches_p_value(self, tmp_path):
+        decisions = set()
+        for data, null in (("brain_weight", "beta1=0.73"), ("first_word", "sigma=9.0")):
+            for level in ("0.05", "0.2"):
+                out = tmp_path / f"{data}-{level}"
+                args = ["test", "--data", data, "--null", null, "--level", level]
+                assert main(args + ["--output", str(out)]) == EXIT_OK
+                with open(out / "test.csv") as handle:
+                    for row in csv.DictReader(handle):
+                        reject = float(row["p_value"]) < float(level)
+                        assert row[f"reject_at_{level}"] == str(reject), (data, level, row)
+                        decisions.add(reject)
+        assert decisions == {True, False}
 
 
 def identity_sigma_provider(theta):

@@ -103,6 +103,28 @@ class TestNormalFamilyIntegrals:
             ) / (2 * h)
         np.testing.assert_allclose(fam.score_jacobian(1, y, theta), jac_fd, atol=1e-5)
 
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("quadrature", [False, True])
+    @pytest.mark.parametrize(
+        "integral",
+        [
+            "power_integral",
+            "power_score_integral",
+            "power_score_outer_integral",
+            "power_score_jacobian_integral",
+        ],
+    )
+    def test_exponent_must_be_finite_and_positive(self, integral, quadrature, c):
+        # int f^c diverges at c <= 0; the quadrature route once returned
+        # 3.09e7 for int f^0
+        fam = NormalLinearFamily(np.array([[1.0, 2.0], [1.0, -1.0], [1.0, 0.5]]))
+        if quadrature:
+            fam = QuadratureFamily(fam)
+        theta = Theta(beta=np.array([0.3, -0.7]), sigma=1.2)
+        for i in (0, np.array([0, 2])):
+            with pytest.raises(DomainError, match="power exponent"):
+                getattr(fam, integral)(i, theta, c)
+
 
 class TestArrayContract:
     """Pointwise functions accept a 1-D array of responses and add a leading

@@ -97,6 +97,64 @@ class TestChisq:
             numerics.chisq_quantile(0, 0.5)
 
 
+class TestChisqSurvival:
+    """The closed-form tail against scipy's regularized incomplete gamma."""
+
+    @staticmethod
+    def _assert_matches_scipy(x, df):
+        ref = scipy.stats.chi2.sf(x, df)
+        mine = numerics.chisq_sf(x, df)
+        keep = ref >= 1e-300
+        np.testing.assert_allclose(mine[keep], ref[keep], rtol=1e-12, atol=0, err_msg=f"df={df}")
+
+    def test_against_scipy(self):
+        for df in range(1, 201):
+            self._assert_matches_scipy(np.linspace(0.0, 4.0 * df + 200.0, 121), df)
+
+    def test_against_scipy_where_exp_underflows(self):
+        # e^{-x/2} is 0 in double precision beyond x = 1490, yet the tails of
+        # 1600 degrees of freedom there run from 0.997 down to 3e-7
+        x = np.linspace(1450.0, 1900.0, 46)
+        assert math.exp(-x[-1] / 2) == 0.0
+        for df in (1599, 1600):
+            self._assert_matches_scipy(x, df)
+
+    @pytest.mark.parametrize("shape", [(), (0,), (3,), (2, 3), (1, 4, 1)])
+    def test_array_shape_preserved(self, shape):
+        x = np.arange(math.prod(shape), dtype=float).reshape(shape) + 0.5
+        out = numerics.chisq_sf(x, 3)
+        if shape == ():
+            assert isinstance(out, float)
+        else:
+            assert isinstance(out, np.ndarray) and out.shape == shape
+        np.testing.assert_allclose(out, scipy.stats.chi2.sf(x, 3), rtol=1e-12)
+
+    def test_nonpositive_x_gives_one(self):
+        for df in (1, 2, 7):
+            for x in (0.0, -0.0, -1.0, -math.inf):
+                assert numerics.chisq_sf(x, df) == 1.0
+            assert numerics.chisq_sf(np.array([-2.0, 0.0]), df).tolist() == [1.0, 1.0]
+
+    def test_infinite_and_nan_x(self):
+        assert numerics.chisq_sf(math.inf, 3) == 0.0
+        assert math.isnan(numerics.chisq_sf(math.nan, 2))
+
+    @pytest.mark.parametrize("df", [0, 1.5, -1, 2.0, True, np.float64(3.0)])
+    def test_domain(self, df):
+        # one rule for the three chi-square functions, whatever delta is
+        for call in (
+            lambda: numerics.chisq_sf(1.0, df),
+            lambda: numerics.chisq_quantile(df, 0.5),
+            lambda: numerics.noncentral_chisq_sf(1.0, df, 0.0),
+            lambda: numerics.noncentral_chisq_sf(1.0, df, 2.0),
+        ):
+            with pytest.raises(DomainError):
+                call()
+
+    def test_numpy_integer_df(self):
+        assert numerics.chisq_sf(2.5, np.int64(3)) == numerics.chisq_sf(2.5, 3)
+
+
 class TestNoncentralChisq:
     def test_reduces_to_central(self):
         q = numerics.chisq_quantile(1, 0.05)
