@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .data import BUNDLED_DATASETS, exclude_rows, load_csv, load_dataset, write_csv, write_json
 from .estimation import SolverOptions, fit_rp_path
-from .exceptions import DecompositionError, DegenerateFitError, DomainError
+from .exceptions import DecompositionError, DegenerateFitError, DomainError, is_index
 from .inference import LinearHypothesis, wald_composite
 from .model import ModelData
 from .robustness import IFRequest, are, gross_error_sensitivity, if2_simple
@@ -139,7 +139,7 @@ def _parse_hypothesis(spec: str, dim: int) -> LinearHypothesis:
             idx = dim - 1
         elif name.startswith("beta"):
             idx = int(name[4:])
-            if idx >= dim - 1:
+            if not is_index(idx, dim - 1):
                 raise DomainError(f"{name} out of range for {dim - 1} coefficients")
         else:
             raise DomainError(f"unknown parameter {name!r}")

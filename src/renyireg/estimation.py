@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numerics
-from .exceptions import DecompositionError, DegenerateFitError, DomainError
+from .exceptions import DecompositionError, DegenerateFitError, DomainError, check_alpha
 from .model import ModelData, Theta
 
 __all__ = [
@@ -147,9 +147,7 @@ def covariance_mlrm(data: ModelData, theta: Theta, alpha: float) -> CovarianceTr
     the blocks are asymptotically independent.  At ``alpha = 0`` this is the
     classical ``diag(sigma^2 (X'X/n)^{-1}, sigma^2/2)``.
     """
-    if alpha < 0:
-        raise DomainError(f"alpha must be nonnegative, got {alpha}")
-    a = alpha
+    a = check_alpha(alpha)
     sig2 = theta.sigma**2
     p = data.n_params
     s = data.xtx_over_n
@@ -382,6 +380,7 @@ def _continue(x, y, xtx, beta, s, a_from, a_to, scale_floor) -> _Stage:
 def fit_rp_path(data: ModelData, alphas, options: SolverOptions | None = None):
     """Fit the estimator at every alpha in ``alphas`` along one continuation
     run from the maximum-likelihood solution; returns ``{alpha: FitResult}``.
+    Raises DomainError unless every alpha is finite and >= 0.
     """
     opts = options or SolverOptions()
     mle = fit_mle(data)
@@ -392,7 +391,7 @@ def fit_rp_path(data: ModelData, alphas, options: SolverOptions | None = None):
     beta = np.zeros(data.n_params)
     s = math.log(mle.theta_hat.sigma)
     prev = 0.0
-    for a in sorted(set(float(a) for a in alphas)):
+    for a in sorted(set(check_alpha(a) for a in alphas)):
         if a == 0.0:
             results[0.0] = mle
             continue
@@ -485,8 +484,6 @@ def fit_rp(
     replaces the path's fit by the rule of ``_replaces``.  A non-converged
     run is returned flagged, never silently.
     """
-    if alpha < 0:
-        raise DomainError(f"alpha must be nonnegative, got {alpha}")
     if alpha == 0.0:
         return fit_mle(data)
     # the path's alpha = 0 fit centres the init run and sets its collapse floor

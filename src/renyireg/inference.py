@@ -15,7 +15,7 @@ import numpy as np
 
 from . import numerics
 from .estimation import FitResult, covariance_mlrm
-from .exceptions import DecompositionError, DomainError
+from .exceptions import DecompositionError, DomainError, check_probability, is_index
 from .model import ModelData, Theta
 
 __all__ = [
@@ -49,6 +49,8 @@ class LinearHypothesis:
         object.__setattr__(self, "m_vector", vec)
         if mat.shape[1] != vec.size:
             raise DomainError("restriction matrix and value dimensions differ")
+        if not (np.all(np.isfinite(mat)) and np.all(np.isfinite(vec))):
+            raise DomainError("restriction matrix and values must be finite")
         if mat.shape[1] >= mat.shape[0]:
             raise DomainError("need r < dim(theta) restrictions")
         smallest_sv = np.linalg.svd(mat, compute_uv=False)[-1]
@@ -61,10 +63,12 @@ class LinearHypothesis:
 
     @classmethod
     def coordinates(cls, indices, values, dim):
-        """Restriction pinning ``theta[indices] = values``."""
+        """Restriction pinning ``theta[indices] = values``, indices in 0..dim-1."""
         indices = np.atleast_1d(indices)
         mat = np.zeros((dim, len(indices)))
         for col, idx in enumerate(indices):
+            if not is_index(idx, dim):
+                raise DomainError(f"parameter index {idx} outside 0..{dim - 1}")
             mat[idx, col] = 1.0
         return cls(m_matrix=mat, m_vector=np.atleast_1d(values))
 
@@ -79,8 +83,7 @@ class WaldOutcome:
         """Whether the test rejects at ``level``: ``p_value < level``, the
         decision ``statistic > chisq_quantile(df, level)`` without the
         quantile, and never at odds with the reported p-value."""
-        if not 0.0 < level < 1.0:
-            raise DomainError(f"level must lie in (0, 1), got {level}")
+        check_probability(level, "level")
         return self.p_value < level
 
 
@@ -150,8 +153,7 @@ def approx_power(
     (theta*-theta0)`` and the delta-method standard deviation ``sigma_w``,
     the approximation is ``1 - Phi(sqrt(n)/sigma_w * (chi2_quantile/n - ell))``.
     """
-    if not 0.0 < level < 1.0:
-        raise DomainError(f"level must lie in (0, 1), got {level}")
+    check_probability(level, "level")
     diff = theta_star.to_array() - theta0.to_array()
     df = diff.size
     if not np.any(diff != 0.0):
@@ -189,17 +191,14 @@ def required_sample_size(
     ``UNBOUNDED_SAMPLE_SIZE`` when the solution exceeds 1e9 (no detectable
     effect).
     """
-    if not 0.0 < target_power < 1.0:
-        raise DomainError(f"target power must lie in (0, 1), got {target_power}")
-    if not 0.0 < level < 1.0:
-        raise DomainError(f"level must lie in (0, 1), got {level}")
+    check_probability(target_power, "target power")
     report = approx_power(theta_star, theta0, alpha, 1, level, sigma_provider)
     ell, sigma_w = report.ell, report.sigma_w
     if ell <= 0.0 or sigma_w <= 0.0:
         raise DomainError("theta* must differ from theta0 along a non-degenerate direction")
     df = theta_star.dim
     crit = numerics.chisq_quantile(df, level)
-    a_term = sigma_w**2 * numerics.normal_quantile(1.0 - target_power) ** 2
+    a_term = sigma_w**2 * numerics.normal_quantile(target_power) ** 2
     b_term = 2.0 * ell * crit
     value = (a_term + b_term + math.sqrt(a_term * (a_term + 2.0 * b_term))) / (2.0 * ell**2)
     if value > _MAX_SAMPLE_SIZE:
@@ -219,8 +218,7 @@ def contiguous_power(
     with r degrees of freedom and noncentrality
     ``delta = (M'd)' [M' sigma_n M]^{-1} (M'd)``.
     """
-    if not 0.0 < level < 1.0:
-        raise DomainError(f"level must lie in (0, 1), got {level}")
+    check_probability(level, "level")
     d = np.atleast_1d(np.asarray(d, dtype=float))
     m = hyp.m_matrix
     if m.shape[0] != d.size:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .exceptions import DomainError
+from .exceptions import DomainError, check_alpha
 
 __all__ = [
     "Theta",
@@ -362,18 +362,13 @@ class QuadratureFamily(DensityFamily):
 # objective pieces
 # ---------------------------------------------------------------------------
 
-def _check_alpha(alpha):
-    if alpha < 0:
-        raise DomainError(f"alpha must be nonnegative, got {alpha}")
-
-
 def rp_loss_single(family: DensityFamily, i: int, y: float, theta: Theta, alpha: float) -> float:
     """Per-observation divergence loss, dropping the theta-free constant.
 
     For ``alpha > 0`` this is ``log(int f_i^{alpha+1})/(alpha+1) - log f_i(y)``;
     at ``alpha = 0`` it is the negative log-density.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     log_f = family.log_density(i, y, theta)
     if not np.isfinite(log_f) or log_f == -np.inf:
         return math.inf
@@ -401,7 +396,7 @@ def objective(family: DensityFamily, data: ModelData, theta: Theta, alpha: float
     Average of ``v_weight`` over observations for ``alpha > 0``; average
     log-likelihood at ``alpha = 0``.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     y = data.response
     if alpha == 0.0:
         return float(
@@ -419,7 +414,7 @@ def score(family: DensityFamily, data: ModelData, theta: Theta, alpha: float) ->
     ``sum e^{-alpha r_i^2/2} r_i x_i`` and
     ``sum e^{-alpha r_i^2/2} (r_i^2 - 1/(1+alpha))``.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     y = data.response
     n = data.n_obs
     if alpha == 0.0:

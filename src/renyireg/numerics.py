@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DecompositionError, DomainError, NonFiniteIntegrandError
+from .exceptions import check_probability, is_index
 
 __all__ = [
     "RngStream",
@@ -57,8 +58,8 @@ def normal_quantile(p):
         If ``p`` is not strictly inside (0, 1).
     """
     p_arr = np.asarray(p, dtype=float)
-    if np.any(p_arr <= 0.0) or np.any(p_arr >= 1.0):
-        raise DomainError(f"quantile probability must lie in (0, 1), got {p}")
+    for value in p_arr.ravel().tolist():
+        check_probability(value, "quantile probability")
     out = _special().ndtri(p_arr)
     return float(out) if np.isscalar(p) or p_arr.ndim == 0 else out
 
@@ -66,7 +67,7 @@ def normal_quantile(p):
 def _integer_df(df) -> int:
     """``df`` as an int; the chi-square functions take integer degrees of
     freedom only, so that ``chisq_sf`` can use its finite sum."""
-    if isinstance(df, bool) or not isinstance(df, (int, np.integer)) or df < 1:
+    if not is_index(df) or df < 1:
         raise DomainError(f"df must be an integer >= 1, got {df!r}")
     return int(df)
 
@@ -121,8 +122,7 @@ def chisq_quantile(df, upper_tail):
         Upper-tail probability, strictly inside (0, 1).
     """
     df = _integer_df(df)
-    if not 0.0 < upper_tail < 1.0:
-        raise DomainError(f"upper-tail probability must lie in (0, 1), got {upper_tail}")
+    check_probability(upper_tail, "upper-tail probability")
     return float(2.0 * _special().gammainccinv(df / 2.0, upper_tail))
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import numerics
 from .estimation import covariance_mlrm
-from .exceptions import DecompositionError, DomainError
+from .exceptions import DecompositionError, DomainError, check_alpha, is_index
 from .inference import LinearHypothesis
 from .model import DensityFamily, ModelData, Theta
 
@@ -52,15 +52,6 @@ UNBOUNDED_SENSITIVITY = math.inf
 _STACKED_BLOCK_RESIDUALS = 1 << 16
 
 
-def _is_index(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _check_alpha(alpha):
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise DomainError(f"alpha must be finite and nonnegative, got {alpha}")
-
-
 @dataclass(frozen=True)
 class IFRequest:
     """Which direction to contaminate and where.
@@ -81,9 +72,9 @@ class IFRequest:
             raise DomainError("need at least one contamination point")
         if not np.all(np.isfinite(pts)):
             raise DomainError("contamination points must be finite")
-        _check_alpha(self.alpha)
+        check_alpha(self.alpha)
         direction = self.direction
-        if not (_is_index(direction) or isinstance(direction, str) and direction == "all"):
+        if not (is_index(direction) or isinstance(direction, str) and direction == "all"):
             raise DomainError("direction must be an observation index or 'all'")
 
 
@@ -107,10 +98,9 @@ def _report(req: IFRequest, first_order: np.ndarray) -> IFReport:
 def _direction_indices(req: IFRequest, n: int) -> np.ndarray:
     if isinstance(req.direction, str):
         return np.arange(n)
-    i0 = int(req.direction)
-    if not 0 <= i0 < n:
-        raise DomainError(f"direction {i0} outside 0..{n - 1}")
-    return np.array([i0])
+    if not is_index(req.direction, n):
+        raise DomainError(f"direction {req.direction} outside 0..{n - 1}")
+    return np.array([int(req.direction)])
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +246,11 @@ def gross_error_sensitivity(data: ModelData, i0: int, theta: Theta, alpha: float
     ``1/sqrt(a)``, the scale part at ``r^2 = (3a+2)/(a(a+1))``.  Both are
     infinite at ``alpha = 0``.
     """
-    if not (_is_index(i0) and 0 <= i0 < data.n_obs):
+    if not is_index(i0, data.n_obs):
         raise DomainError(f"direction {i0!r} is not an index in 0..{data.n_obs - 1}")
-    _check_alpha(alpha)
-    if alpha == 0.0:
+    a = check_alpha(alpha)
+    if a == 0.0:
         return UNBOUNDED_SENSITIVITY, UNBOUNDED_SENSITIVITY
-    a = alpha
     sig = theta.sigma
     s_inv_x = numerics.solve_spd(data.xtx_over_n, data.design[i0])
     gamma_beta = (
@@ -275,8 +264,7 @@ def are(alpha: float):
     """Asymptotic efficiency of the robust estimator relative to maximum
     likelihood, as variance ratios in (0, 1]: one value for the coefficients
     and one for the scale."""
-    _check_alpha(alpha)
-    a = alpha
+    a = check_alpha(alpha)
     are_beta = (2 * a + 1) ** 1.5 / (1 + a) ** 3
     are_sigma = 2.0 * (2 * a + 1) ** 2.5 / ((1 + a) ** 3 * (3 * a * a + 4 * a + 2))
     return float(are_beta), float(are_sigma)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import write_csv, write_json
 from .estimation import covariance_mlrm, fit_rp_path
-from .exceptions import DegenerateFitError, DomainError
+from .exceptions import DegenerateFitError, DomainError, check_alpha, check_probability
 from .inference import LinearHypothesis, contiguous_power, wald_composite
 from .model import ModelData, Theta
 from .numerics import RngStream
@@ -113,10 +113,9 @@ class StudyConfig:
             raise DomainError("need at least one replication")
         if not self.alphas or not self.hypotheses:
             raise DomainError("need at least one alpha and one hypothesis")
-        if any(a < 0 for a in self.alphas):
-            raise DomainError("alphas must be nonnegative")
-        if not 0.0 < self.level < 1.0:
-            raise DomainError("level must lie in (0, 1)")
+        for a in self.alphas:
+            check_alpha(a)
+        check_probability(self.level, "level")
 
     @property
     def ns(self) -> tuple:
@@ -220,7 +219,8 @@ def run_study(config: StudyConfig) -> StudyResult:
     """
     jobs = [(config, n, rep) for n in config.ns for rep in range(config.replications)]
     if config.n_workers > 1:
-        with ProcessPoolExecutor(max_workers=config.n_workers) as pool:
+        # a pool starts all its workers at its first task, so none beyond the jobs
+        with ProcessPoolExecutor(max_workers=min(config.n_workers, len(jobs))) as pool:
             records = list(pool.map(_replication, jobs, chunksize=_CHUNKSIZE))
     else:
         records = [_replication(job) for job in jobs]
@@ -278,8 +278,8 @@ def contiguous_table(alphas, d_values, sigma: float, level: float) -> dict:
         sigma_n = covariance_mlrm(reference, theta, a).sigma_n
         row = {}
         for d in d_values:
-            if d < 0:
-                raise DomainError("shift values must be nonnegative")
+            if not (math.isfinite(d) and d >= 0):
+                raise DomainError(f"shift values must be finite and nonnegative, got {d}")
             shift = np.array([0.0, math.sqrt(d), 0.0])
             row[float(d)] = (
                 level if d == 0.0 else contiguous_power(hyp, shift, level, sigma_n)

@@ -173,6 +173,32 @@ class TestRunStudy:
             alone = run_study(tiny_config(sample_sizes=(n,), n_workers=workers))
             assert {key: cell for key, cell in swept.cells.items() if key[1] == n} == alone.cells
 
+    @pytest.mark.parametrize("workers, opened", [(64, 8), (3, 3)])
+    def test_pool_is_sized_by_the_work(self, workers, opened, monkeypatch):
+        # a pool starts all its workers at its first task, so a study of 8
+        # jobs asks for at most 8; the fake maps in-process, so a broken cap
+        # starts no process
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", InProcessPool)
+        config = tiny_config(sample_sizes=(20, 40), replications=4)
+        pooled = run_study(dataclasses.replace(config, n_workers=workers))
+        assert sizes == [opened]
+        assert study_result_rows(pooled) == study_result_rows(run_study(config))
+
     def test_failed_fits_are_counted_per_cell(self, monkeypatch):
         # fits run in draw order, three per replication (the null, then the
         # beta1 and sigma alternatives); a DegenerateFitError ends its
