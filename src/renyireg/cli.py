@@ -137,14 +137,17 @@ def _parse_hypothesis(spec: str, dim: int) -> LinearHypothesis:
         name = name.strip().lower()
         if name == "sigma":
             idx = dim - 1
-        elif name.startswith("beta"):
+        elif name.startswith("beta") and name[4:].isdecimal():
             idx = int(name[4:])
             if not is_index(idx, dim - 1):
                 raise DomainError(f"{name} out of range for {dim - 1} coefficients")
         else:
-            raise DomainError(f"unknown parameter {name!r}")
+            raise DomainError(f"unknown parameter in hypothesis token {token!r}")
+        try:
+            values.append(float(value))
+        except ValueError:
+            raise DomainError(f"bad value in hypothesis token {token!r}") from None
         indices.append(idx)
-        values.append(float(value))
     if not indices:
         raise DomainError("empty hypothesis")
     return LinearHypothesis.coordinates(indices, values, dim)

@@ -10,7 +10,7 @@ from importlib import resources
 
 import numpy as np
 
-from .exceptions import DomainError
+from .exceptions import DomainError, is_index
 from .model import ModelData
 
 __all__ = [
@@ -82,6 +82,8 @@ def load_csv(
 
     def column_index(spec):
         if isinstance(spec, (int, np.integer)):
+            if not is_index(spec, len(rows[0])):
+                raise DomainError(f"column position {spec} outside 0..{len(rows[0]) - 1}")
             return int(spec)
         if names is None:
             raise DomainError(f"column {spec!r} named but the file has no header")

@@ -138,6 +138,19 @@ def wald_composite(data: ModelData, fit: FitResult, hyp: LinearHypothesis) -> Wa
     return _outcome(stat, hyp.n_restrictions)
 
 
+def _power_terms(theta_star: Theta, theta0: Theta, sigma_provider) -> tuple:
+    """``(ell, sigma_w)`` of the power expansion; ``(0, 0)`` when theta* = theta0."""
+    diff = theta_star.to_array() - theta0.to_array()
+    if not np.any(diff != 0.0):
+        return 0.0, 0.0
+    inv_diff = numerics.solve_spd(np.atleast_2d(sigma_provider(theta0)), diff)
+    ell = float(diff @ inv_diff)
+    var_w = float(4.0 * inv_diff @ np.atleast_2d(sigma_provider(theta_star)) @ inv_diff)
+    if var_w <= 0.0:
+        raise DomainError("degenerate direction: the power expansion has zero variance")
+    return ell, math.sqrt(var_w)
+
+
 def approx_power(
     theta_star: Theta,
     theta0: Theta,
@@ -154,19 +167,10 @@ def approx_power(
     the approximation is ``1 - Phi(sqrt(n)/sigma_w * (chi2_quantile/n - ell))``.
     """
     check_probability(level, "level")
-    diff = theta_star.to_array() - theta0.to_array()
-    df = diff.size
-    if not np.any(diff != 0.0):
+    ell, sigma_w = _power_terms(theta_star, theta0, sigma_provider)
+    if sigma_w == 0.0:
         return PowerReport(ell=0.0, sigma_w=0.0, approx_power=level, n_used=n)
-    sigma0 = np.atleast_2d(sigma_provider(theta0))
-    sigma_star = np.atleast_2d(sigma_provider(theta_star))
-    inv_diff = numerics.solve_spd(sigma0, diff)
-    ell = float(diff @ inv_diff)
-    var_w = float(4.0 * inv_diff @ sigma_star @ inv_diff)
-    if var_w <= 0.0:
-        raise DomainError("degenerate direction: the power expansion has zero variance")
-    sigma_w = math.sqrt(var_w)
-    crit = numerics.chisq_quantile(df, level)
+    crit = numerics.chisq_quantile(theta_star.dim, level)
     arg = math.sqrt(n) / sigma_w * (crit / n - ell)
     return PowerReport(
         ell=ell,
@@ -192,12 +196,11 @@ def required_sample_size(
     effect).
     """
     check_probability(target_power, "target power")
-    report = approx_power(theta_star, theta0, alpha, 1, level, sigma_provider)
-    ell, sigma_w = report.ell, report.sigma_w
+    check_probability(level, "level")
+    ell, sigma_w = _power_terms(theta_star, theta0, sigma_provider)
     if ell <= 0.0 or sigma_w <= 0.0:
         raise DomainError("theta* must differ from theta0 along a non-degenerate direction")
-    df = theta_star.dim
-    crit = numerics.chisq_quantile(df, level)
+    crit = numerics.chisq_quantile(theta_star.dim, level)
     a_term = sigma_w**2 * numerics.normal_quantile(target_power) ** 2
     b_term = 2.0 * ell * crit
     value = (a_term + b_term + math.sqrt(a_term * (a_term + 2.0 * b_term))) / (2.0 * ell**2)

@@ -1,4 +1,5 @@
-"""Special functions, Gauss-Hermite quadrature, reproducible RNG streams,
+"""Normal and chi-square distribution functions on ``math.erf``, ``erfc``
+and ``lgamma`` alone, Gauss-Hermite quadrature, reproducible RNG streams,
 and small dense linear algebra.
 
 Everything here is deterministic: identical inputs produce bit-identical
@@ -34,34 +35,66 @@ __all__ = [
 # distributions
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _special():
-    """``scipy.special``, imported on first use: the import costs about
-    0.3 s and 25 MB, and only the quantiles, ``normal_cdf`` and the
-    noncentral tail need it (``chisq_sf`` is closed-form)."""
-    from scipy import special
+_SQRT2 = math.sqrt(2.0)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
-    return special
+
+def _entrywise(fn, x):
+    """``fn`` on each entry of ``x``: a float for a scalar, else an array of x's shape."""
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim == 0:
+        return fn(float(arr))
+    return np.array([fn(v) for v in arr.ravel().tolist()]).reshape(arr.shape)
+
+
+def _tail_inverse(tail, log_density, log_target: float, x: float) -> float:
+    """Root of ``tail(x) = e^{log_target}`` for a decreasing tail with density
+    ``e^{log_density(x)}``: Newton steps on ``log tail`` until a step stops
+    shrinking.  On a log-concave tail they fall to the root from above."""
+    last = math.inf
+    for _ in range(60):
+        t = tail(x)
+        if not t > 0.0:  # the tail underflowed: a subnormal target
+            break
+        dx = (math.log(t) - log_target) * math.exp(math.log(t) - log_density(x))
+        if not 0.0 < abs(dx) < last:
+            break
+        x, last = x + dx, abs(dx)
+    return x
 
 
 def normal_cdf(x):
-    """Standard normal distribution function Phi(x)."""
-    return _special().ndtr(x)
+    """Standard normal distribution function Phi(x) = erfc(-x / sqrt 2) / 2;
+    a scalar ``x`` gives a float, an array one an array of its shape."""
+    return _entrywise(lambda v: 0.5 * math.erfc(-v / _SQRT2), x)
+
+
+def _normal_upper_quantile(log_q: float) -> float:
+    """z with 1 - Phi(z) = e^{log_q} <= 1/2, from Abramowitz-Stegun 26.2.23."""
+    t = math.sqrt(-2.0 * log_q)
+    t -= (2.515517 + t * (0.802853 + t * 0.010328)) / (
+        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))
+    )
+    tail = lambda z: 0.5 * math.erfc(z / _SQRT2)  # noqa: E731
+    return _tail_inverse(tail, lambda z: -0.5 * z * z - _LOG_SQRT_2PI, log_q, t)
+
+
+def _normal_quantile_scalar(p: float) -> float:
+    check_probability(p, "quantile probability")
+    r = p - 0.5
+    if abs(r) > 0.25:
+        return math.copysign(_normal_upper_quantile(math.log(min(p, 1.0 - p))), r)
+    # Newton on erf(z / sqrt 2) / 2 = p - 1/2, exact here; four steps reach the root
+    z = r * math.sqrt(2.0 * math.pi)
+    for _ in range(5):
+        z += (r - 0.5 * math.erf(z / _SQRT2)) * math.exp(0.5 * z * z + _LOG_SQRT_2PI)
+    return z
 
 
 def normal_quantile(p):
-    """Inverse of :func:`normal_cdf` on (0, 1).
-
-    Raises
-    ------
-    DomainError
-        If ``p`` is not strictly inside (0, 1).
-    """
-    p_arr = np.asarray(p, dtype=float)
-    for value in p_arr.ravel().tolist():
-        check_probability(value, "quantile probability")
-    out = _special().ndtri(p_arr)
-    return float(out) if np.isscalar(p) or p_arr.ndim == 0 else out
+    """Inverse of :func:`normal_cdf`, entrywise like it; an entry of ``p``
+    outside (0, 1) raises :class:`DomainError`."""
+    return _entrywise(_normal_quantile_scalar, p)
 
 
 def _integer_df(df) -> int:
@@ -72,20 +105,23 @@ def _integer_df(df) -> int:
     return int(df)
 
 
+def _log_gamma_term(s: float, h: float) -> float:
+    """``log(h^s e^{-h} / Gamma(s + 1))``, finite where e^{-h} underflows."""
+    return s * math.log(h) - h - math.lgamma(s + 1.0)
+
+
 def _chisq_sf_scalar(x: float, df: int) -> float:
-    if x <= 0.0:
-        return 1.0
-    if x == math.inf:
-        return 0.0
     h = 0.5 * x
-    log_h = math.log(h)
+    if h <= 0.0:  # x <= 0, or x / 2 underflows
+        return 1.0
+    if h == math.inf:
+        return 0.0
     # Q(a, h) = Q(a - 1, h) + h^{a-1} e^{-h} / Gamma(a) down to Q(1, h) = e^{-h}
     # (even df) or Q(1/2, h) = erfc(sqrt h) (odd df)
     start = 0.5 * (df % 2)
     total = math.erfc(math.sqrt(h)) if df % 2 else 0.0
     for k in range(df // 2):
-        s = start + k
-        total += math.exp(s * log_h - h - math.lgamma(s + 1.0))
+        total += math.exp(_log_gamma_term(start + k, h))
     return min(total, 1.0)
 
 
@@ -103,41 +139,56 @@ def chisq_sf(x, df):
         If ``df`` is not an integer >= 1.
     """
     df = _integer_df(df)
-    x_arr = np.asarray(x, dtype=float)
-    if x_arr.ndim == 0:
-        return _chisq_sf_scalar(float(x_arr), df)
-    return np.array([_chisq_sf_scalar(v, df) for v in x_arr.ravel().tolist()]).reshape(
-        x_arr.shape
-    )
+    return _entrywise(lambda v: _chisq_sf_scalar(v, df), x)
 
 
 def chisq_quantile(df, upper_tail):
-    """Point x with P(chi2_df > x) = upper_tail.
-
-    Parameters
-    ----------
-    df : int
-        Degrees of freedom, an integer >= 1.
-    upper_tail : float
-        Upper-tail probability, strictly inside (0, 1).
-    """
+    """Point x with P(chi2_df > x) = upper_tail, for an integer ``df >= 1``
+    and ``upper_tail`` strictly inside (0, 1): a squared normal quantile at
+    one df, else Newton steps on ``log chisq_sf`` from the Wilson-Hilferty point."""
     df = _integer_df(df)
     check_probability(upper_tail, "upper-tail probability")
-    return float(2.0 * _special().gammainccinv(df / 2.0, upper_tail))
+    log_q = math.log(upper_tail)
+    if df == 1:
+        return _normal_upper_quantile(log_q - math.log(2.0)) ** 2
+    a, c = 0.5 * df, 2.0 / (9.0 * df)
+    wh = df * (1.0 - c - _normal_quantile_scalar(upper_tail) * math.sqrt(c)) ** 3
+    # lower bounds of the root (Q(a, h) >= e^{-h}, 1 - Q(a, h) <= h^a / Gamma(a + 1))
+    x = 2.0 * max(-log_q, math.exp((math.lgamma(a + 1.0) + math.log1p(-upper_tail)) / a))
+    if wh > x and _chisq_sf_scalar(wh, df) > 0.0:
+        x = wh
+    log_pdf = lambda x: _log_gamma_term(a - 1.0, 0.5 * x) - math.log(2.0)  # noqa: E731
+    return _tail_inverse(lambda x: _chisq_sf_scalar(x, df), log_pdf, log_q, x)
 
 
 def noncentral_chisq_sf(x, df, delta):
     """Survival function of the noncentral chi-square distribution,
-    ``P(chi2_df(delta) > x)``, as the complement of
-    ``scipy.special.chndtr``.  At ``delta = 0`` this is the central survival
-    function.  ``df`` is an integer >= 1.
+    ``P(chi2_df(delta) > x)``, for an integer ``df >= 1``.
+
+    One df gives ``Phi(sqrt delta - sqrt x) + Phi(-sqrt delta - sqrt x)``.
+    Other df sum the Poisson(delta/2) mixture of central tails within
+    ``10 sqrt(delta/2) + 20`` terms of its mode, the masses in log space, so
+    the sum holds where ``e^{-delta/2}`` underflows.  A negative or NaN
+    ``x``, or a negative or infinite ``delta``, raises :class:`DomainError`.
     """
     df = _integer_df(df)
-    if x < 0 or delta < 0:
-        raise DomainError("x and delta must be nonnegative")
-    if delta == 0.0:
+    if not (x >= 0.0 and 0.0 <= delta < math.inf):
+        raise DomainError(f"need x >= 0 and finite delta >= 0, got x={x}, delta={delta}")
+    lam, h = 0.5 * delta, 0.5 * x
+    if lam == 0.0 or not 0.0 < h < math.inf:
         return chisq_sf(x, df)
-    return min(max(1.0 - float(_special().chndtr(x, df, delta)), 0.0), 1.0)
+    if df == 1:
+        rx, rd = math.sqrt(x), math.sqrt(delta)
+        return min(0.5 * (math.erfc((rx - rd) / _SQRT2) + math.erfc((rx + rd) / _SQRT2)), 1.0)
+    half = int(10.0 * math.sqrt(lam) + 20.0)
+    lo = max(0, int(lam) - half)
+    tail, total, mass = _chisq_sf_scalar(x, df + 2 * lo), 0.0, 0.0
+    for j in range(lo, int(lam) + half + 1):
+        p = math.exp(_log_gamma_term(j, lam))
+        total, mass = total + p * tail, mass + p
+        tail += math.exp(_log_gamma_term(0.5 * df + j, h))  # Q(df/2 + j + 1, x/2)
+    # over the window's mass, which cancels the masses' common rounding
+    return min(total / mass, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,15 @@ class TestFit:
         assert code == EXIT_ERROR
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_column_position_is_an_error(self, tmp_path, capsys):
+        # positions are 0-based; -1 is not the last column
+        code = main(
+            ["fit", "--data", str(user_csv(tmp_path)), "--response", "-1", "--covariates", "-2",
+             "--output", str(tmp_path / "out")]
+        )
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: column position -1 outside 0..2")
+
     def test_rank_deficient_design_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         path.write_text("y,x\n" + "".join(f"{v},3.0\n" for v in (1.0, 2.5, 2.0, 4.0, 3.5)))
@@ -184,6 +193,14 @@ class TestTest:
             ["test", "--data", "first_word", "--null", "gamma=1", "--output", str(tmp_path)]
         )
         assert code == EXIT_ERROR
+
+    @pytest.mark.parametrize("null", ["beta=1", "beta1=abc", "betax=1"])
+    def test_malformed_hypothesis_token(self, tmp_path, capsys, null):
+        # an error line naming the token, not a traceback
+        code = main(["test", "--data", "first_word", "--null", null, "--output", str(tmp_path)])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(null) in err
 
 
 class TestInfluence:

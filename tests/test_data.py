@@ -32,6 +32,13 @@ class TestLoadCsv:
         data = load_csv(path, response_column=0, covariate_columns=[1], header=False)
         assert data.design.shape == (3, 2)
 
+    @pytest.mark.parametrize("position", [-1, 2])
+    def test_column_position_outside_the_row(self, tmp_path, position):
+        path = tmp_path / "toy.csv"
+        path.write_text("1.0,2.0\n2.0,3.0\n3.5,4.0\n")
+        with pytest.raises(DomainError, match=f"column position {position} outside 0..1"):
+            load_csv(path, response_column=0, covariate_columns=[position], header=False)
+
     def test_missing_column_named(self, tmp_path):
         path = tmp_path / "toy.csv"
         path.write_text("y,x\n1.0,2.0\n2.0,3.0\n3.0,4.0\n")

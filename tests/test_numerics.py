@@ -9,11 +9,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from renyireg import numerics
 from renyireg.exceptions import DecompositionError, DomainError, NonFiniteIntegrandError
 from renyireg.simulation import contiguous_table
+
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
 def _trapezoid(f, x):
@@ -90,6 +96,16 @@ class TestChisq:
         back = numerics.chisq_sf(x, df)
         assert np.max(np.abs(back - p)) < 1e-9
 
+    def test_extreme_tails(self):
+        # the tail is solved in log space: tiny targets need no rescaling
+        for df in (1, 2, 3, 30):
+            for tail in (1e-300, 1e-100):
+                x = numerics.chisq_quantile(df, tail)
+                assert numerics.chisq_sf(x, df) == pytest.approx(tail, rel=1e-12, abs=0)
+        # a subnormal target still gives a finite point in the far tail
+        assert 1400.0 < numerics.chisq_quantile(1, 5e-324) < 1600.0
+        assert -39.0 < numerics.normal_quantile(5e-324) < -38.0
+
     def test_domain(self):
         with pytest.raises(DomainError):
             numerics.chisq_quantile(1, 0.0)
@@ -139,6 +155,12 @@ class TestChisqSurvival:
         assert numerics.chisq_sf(math.inf, 3) == 0.0
         assert math.isnan(numerics.chisq_sf(math.nan, 2))
 
+    def test_subnormal_x(self):
+        # x / 2 underflows to 0: the tail is 1, not a log of zero
+        for df in (1, 2, 3):
+            assert numerics.chisq_sf(5e-324, df) == 1.0
+            assert numerics.noncentral_chisq_sf(5e-324, df, 2.0) == pytest.approx(1.0, abs=1e-15)
+
     @pytest.mark.parametrize("df", [0, 1.5, -1, 2.0, True, np.float64(3.0)])
     def test_domain(self, df):
         # one rule for the three chi-square functions, whatever delta is
@@ -187,6 +209,21 @@ class TestNoncentralChisq:
                 scipy.stats.ncx2.sf(x, df, delta), abs=1e-10
             ), (x, df, delta)
 
+    @pytest.mark.parametrize(
+        "x, delta", [(-1.0, 1.0), (math.nan, 1.0), (1.0, -1.0), (1.0, math.inf), (1.0, math.nan)]
+    )
+    def test_domain(self, x, delta):
+        for df in (1, 3):
+            with pytest.raises(DomainError):
+                numerics.noncentral_chisq_sf(x, df, delta)
+
+    def test_edges(self):
+        for df in (1, 3):
+            assert numerics.noncentral_chisq_sf(0.0, df, 4.0) == 1.0
+            assert numerics.noncentral_chisq_sf(math.inf, df, 4.0) == 0.0
+            # delta / 2 underflows: the central tail
+            assert numerics.noncentral_chisq_sf(2.0, df, 5e-324) == numerics.chisq_sf(2.0, df)
+
     def test_power_at_large_shift(self):
         table = contiguous_table((0.0, 0.5), (1600,), 1.0, 0.05)
         assert all(row[1600.0] > 0.999 for row in table.values())
@@ -201,6 +238,78 @@ class TestNoncentralChisq:
         freq = float(np.mean(z + extra.sum(axis=1) > x))
         sf = numerics.noncentral_chisq_sf(x, df, delta)
         assert abs(freq - sf) < 3 * math.sqrt(sf * (1 - sf) / n)
+
+
+class TestAgainstScipy:
+    """The numpy-only special functions against scipy's, over the grids on
+    which their accuracy is stated in docs/MATH.md."""
+
+    def test_normal_cdf(self):
+        x = np.linspace(-37.0, 9.0, 20001)
+        np.testing.assert_allclose(
+            numerics.normal_cdf(x), scipy.special.ndtr(x), rtol=1e-12, atol=0
+        )
+
+    def test_normal_quantile(self):
+        p = np.concatenate([
+            np.logspace(-300, -1, 3000),
+            np.linspace(0.01, 0.99, 3001),
+            1.0 - np.logspace(-16, -1, 3000),
+        ])
+        np.testing.assert_allclose(
+            numerics.normal_quantile(p), scipy.special.ndtri(p), rtol=1e-14, atol=1e-300
+        )
+
+    def test_chisq_quantile(self):
+        tails = np.concatenate([np.logspace(-8, -1, 120), np.linspace(0.1, 0.99, 120)])
+        for df in range(1, 31):
+            mine = [numerics.chisq_quantile(df, t) for t in tails]
+            ref = 2.0 * scipy.special.gammainccinv(0.5 * df, tails)
+            np.testing.assert_allclose(mine, ref, rtol=1e-13, atol=0, err_msg=f"df={df}")
+
+    def test_noncentral_chisq_sf(self):
+        gen = np.random.default_rng(17)
+        cells = list(zip(
+            gen.uniform(0.0, 1500.0, 3000),
+            gen.integers(1, 12, 3000),
+            gen.uniform(0.0, 2000.0, 3000),
+        ))
+        # half the cells where the power tables live: tails away from 0 and 1
+        cells[::2] = zip(
+            gen.uniform(0.0, 40.0, 1500), gen.integers(1, 12, 1500), gen.uniform(0.0, 60.0, 1500)
+        )
+        mine = [numerics.noncentral_chisq_sf(x, int(df), d) for x, df, d in cells]
+        x, df, d = map(np.array, zip(*cells))
+        np.testing.assert_allclose(mine, scipy.stats.ncx2.sf(x, df, d), rtol=0, atol=1e-11)
+
+
+class TestRoundTripProperties:
+    @PROPERTY
+    @given(p=st.floats(min_value=1e-300, max_value=1.0 - 1e-16))
+    def test_normal_cdf_inverts_quantile(self, p):
+        back = numerics.normal_cdf(numerics.normal_quantile(p))
+        assert back == pytest.approx(p, rel=1e-12, abs=0)
+
+    @PROPERTY
+    @given(df=st.integers(1, 40), tail=st.floats(min_value=1e-200, max_value=0.99))
+    def test_chisq_sf_inverts_quantile(self, df, tail):
+        x = numerics.chisq_quantile(df, tail)
+        assert numerics.chisq_sf(x, df) == pytest.approx(tail, rel=1e-12, abs=0)
+
+    @PROPERTY
+    @given(
+        df=st.integers(1, 11),
+        x=st.floats(0.0, 200.0),
+        dx=st.floats(1e-3, 50.0),
+        delta=st.floats(0.0, 200.0),
+        d_delta=st.floats(1e-3, 50.0),
+    )
+    def test_noncentral_sf_monotone(self, df, x, dx, delta, d_delta):
+        sf = numerics.noncentral_chisq_sf(x, df, delta)
+        # decreasing in x, increasing in delta, up to the mixture's rounding
+        # (within 5.4e-13 of scipy's in docs/MATH.md)
+        assert numerics.noncentral_chisq_sf(x + dx, df, delta) <= sf + 1e-12
+        assert numerics.noncentral_chisq_sf(x, df, delta + d_delta) >= sf - 1e-12
 
 
 def _std_normal_pdf(y):

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import math
 import os
 import pkgutil
 import subprocess
@@ -21,7 +22,8 @@ import json, sys
 import numpy as np
 import renyireg, renyireg.cli
 from renyireg import (
-    LinearHypothesis, ModelData, StudyConfig, fit_rp, noncentral_chisq_sf, run_study,
+    LinearHypothesis, ModelData, StudyConfig, Theta, chisq_quantile, contiguous_table, fit_rp,
+    noncentral_chisq_sf, normal_cdf, normal_quantile, required_sample_size, run_study,
     wald_composite,
 )
 
@@ -35,21 +37,29 @@ data = ModelData(x, x @ [1.0, 2.0] + np.sin(np.arange(30.0)))
 outcome = wald_composite(data, fit_rp(data, 0.5), LinearHypothesis.coordinates([1], [2.0], 3))
 report["wald"] = loaded()
 report["p_value"] = outcome.p_value
-# the power functions still reach scipy, imported on their first call
-report["power"] = noncentral_chisq_sf(3.84, 1, 5.0)
-report["after_power"] = "scipy.special" in sys.modules
+report["power"] = noncentral_chisq_sf(3.84, 1, 5.0) + noncentral_chisq_sf(7.81, 3, 5.0)
+report["table"] = contiguous_table((0.0, 0.5), (5.0,), 1.0, 0.05)[0.0][5.0]
+report["size"] = required_sample_size(
+    Theta(beta=np.array([1.0, 0.5]), sigma=1.0), Theta(beta=np.array([1.0, 0.0]), sigma=1.0),
+    0.0, 0.9, 0.05, lambda theta: np.eye(3),
+)
+report["quantiles"] = chisq_quantile(3, 0.05) + normal_quantile(0.9) + normal_cdf(1.0)
+report["after_power"] = loaded()
 print(json.dumps(report))
 """
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     report = json.loads(out.stdout)
-    # scipy.special alone adds about 0.3 s of start-up to every run
+    # the runtime needs numpy alone: no call of the library imports scipy
     assert report["import"] == []
     assert report["wald"] == []
+    assert report["after_power"] == []
     assert 0.0 < report["p_value"] < 1.0
-    assert 0.5 < report["power"] < 0.7
-    assert report["after_power"]
+    assert 1.0 < report["power"] < 2.0
+    assert 0.5 < report["table"] < 0.7
+    assert report["size"] >= 1
+    assert math.isfinite(report["quantiles"])
 
 
 def test_every_exported_name_resolves():
