@@ -34,7 +34,6 @@ __all__ = [
     "covariance_mlrm",
 ]
 
-MIN_DESIGN_EIGENVALUE = 1e-12
 MULTISTART_MARGIN = 1e-12
 DEGENERATE_SCALE_FACTOR = 1e-10
 TOL = 1e-8
@@ -100,7 +99,7 @@ def design_diagnostics(data: ModelData) -> DesignDiagnostics:
     x = data.design
     n = data.n_obs
     lam = numerics.min_eigenvalue(data.xtx_over_n)
-    if _unit_diagonal_min_eigenvalue(data) > MIN_DESIGN_EIGENVALUE:
+    if numerics.scaled_min_eigenvalue(data.xtx_over_n) > numerics.MIN_SCALED_EIGENVALUE:
         xtx_inv = data.xtx_over_n_inverse / n
         leverage = np.einsum("ij,jk,ik->i", x, xtx_inv, x)
         max_lev = float(n * leverage.max())
@@ -113,20 +112,9 @@ def design_diagnostics(data: ModelData) -> DesignDiagnostics:
     )
 
 
-def _unit_diagonal_min_eigenvalue(data: ModelData) -> float:
-    """Smallest eigenvalue of X'X/n after scaling its columns to unit
-    diagonal, which does not change with the units of the covariates; 0 when
-    a column of X is zero."""
-    s = data.xtx_over_n
-    d = np.sqrt(np.diag(s))
-    if not np.all(d > 0):
-        return 0.0
-    return numerics.min_eigenvalue(s / np.outer(d, d))
-
-
 def _require_full_rank(data: ModelData) -> None:
-    lam = _unit_diagonal_min_eigenvalue(data)
-    if lam <= MIN_DESIGN_EIGENVALUE:
+    lam = numerics.scaled_min_eigenvalue(data.xtx_over_n)
+    if lam <= numerics.MIN_SCALED_EIGENVALUE:
         raise DecompositionError(
             f"design is rank deficient: min eigenvalue of X'X/n scaled to unit "
             f"diagonal is {lam:.3e}"
@@ -139,6 +127,24 @@ def _collapse_floor(mle: FitResult) -> float:
     return DEGENERATE_SCALE_FACTOR * mle.theta_hat.sigma
 
 
+def _normal_factors(a: float, scale=1.0):
+    """The normal model's asymptotic factors at tuning value ``a``
+    (docs/MATH.md): ``(scale c_beta, scale c_sigma, ratio_beta,
+    ratio_sigma)``, where ``sigma_n = sigma^2 diag(c_beta (X'X/n)^{-1},
+    c_sigma)``, ``psi_n^{-1} = sigma_n / ratio`` and ``omega_n = ratio
+    psi_n``, block by block.  ``scale`` is a float or an array; each
+    multiplier is a product taken from it up, inf only where its exact value
+    is."""
+    t = 1.0 + a
+    u = 0.5 * t / (a + 0.5)
+    root_u = math.sqrt(u)
+    ratio_beta = u * root_u
+    ratio_sigma = 0.5 * (3.0 - 2.0 / t + 1.0 / t / t) * u * u * root_u
+    sandwich_beta = scale * (ratio_beta * math.sqrt(t)) * t
+    sandwich_sigma = sandwich_beta * (0.5 * ratio_sigma / ratio_beta * t)
+    return sandwich_beta, sandwich_sigma, ratio_beta, ratio_sigma
+
+
 def covariance_mlrm(data: ModelData, theta: Theta, alpha: float) -> CovarianceTriple:
     """Asymptotic covariance of sqrt(n)(theta_hat - theta) and its factors.
 
@@ -148,26 +154,28 @@ def covariance_mlrm(data: ModelData, theta: Theta, alpha: float) -> CovarianceTr
     classical ``diag(sigma^2 (X'X/n)^{-1}, sigma^2/2)``.
     """
     a = check_alpha(alpha)
-    sig2 = theta.sigma**2
+    sig2 = theta.sigma * theta.sigma
+    sandwich_beta, sandwich_sigma, ratio_beta, ratio_sigma = _normal_factors(a, sig2)
     p = data.n_params
-    s = data.xtx_over_n
-
     psi = np.zeros((p + 1, p + 1))
-    omega = np.zeros((p + 1, p + 1))
-    psi[:p, :p] = s / (sig2 * (1 + a) ** 1.5)
-    psi[p, p] = 2.0 / (sig2 * (1 + a) ** 2.5)
-    omega[:p, :p] = s / (sig2 * (2 * a + 1) ** 1.5)
-    omega[p, p] = (3 * a * a + 4 * a + 2) / (sig2 * (1 + a) ** 2 * (2 * a + 1) ** 2.5)
-    return CovarianceTriple(psi_n=psi, omega_n=omega, sigma_n=_sigma_n(data, theta, a))
+    psi[:p, :p] = ratio_beta / sandwich_beta * data.xtx_over_n
+    psi[p, p] = ratio_sigma / sandwich_sigma
+    # the blocks of psi are its column blocks
+    omega = psi * np.append(np.full(p, ratio_beta), ratio_sigma)
+    sigma_n = _sigma_n(data.xtx_over_n_inverse, theta.sigma, a)
+    return CovarianceTriple(psi_n=psi, omega_n=omega, sigma_n=sigma_n)
 
 
-def _sigma_n(data: ModelData, theta: Theta, a: float) -> np.ndarray:
-    """The sandwich ``sigma_n`` of :func:`covariance_mlrm` alone."""
-    sig2 = theta.sigma**2
-    p = data.n_params
+def _sigma_n(xtx_over_n_inverse: np.ndarray, sigma: float, a: float) -> np.ndarray:
+    """The sandwich ``sigma_n`` of :func:`covariance_mlrm` alone, from
+    ``(X'X/n)^{-1}``, the scale and a valid tuning value; each entry is the
+    factor at its own scale, in Python floats, which overflow silently."""
+    p = xtx_over_n_inverse.shape[0]
     sigma_n = np.zeros((p + 1, p + 1))
-    sigma_n[:p, :p] = sig2 * (1 + a) ** 3 / (2 * a + 1) ** 1.5 * data.xtx_over_n_inverse
-    sigma_n[p, p] = sig2 * (1 + a) ** 3 * (3 * a * a + 4 * a + 2) / (4 * (2 * a + 1) ** 2.5)
+    sigma_n[:p, :p].flat = [
+        _normal_factors(a, sigma * s * sigma)[0] for s in xtx_over_n_inverse.ravel().tolist()
+    ]
+    sigma_n[p, p] = _normal_factors(a, sigma * sigma)[1]
     return sigma_n
 
 
@@ -345,7 +353,7 @@ def fit_mle(data: ModelData) -> FitResult:
         converged=True,
         iterations=0,
         gradient_norm=gnorm,
-        sigma_n=_sigma_n(data, theta, 0.0),
+        sigma_n=_sigma_n(data.xtx_over_n_inverse, sigma, 0.0),
         objective_value=loglik,
     )
 
@@ -422,7 +430,7 @@ def _package_fit(data, a, stage, mle):
         converged=stage.converged,
         iterations=stage.iterations,
         gradient_norm=_scaled_gradient_norm(stage.gradient, stage.s),
-        sigma_n=_sigma_n(data, theta, a),
+        sigma_n=_sigma_n(data.xtx_over_n_inverse, theta.sigma, a),
         objective_value=stage.value,
     )
 

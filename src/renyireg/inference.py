@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .estimation import FitResult, covariance_mlrm
+from .estimation import FitResult, _sigma_n
 from .exceptions import DecompositionError, DomainError, check_probability, is_index
 from .model import ModelData, Theta
 
@@ -37,7 +37,8 @@ _MAX_SAMPLE_SIZE = 1e9
 
 @dataclass(frozen=True)
 class LinearHypothesis:
-    """Linear restriction M' theta = m with full-column-rank M."""
+    """Linear restriction M' theta = m with full-column-rank M (on M'M, by
+    ``numerics.scaled_min_eigenvalue``)."""
 
     m_matrix: np.ndarray
     m_vector: np.ndarray
@@ -53,8 +54,7 @@ class LinearHypothesis:
             raise DomainError("restriction matrix and values must be finite")
         if mat.shape[1] >= mat.shape[0]:
             raise DomainError("need r < dim(theta) restrictions")
-        smallest_sv = np.linalg.svd(mat, compute_uv=False)[-1]
-        if smallest_sv <= 1e-10:
+        if numerics.scaled_min_eigenvalue(mat.T @ mat) <= numerics.MIN_SCALED_EIGENVALUE:
             raise DomainError("restriction matrix is rank deficient")
 
     @property
@@ -120,7 +120,7 @@ def wald_simple(data: ModelData, fit: FitResult, theta0: Theta) -> WaldOutcome:
     The weighting covariance is evaluated at the null point; degrees of
     freedom equal dim(theta) = p + 1.
     """
-    sigma0 = covariance_mlrm(data, theta0, fit.alpha).sigma_n
+    sigma0 = _sigma_n(data.xtx_over_n_inverse, theta0.sigma, fit.alpha)
     diff = fit.theta_hat.to_array() - theta0.to_array()
     stat = wald_statistic(diff, sigma0, data.n_obs)
     return _outcome(stat, diff.size)

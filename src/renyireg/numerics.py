@@ -28,6 +28,7 @@ __all__ = [
     "integrate",
     "solve_spd",
     "min_eigenvalue",
+    "scaled_min_eigenvalue",
 ]
 
 
@@ -142,22 +143,60 @@ def chisq_sf(x, df):
     return _entrywise(lambda v: _chisq_sf_scalar(v, df), x)
 
 
+def _chisq_log_pdf(x: float, df: int) -> float:
+    return _log_gamma_term(0.5 * df - 1.0, 0.5 * x) - math.log(2.0)
+
+
+def _chisq_cdf_scalar(x: float, df: int) -> float:
+    """P(chi2_df <= x) by the series ``P(a, h) = sum_k h^{a+k} e^{-h} /
+    Gamma(a+k+1)``, a = df/2, h = x/2: the first term in log space times the
+    sum of the terms' ratios to it, which fall from 1 for h below a + 1."""
+    a, h = 0.5 * df, 0.5 * x
+    if h <= 0.0:
+        return 0.0
+    total = term = 1.0
+    k = 1
+    while term > 1e-17 * total:
+        term *= h / (a + k)
+        total += term
+        k += 1
+    return math.exp(_log_gamma_term(a, h)) * total
+
+
 def chisq_quantile(df, upper_tail):
     """Point x with P(chi2_df > x) = upper_tail, for an integer ``df >= 1``
-    and ``upper_tail`` strictly inside (0, 1): a squared normal quantile at
-    one df, else Newton steps on ``log chisq_sf`` from the Wilson-Hilferty point."""
+    and ``upper_tail`` strictly inside (0, 1).
+
+    Above 1/2 the lower tail ``1 - upper_tail``, exact there, is inverted by
+    Newton steps on ``log P(chi2_df <= x)`` that rise from a lower bound of
+    the root.  At or below 1/2 it is a squared normal quantile at one df,
+    else Newton steps on ``log chisq_sf`` from the Wilson-Hilferty point.
+    """
     df = _integer_df(df)
     check_probability(upper_tail, "upper-tail probability")
+    a = 0.5 * df
+    if upper_tail > 0.5:
+        # P(a, h) <= h^a / Gamma(a + 1) bounds the root from below; P is
+        # log-concave, so steps from there rise to the root, and mirrored in
+        # x they fall to it as _tail_inverse takes them
+        lower = 1.0 - upper_tail
+        x = 2.0 * math.exp((math.lgamma(a + 1.0) + math.log(lower)) / a)
+        return -_tail_inverse(
+            lambda y: _chisq_cdf_scalar(-y, df),
+            lambda y: _chisq_log_pdf(-y, df),
+            math.log(lower),
+            -x,
+        )
     log_q = math.log(upper_tail)
     if df == 1:
         return _normal_upper_quantile(log_q - math.log(2.0)) ** 2
-    a, c = 0.5 * df, 2.0 / (9.0 * df)
+    c = 2.0 / (9.0 * df)
     wh = df * (1.0 - c - _normal_quantile_scalar(upper_tail) * math.sqrt(c)) ** 3
     # lower bounds of the root (Q(a, h) >= e^{-h}, 1 - Q(a, h) <= h^a / Gamma(a + 1))
     x = 2.0 * max(-log_q, math.exp((math.lgamma(a + 1.0) + math.log1p(-upper_tail)) / a))
     if wh > x and _chisq_sf_scalar(wh, df) > 0.0:
         x = wh
-    log_pdf = lambda x: _log_gamma_term(a - 1.0, 0.5 * x) - math.log(2.0)  # noqa: E731
+    log_pdf = lambda x: _chisq_log_pdf(x, df)  # noqa: E731
     return _tail_inverse(lambda x: _chisq_sf_scalar(x, df), log_pdf, log_q, x)
 
 
@@ -405,6 +444,19 @@ def min_eigenvalue(a: np.ndarray) -> float:
     """Smallest eigenvalue of a symmetric matrix."""
     a = np.asarray(a, dtype=float)
     return float(np.linalg.eigvalsh(0.5 * (a + a.T))[0])
+
+
+MIN_SCALED_EIGENVALUE = 1e-12
+
+
+def scaled_min_eigenvalue(gram: np.ndarray) -> float:
+    """Smallest eigenvalue of a Gram matrix ``A'A`` scaled to unit diagonal,
+    in no units of ``A``'s columns, 0 when a column is zero: ``A`` has full
+    column rank when it exceeds ``MIN_SCALED_EIGENVALUE``."""
+    d = np.sqrt(np.diag(gram))
+    if not np.all(d > 0):
+        return 0.0
+    return min_eigenvalue(gram / np.outer(d, d))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import numerics
-from .estimation import covariance_mlrm
+from .estimation import _normal_factors, _sigma_n
 from .exceptions import DecompositionError, DomainError, check_alpha, is_index
 from .inference import LinearHypothesis
 from .model import DensityFamily, ModelData, Theta
@@ -91,7 +91,7 @@ def _report(req: IFRequest, first_order: np.ndarray) -> IFReport:
     return IFReport(
         points=req.contamination_points,
         first_order=first_order,
-        sup_norm=float(np.max(np.linalg.norm(first_order, axis=1))),
+        sup_norm=float(np.max(np.hypot.reduce(first_order, axis=1))),
     )
 
 
@@ -162,8 +162,8 @@ def if_general(family: DensityFamily, data: ModelData, req: IFRequest) -> IFRepo
 # ---------------------------------------------------------------------------
 
 def _stacked_scores(data: ModelData, req: IFRequest) -> np.ndarray:
-    """Sum over the contaminated directions of psi_i(t) at each point, for the
-    normal linear family in the estimating-equation normalization:
+    """Sum over the contaminated directions of sigma psi_i(t) at each point,
+    for the normal linear family in the estimating-equation normalization:
     psi_i(t) = exp(-a r^2/2) (r x_i, r^2 - 1/(1+a)) / sigma.
 
     The residuals form one points x directions matrix, taken in blocks of
@@ -180,8 +180,8 @@ def _stacked_scores(data: ModelData, req: IFRequest) -> np.ndarray:
         block = slice(start, start + rows)
         r = (pts[block, None] - fitted) / sig
         w = np.exp(-0.5 * alpha * r * r)
-        out[block, :-1] = (w * r) @ x / sig
-        out[block, -1] = np.sum(w * (r * r - 1.0 / (1.0 + alpha)), axis=1) / sig
+        out[block, :-1] = (w * r) @ x
+        out[block, -1] = np.sum(w * (r * r - 1.0 / (1.0 + alpha)), axis=1)
     return out
 
 
@@ -193,11 +193,18 @@ def if_mlrm_closed(data: ModelData, req: IFRequest) -> IFReport:
     ``sigma (1+a)^{5/2}/2 e^{-a r^2/2} (r^2 - 1/(1+a))``.  At ``alpha = 0``
     the coefficient part grows linearly in the residual (the unbounded
     maximum-likelihood case); for ``alpha > 0`` both parts vanish at extreme
-    contamination.
+    contamination.  ``S^{-1}`` is applied first, then ``sigma^2`` times the
+    scores are the factors' scale: an underflowed score gives 0, and an
+    influence beyond the double range inf, without a warning.
     """
-    psi = covariance_mlrm(data, req.theta, req.alpha).psi_n
-    scores = _stacked_scores(data, req)
-    return _report(req, np.linalg.solve(psi, scores.T).T)
+    with np.errstate(over="ignore"):
+        scores = _stacked_scores(data, req) * req.theta.sigma
+        scores[:, :-1] = scores[:, :-1] @ data.xtx_over_n_inverse
+        sandwich_beta, sandwich_sigma, ratio_beta, ratio_sigma = _normal_factors(req.alpha, scores)
+        first_order = np.column_stack(
+            [sandwich_beta[:, :-1] / ratio_beta, sandwich_sigma[:, -1] / ratio_sigma]
+        )
+    return _report(req, first_order)
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +214,8 @@ def if_mlrm_closed(data: ModelData, req: IFRequest) -> IFReport:
 def _second_order(data: ModelData, req: IFRequest, m: np.ndarray):
     """The first-order report and ``2 IF' M (M' sigma_n M)^{-1} M' IF`` for
     the restriction matrix ``M``."""
-    cov = covariance_mlrm(data, req.theta, req.alpha)
     base = if_mlrm_closed(data, req)
-    inner = m.T @ cov.sigma_n @ m
+    inner = m.T @ _sigma_n(data.xtx_over_n_inverse, req.theta.sigma, req.alpha) @ m
     projected = base.first_order @ m
     return base, 2.0 * np.einsum(
         "ki,ij,kj->k", projected, numerics.spd_inverse(inner), projected
@@ -242,9 +248,9 @@ def gross_error_sensitivity(data: ModelData, i0: int, theta: Theta, alpha: float
     """Supremum over contamination points of the influence norm, split into
     the coefficient and scale components.
 
-    Closed forms: the coefficient part peaks at standardized residual
-    ``1/sqrt(a)``, the scale part at ``r^2 = (3a+2)/(a(a+1))``.  Both are
-    infinite at ``alpha = 0``.
+    Closed forms: ``psi_n^{-1}`` applied to the scores at their peaks,
+    standardized residual ``1/sqrt(a)`` and ``r^2 = (3a+2)/(a(a+1))``.  Both
+    are infinite at ``alpha = 0``.
     """
     if not is_index(i0, data.n_obs):
         raise DomainError(f"direction {i0!r} is not an index in 0..{data.n_obs - 1}")
@@ -253,18 +259,19 @@ def gross_error_sensitivity(data: ModelData, i0: int, theta: Theta, alpha: float
         return UNBOUNDED_SENSITIVITY, UNBOUNDED_SENSITIVITY
     sig = theta.sigma
     s_inv_x = numerics.solve_spd(data.xtx_over_n, data.design[i0])
-    gamma_beta = (
-        sig * (1 + a) ** 1.5 / math.sqrt(a) * math.exp(-0.5) * float(np.linalg.norm(s_inv_x))
-    )
-    gamma_sigma = sig * (1 + a) ** 2.5 / a * math.exp(-(3 * a + 2) / (2 * (a + 1)))
-    return gamma_beta, gamma_sigma
+    # sigma^2 times each peak, e^{-1/2} / sqrt(a) |S^{-1} x| / sigma and
+    # 2 e^{-(3a+2)/(2(a+1))} / (a sigma), as the factors' scale
+    peak_beta = sig * math.exp(-0.5) / math.sqrt(a) * float(np.linalg.norm(s_inv_x))
+    peak_sigma = 2.0 * sig * math.exp(0.5 / (1.0 + a) - 1.5) / a
+    sandwich_beta, _, ratio_beta, _ = _normal_factors(a, peak_beta)
+    _, sandwich_sigma, _, ratio_sigma = _normal_factors(a, peak_sigma)
+    return sandwich_beta / ratio_beta, sandwich_sigma / ratio_sigma
 
 
 def are(alpha: float):
     """Asymptotic efficiency of the robust estimator relative to maximum
-    likelihood, as variance ratios in (0, 1]: one value for the coefficients
-    and one for the scale."""
-    a = check_alpha(alpha)
-    are_beta = (2 * a + 1) ** 1.5 / (1 + a) ** 3
-    are_sigma = 2.0 * (2 * a + 1) ** 2.5 / ((1 + a) ** 3 * (3 * a * a + 4 * a + 2))
-    return float(are_beta), float(are_sigma)
+    likelihood, as variance ratios in [0, 1]: one value for the coefficients
+    and one for the scale, 0 only where the exact value is below about
+    2e-308.  A value that rounding puts above 1 (alpha below 1e-7) is 1."""
+    sandwich_beta, sandwich_sigma, _, _ = _normal_factors(check_alpha(alpha))
+    return min(1.0, 1.0 / sandwich_beta), min(1.0, 0.5 / sandwich_sigma)

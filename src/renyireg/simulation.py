@@ -17,11 +17,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import write_csv, write_json
-from .estimation import covariance_mlrm, fit_rp_path
+from .estimation import fit_rp_path
 from .exceptions import DegenerateFitError, DomainError, check_alpha, check_probability
-from .inference import LinearHypothesis, contiguous_power, wald_composite
+from .inference import LinearHypothesis, wald_composite
 from .model import ModelData, Theta
-from .numerics import RngStream
+from .numerics import RngStream, chisq_quantile, noncentral_chisq_sf
+from .robustness import are
 
 __all__ = [
     "DesignSpec",
@@ -265,25 +266,22 @@ def run_study(config: StudyConfig) -> StudyResult:
 def contiguous_table(alphas, d_values, sigma: float, level: float) -> dict:
     """Analytic power of the slope test against local alternatives.
 
-    ``d_values`` are design-normalized squared shifts; the noncentrality at
-    tuning value a is ``d (2a+1)^{3/2} / (sigma^2 (1+a)^3)``, evaluated
-    through the general local-alternative machinery with the sandwich of
-    ``covariance_mlrm`` on a reference design with ``X'X/n = I``.
+    ``d_values`` are design-normalized squared shifts: with ``X'X/n = I``
+    the statistic is noncentral chi-square with one degree of freedom and
+    noncentrality ``d / sigma_n[1, 1] = d are_beta / sigma^2``.
     """
-    hyp = LinearHypothesis.coordinates([1], [1.0], 3)
-    reference = ModelData(np.array([[1.0, 1.0], [1.0, -1.0]] * 2), np.zeros(4))
-    theta = Theta(beta=np.zeros(2), sigma=sigma)
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise DomainError(f"sigma must be positive, got {sigma}")
+    check_probability(level, "level")
+    crit = chisq_quantile(1, level)
     table = {}
     for a in alphas:
-        sigma_n = covariance_mlrm(reference, theta, a).sigma_n
+        per_shift = are(a)[0] / sigma / sigma
         row = {}
         for d in d_values:
             if not (math.isfinite(d) and d >= 0):
                 raise DomainError(f"shift values must be finite and nonnegative, got {d}")
-            shift = np.array([0.0, math.sqrt(d), 0.0])
-            row[float(d)] = (
-                level if d == 0.0 else contiguous_power(hyp, shift, level, sigma_n)
-            )
+            row[float(d)] = level if d == 0.0 else noncentral_chisq_sf(crit, 1, d * per_shift)
         table[float(a)] = row
     return table
 

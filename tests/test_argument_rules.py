@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from renyireg.inference import (
 )
 from renyireg.model import ModelData, NormalLinearFamily, Theta, objective
 from renyireg.numerics import chisq_quantile, normal_quantile
-from renyireg.robustness import IFRequest, are, gross_error_sensitivity
+from renyireg.robustness import IFRequest, are, gross_error_sensitivity, if_mlrm_closed
 from renyireg.simulation import StudyConfig, contiguous_table
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -49,9 +50,8 @@ def alpha_valid(a):
 
 def raises_domain_error(call) -> bool:
     """Whether ``call`` raises DomainError.  Other errors are outside the
-    rules: a valid but huge tuning value overflows the closed forms
-    (``(1 + alpha)^3`` beyond about 1e102, the normal power integral's
-    logarithm from about 1e3 on)."""
+    rules: a valid but huge tuning value overflows the generic route (the
+    normal power integral's logarithm from about 1e3 on)."""
     try:
         call()
     except DomainError:
@@ -144,6 +144,88 @@ def test_hypothesis_entries_are_finite(matrix, vector):
 def test_contiguous_table_refuses_bad_shifts(d):
     with pytest.raises(DomainError, match="shift"):
         contiguous_table([0.0], [5.0, d], sigma=1.0, level=0.05)
+
+
+# ---------------------------------------------------------------------------
+# huge tuning values: the normal model's closed forms stay in range
+# ---------------------------------------------------------------------------
+
+LOG_MAX = math.log(1.7e308)
+# 1.1 is the fitted value of row 1 at THETA
+POINTS = np.array([-1.0, 1.1, 2.5, 9.0])
+XTX_INV = np.linalg.inv(DATA.design.T @ DATA.design / DATA.n_obs)
+
+
+def in_range(values, log_exact) -> bool:
+    """No NaN, and finite wherever the exact value, given by its logarithm
+    or a bound of it, is below 1.7e308."""
+    values, log_exact = np.broadcast_arrays(np.asarray(values, float), np.asarray(log_exact, float))
+    return not np.isnan(values).any() and bool(np.isfinite(values[log_exact < LOG_MAX]).all())
+
+
+def log_exact_factors(a):
+    """Logarithms of the exact sandwich blocks and gross-error sensitivities
+    of DATA at THETA, summed from the logarithms of 1 + a, 2a + 1 and a."""
+    lt, lw, la = math.log1p(a), math.log(2.0) + math.log(a + 0.5), math.log(a)
+    log_q = math.log(3.0) + 2 * la + math.log1p((4 / a + 2 / (a * a)) / 3)  # 3a^2+4a+2
+    log_sig = math.log(THETA.sigma)
+    block = 2 * log_sig + 3 * lt - 1.5 * lw + np.log(np.abs(XTX_INV))
+    scale = 2 * log_sig + 3 * lt + log_q - math.log(4.0) - 2.5 * lw
+    s_inv_x = math.log(np.linalg.norm(XTX_INV @ DATA.design[0]))
+    gross = [
+        log_sig + 1.5 * lt - 0.5 * la - 0.5 + s_inv_x,
+        log_sig + 2.5 * lt - la - 1.5 + 0.5 / (1 + a),  # e^{-(3a+2)/(2(a+1))}
+    ]
+    return block, scale, gross
+
+
+def log_influence_bound(a):
+    """Logarithms of bounds on the entries of ``if_mlrm_closed`` over all
+    directions at POINTS: n times the largest term of ``sigma (1+a)^{3/2}
+    sum_i e^{-a r^2/2} |r| |S^{-1} x_i|`` and of ``sigma (1+a)^{5/2} / 2
+    sum_i e^{-a r^2/2} |r^2 - 1/(1+a)|``."""
+    x = DATA.design
+    r = (POINTS[:, None] - x @ THETA.beta) / THETA.sigma
+    with np.errstate(over="ignore", divide="ignore"):
+        tilt = -0.5 * a * r * r
+        beta = tilt[..., None] + np.log(np.abs(r))[..., None] + np.log(np.abs(x @ XTX_INV))
+        scale = tilt + np.log(np.abs(r * r - 1.0 / (1.0 + a)))
+    head = math.log(THETA.sigma) + math.log(DATA.n_obs) + 1.5 * math.log1p(a)
+    return np.column_stack([
+        head + beta.max(axis=1), head + math.log1p(a) - math.log(2.0) + scale.max(axis=1)
+    ])
+
+
+def test_huge_alphas_stay_in_range():
+    """At alpha = 10^k, k = 0..308, with every warning an error: nothing
+    raises, nothing is NaN, every value is finite where its exact value is
+    below 1.7e308, and the efficiencies lie in [0, 1]."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(309):
+            a = 10.0**k
+            assert all(0.0 <= e <= 1.0 for e in are(a)), k
+            cov = covariance_mlrm(DATA, THETA, a)
+            block, scale, gross = log_exact_factors(a)
+            # psi_n and omega_n fall with alpha from their finite alpha = 0 values
+            assert in_range(cov.psi_n, -math.inf) and in_range(cov.omega_n, -math.inf), k
+            assert in_range(cov.sigma_n[:2, :2], block) and in_range(cov.sigma_n[2, 2], scale), k
+            assert in_range(gross_error_sensitivity(DATA, 0, THETA, a), gross), k
+            req = IFRequest(contamination_points=POINTS, theta=THETA, alpha=a)
+            assert in_range(if_mlrm_closed(DATA, req).first_order, log_influence_bound(a)), k
+            powers = list(contiguous_table([a], [0.0, 5.0, 30.0], 1.0, 0.05)[a].values())
+            assert in_range(powers, -math.inf) and all(0.0 <= p <= 1.0 for p in powers), k
+
+
+def test_huge_alpha_values():
+    # at alpha = 1e70 only the leading powers of alpha count:
+    # sigma_n[2, 2] = 3 sigma^2 alpha^{5/2} / 2^{9/2}, are_sigma = 2^{7/2} / (3 alpha^{5/2})
+    data = renyireg.load_dataset("first_word").data
+    theta = Theta(beta=np.array([110.0, -1.1]), sigma=11.0)
+    sigma_n = covariance_mlrm(data, theta, 1e70).sigma_n
+    assert sigma_n[2, 2] == pytest.approx(3 * 121.0 / 2**4.5 * 1e175, rel=1e-12)
+    assert sigma_n[2, 2] == pytest.approx(1.604e176, rel=1e-3)
+    assert are(1e70)[1] == pytest.approx(2**3.5 / 3 * 1e-175, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

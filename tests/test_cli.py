@@ -32,6 +32,13 @@ class TestAre:
             assert float(row["are_sigma_x100"]) == pytest.approx(es, abs=0.005)
         assert (tmp_path / "are.csv.manifest.json").exists()
 
+    def test_huge_alpha(self, tmp_path):
+        code = main(["are", "--alphas", "0,1e200", "--output", str(tmp_path)])
+        assert code == EXIT_OK
+        for row in read_csv(tmp_path / "are.csv"):
+            assert 0.0 <= float(row["are_beta_x100"]) <= 100.0
+            assert 0.0 <= float(row["are_sigma_x100"]) <= 100.0
+
 
 class TestFit:
     def test_bundled_with_exclusion(self, tmp_path):
@@ -277,6 +284,12 @@ class TestPower:
         assert cells[("0.0", "0.0")] == 0.05
         assert cells[("0.0", "10.0")] == pytest.approx(0.88, abs=0.01)
         assert cells[("0.5", "10.0")] == pytest.approx(0.81, abs=0.02)
+
+    def test_huge_alpha(self, tmp_path):
+        code = main(["power", "--alphas", "1e120", "--output", str(tmp_path)])
+        assert code == EXIT_OK
+        rows = read_csv(tmp_path / "power.csv")
+        assert rows and all(0.05 <= float(r["power"]) <= 1.0 for r in rows)
 
 
 CONFIG = """

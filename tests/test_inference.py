@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from renyireg import numerics
+from renyireg import load_dataset, numerics
 from renyireg.cli import EXIT_OK, main
 from renyireg.estimation import covariance_mlrm, fit_mle, fit_rp
 from renyireg.exceptions import DecompositionError, DomainError
@@ -35,6 +35,16 @@ class TestLinearHypothesis:
         with pytest.raises(DomainError):
             LinearHypothesis(m_matrix=np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]]),
                              m_vector=np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("c", [1e12, 1e-12])
+    def test_rank_rule_has_no_units(self, c):
+        # pinning beta1 = -1.1 on first_word, with M and m divided by c
+        data = load_dataset("first_word").data
+        fit = fit_rp(data, 0.5)
+        base = LinearHypothesis.coordinates([1], [-1.1], 3)
+        scaled = LinearHypothesis(m_matrix=base.m_matrix / c, m_vector=base.m_vector / c)
+        want = wald_composite(data, fit, base).statistic
+        assert wald_composite(data, fit, scaled).statistic == pytest.approx(want, rel=1e-12)
 
     def test_needs_fewer_restrictions_than_params(self):
         with pytest.raises(DomainError):

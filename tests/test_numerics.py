@@ -267,6 +267,14 @@ class TestAgainstScipy:
             ref = 2.0 * scipy.special.gammainccinv(0.5 * df, tails)
             np.testing.assert_allclose(mine, ref, rtol=1e-13, atol=0, err_msg=f"df={df}")
 
+    def test_chisq_quantile_near_one(self):
+        # upper tails above 1/2 invert the lower tail 1 - q, exact there
+        tails = np.concatenate([np.linspace(0.5, 0.99, 50), 1.0 - np.logspace(-16, -2, 57)])
+        for df in (1, 2, 3, 10, 30, 100):
+            mine = [numerics.chisq_quantile(df, t) for t in tails]
+            ref = 2.0 * scipy.special.gammaincinv(0.5 * df, 1.0 - tails)
+            np.testing.assert_allclose(mine, ref, rtol=1e-12, atol=0, err_msg=f"df={df}")
+
     def test_noncentral_chisq_sf(self):
         gen = np.random.default_rng(17)
         cells = list(zip(
