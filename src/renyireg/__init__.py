@@ -40,6 +40,7 @@ from .inference import (
 )
 from .model import (
     DensityFamily,
+    Design,
     ModelData,
     NormalLinearFamily,
     QuadratureFamily,

@@ -99,7 +99,7 @@ def design_diagnostics(data: ModelData) -> DesignDiagnostics:
     x = data.design
     n = data.n_obs
     lam = numerics.min_eigenvalue(data.xtx_over_n)
-    if numerics.scaled_min_eigenvalue(data.xtx_over_n) > numerics.MIN_SCALED_EIGENVALUE:
+    if data.fixed_design.scaled_min_eigenvalue > numerics.MIN_SCALED_EIGENVALUE:
         xtx_inv = data.xtx_over_n_inverse / n
         leverage = np.einsum("ij,jk,ik->i", x, xtx_inv, x)
         max_lev = float(n * leverage.max())
@@ -113,7 +113,7 @@ def design_diagnostics(data: ModelData) -> DesignDiagnostics:
 
 
 def _require_full_rank(data: ModelData) -> None:
-    lam = numerics.scaled_min_eigenvalue(data.xtx_over_n)
+    lam = data.fixed_design.scaled_min_eigenvalue
     if lam <= numerics.MIN_SCALED_EIGENVALUE:
         raise DecompositionError(
             f"design is rank deficient: min eigenvalue of X'X/n scaled to unit "

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .exceptions import DomainError, check_alpha
 
 __all__ = [
     "Theta",
+    "Design",
     "ModelData",
     "DensityFamily",
     "NormalLinearFamily",
@@ -70,42 +71,32 @@ class Theta:
 
 
 @dataclass(frozen=True, eq=False)
-class ModelData:
-    """Fixed design matrix and observed responses.
+class Design:
+    """Fixed design matrix, validated once and shared by every response
+    fitted on it.
 
-    Both arrays are treated as immutable: the p x p design products below
-    are computed once per instance and cached.
+    The array is treated as immutable and is not copied: X'X/n, its inverse
+    and the rank check below are computed on first use and cached, so every
+    :class:`ModelData` built on one ``Design`` reads the same objects.
     """
 
-    design: np.ndarray
-    response: np.ndarray
+    matrix: np.ndarray
 
     def __post_init__(self):
-        x = np.atleast_2d(np.asarray(self.design, dtype=float))
-        y = np.asarray(self.response, dtype=float).ravel()
-        object.__setattr__(self, "design", x)
-        object.__setattr__(self, "response", y)
-        if x.shape[0] != y.shape[0]:
-            raise DomainError("design and response row counts differ")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise DomainError("design and response must be finite")
+        x = np.atleast_2d(np.asarray(self.matrix, dtype=float))
+        object.__setattr__(self, "matrix", x)
+        if not np.all(np.isfinite(x)):
+            raise DomainError("design must be finite")
         if x.shape[0] < x.shape[1] + 1:
             raise DomainError(
                 f"need at least p+1 = {x.shape[1] + 1} observations, got {x.shape[0]}"
             )
 
-    @property
-    def n_obs(self) -> int:
-        return self.design.shape[0]
-
-    @property
-    def n_params(self) -> int:
-        return self.design.shape[1]
-
     @functools.cached_property
     def xtx_over_n(self) -> np.ndarray:
         """X'X/n, read-only."""
-        s = self.design.T @ self.design / self.n_obs
+        x = self.matrix
+        s = x.T @ x / x.shape[0]
         s.setflags(write=False)
         return s
 
@@ -116,6 +107,57 @@ class ModelData:
         inv = numerics.spd_inverse(self.xtx_over_n)
         inv.setflags(write=False)
         return inv
+
+    @functools.cached_property
+    def scaled_min_eigenvalue(self) -> float:
+        """Smallest eigenvalue of X'X/n scaled to unit diagonal: the design
+        has full column rank when it exceeds
+        ``numerics.MIN_SCALED_EIGENVALUE``."""
+        return numerics.scaled_min_eigenvalue(self.xtx_over_n)
+
+
+@dataclass(frozen=True, eq=False)
+class ModelData:
+    """Fixed design matrix and observed responses.
+
+    ``design`` is a :class:`Design`, shared with other responses on it, or
+    an array, which gets a ``Design`` of its own; either way ``design``
+    reads as the float array afterwards and ``fixed_design`` holds the
+    ``Design``, whose cached products the properties below return.
+    """
+
+    design: np.ndarray
+    response: np.ndarray
+    fixed_design: Design = field(init=False, repr=False)
+
+    def __post_init__(self):
+        shared = self.design if isinstance(self.design, Design) else Design(self.design)
+        y = np.asarray(self.response, dtype=float).ravel()
+        object.__setattr__(self, "fixed_design", shared)
+        object.__setattr__(self, "design", shared.matrix)
+        object.__setattr__(self, "response", y)
+        if shared.matrix.shape[0] != y.shape[0]:
+            raise DomainError("design and response row counts differ")
+        if not np.all(np.isfinite(y)):
+            raise DomainError("response must be finite")
+
+    @property
+    def n_obs(self) -> int:
+        return self.design.shape[0]
+
+    @property
+    def n_params(self) -> int:
+        return self.design.shape[1]
+
+    @property
+    def xtx_over_n(self) -> np.ndarray:
+        """X'X/n of the shared design, read-only."""
+        return self.fixed_design.xtx_over_n
+
+    @property
+    def xtx_over_n_inverse(self) -> np.ndarray:
+        """(X'X/n)^{-1} of the shared design, read-only."""
+        return self.fixed_design.xtx_over_n_inverse
 
     def subset(self, keep) -> "ModelData":
         keep = np.asarray(keep)
@@ -162,7 +204,10 @@ class DensityFamily:
         power_score_outer_integral(i, theta, c)   = int f_i^c u_i u_i' dy
         power_score_jacobian_integral(i, theta, c)= int f_i^c (du_i/dtheta) dy
 
-    all with respect to the dominating measure on the response line.
+    all with respect to the dominating measure on the response line, and
+    ``log_power_integral``, the logarithm of the first; by default the
+    logarithm of ``power_integral``, which a family with a closed form
+    overrides to stay finite where the integral over- or underflows.
     """
 
     n_directions: int
@@ -187,6 +232,9 @@ class DensityFamily:
 
     def power_integral(self, i, theta, c):
         raise NotImplementedError
+
+    def log_power_integral(self, i, theta, c):
+        return np.log(self.power_integral(i, theta, c))
 
     def power_score_integral(self, i, theta, c):
         raise NotImplementedError
@@ -269,6 +317,12 @@ class NormalLinearFamily(DensityFamily):
     def power_integral(self, i, theta, c):
         mass = self._mass(theta, c)
         return mass if np.ndim(i) == 0 else np.full(np.shape(i), mass)
+
+    def log_power_integral(self, i, theta, c):
+        # log K_c, finite for every finite c > 0
+        _check_exponent(c)
+        log_mass = (1.0 - c) * (0.5 * LOG_2PI + math.log(theta.sigma)) - 0.5 * math.log(c)
+        return log_mass if np.ndim(i) == 0 else np.full(np.shape(i), log_mass)
 
     def power_score_integral(self, i, theta, c):
         # under N(mu, sigma^2/c): E[u_beta] = 0, E[u_sigma] = (1/c - 1)/sigma
@@ -374,8 +428,7 @@ def rp_loss_single(family: DensityFamily, i: int, y: float, theta: Theta, alpha:
         return math.inf
     if alpha == 0.0:
         return -log_f
-    mass = family.power_integral(i, theta, alpha + 1.0)
-    return math.log(mass) / (alpha + 1.0) - log_f
+    return family.log_power_integral(i, theta, alpha + 1.0) / (alpha + 1.0) - log_f
 
 
 def v_weight(family: DensityFamily, i: int, y: float, theta: Theta, alpha: float) -> float:

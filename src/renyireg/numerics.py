@@ -204,7 +204,8 @@ def noncentral_chisq_sf(x, df, delta):
     """Survival function of the noncentral chi-square distribution,
     ``P(chi2_df(delta) > x)``, for an integer ``df >= 1``.
 
-    One df gives ``Phi(sqrt delta - sqrt x) + Phi(-sqrt delta - sqrt x)``.
+    One df gives ``Phi(sqrt delta - sqrt x) + Phi(-sqrt delta - sqrt x)`` at
+    every delta, 0 included, so the tail does not fall as delta grows.
     Other df sum the Poisson(delta/2) mixture of central tails within
     ``10 sqrt(delta/2) + 20`` terms of its mode, the masses in log space, so
     the sum holds where ``e^{-delta/2}`` underflows.  A negative or NaN
@@ -214,11 +215,19 @@ def noncentral_chisq_sf(x, df, delta):
     if not (x >= 0.0 and 0.0 <= delta < math.inf):
         raise DomainError(f"need x >= 0 and finite delta >= 0, got x={x}, delta={delta}")
     lam, h = 0.5 * delta, 0.5 * x
-    if lam == 0.0 or not 0.0 < h < math.inf:
+    if not 0.0 < h < math.inf:
         return chisq_sf(x, df)
     if df == 1:
         rx, rd = math.sqrt(x), math.sqrt(delta)
+        if delta < 1e-8:
+            # the pair's value at delta = 0 plus the leading term of its rise,
+            # phi(sqrt x) sqrt(x) delta (the next is below 0.012 delta^2), so
+            # that rounding in the pair cannot take the tail below its value at 0
+            rise = math.exp(-h - _LOG_SQRT_2PI) * rx * delta
+            return min(math.erfc(rx / _SQRT2) + rise, 1.0)
         return min(0.5 * (math.erfc((rx - rd) / _SQRT2) + math.erfc((rx + rd) / _SQRT2)), 1.0)
+    if lam == 0.0:
+        return chisq_sf(x, df)
     half = int(10.0 * math.sqrt(lam) + 20.0)
     lo = max(0, int(lam) - half)
     tail, total, mass = _chisq_sf_scalar(x, df + 2 * lo), 0.0, 0.0

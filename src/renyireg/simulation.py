@@ -2,9 +2,15 @@
 contamination, and replicated studies of estimation error, test level, and
 test power.
 
+A study runs in blocks of consecutive replications at one sample size.  A
+block builds what every replication of a study shares once: the design with
+its X'X/n, inverse and rank check (a :class:`~renyireg.model.Design`), the
+generating parameters, the hypotheses and each draw's mean vector.  Each
+replication then only draws and fits.
+
 Reproducibility: every replication draws from its own stream addressed by
 ``(seed, replication_index)``, so a study result is a pure function of its
-configuration and is bit-identical for any worker count.
+configuration and is bit-identical for any worker count and block size.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from .data import write_csv, write_json
 from .estimation import fit_rp_path
 from .exceptions import DegenerateFitError, DomainError, check_alpha, check_probability
 from .inference import LinearHypothesis, wald_composite
-from .model import ModelData, Theta
+from .model import Design, ModelData, Theta
 from .numerics import RngStream, chisq_quantile, noncentral_chisq_sf
 from .robustness import are
 
@@ -38,9 +44,9 @@ __all__ = [
     "write_study_json",
 ]
 
-# jobs per pool task; records come back in job order, so the study output
-# does not depend on it
-_CHUNKSIZE = 32
+# replications per block, the unit of work of a pool task; records come back
+# in (n, replication) order, so the study output does not depend on it
+_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -143,6 +149,19 @@ def make_design(spec: DesignSpec) -> np.ndarray:
     return np.column_stack([np.ones(spec.n), x1])
 
 
+def _means(design: np.ndarray, thetas, contamination: ContaminationSpec | None) -> list:
+    """Mean response of a draw at each of ``thetas``; contaminated rows,
+    placed once for all of them, use the swapped regression vector."""
+    means = [design @ theta.beta for theta in thetas]
+    if contamination is not None:
+        idx = contamination.indices(design.shape[0])
+        if idx.size:
+            bad_mean = design[idx] @ np.asarray(contamination.contaminating_beta, dtype=float)
+            for mean in means:
+                mean[idx] = bad_mean
+    return means
+
+
 def generate_data(
     design: np.ndarray,
     theta: Theta,
@@ -151,29 +170,25 @@ def generate_data(
 ) -> np.ndarray:
     """Draw one response vector; contaminated rows use the swapped
     regression vector with the same error scale."""
-    n = design.shape[0]
-    mean = design @ theta.beta
-    if contamination is not None and contamination.fraction > 0.0:
-        idx = contamination.indices(n)
-        if idx.size:
-            bad_beta = np.asarray(contamination.contaminating_beta, dtype=float)
-            mean = mean.copy()
-            mean[idx] = design[idx] @ bad_beta
-    return mean + theta.sigma * rng.normal(n)
+    return _means(design, [theta], contamination)[0] + theta.sigma * rng.normal(design.shape[0])
 
 
-def _replication(args):
-    """Outcome record of replication ``rep`` at sample size ``n``.
+def _replication_block(task):
+    """Outcome records of replications ``start .. stop - 1`` at sample size
+    ``n``, in replication order.
 
-    Draws the null response, then one response per alternative in
-    ``config.hypotheses`` order, from ``RngStream(config.seed, rep)``, and
-    fits every alpha on each draw.  None when a fit degenerates, which
-    excludes the replication; otherwise one entry per alpha: None when a fit
-    at that alpha did not converge, else ``(squared error, rejections under
-    the null per hypothesis, rejections under each alternative)``.
+    The block builds the design, the generating parameters (the truth, then
+    one alternative per hypothesis that has one, in ``config.hypotheses``
+    order), the hypotheses and each draw's mean once.  Replication ``rep``
+    draws one response per parameter from ``RngStream(config.seed, rep)``
+    and fits every alpha on each draw.  Its record is None when a fit
+    degenerates, which excludes the replication; otherwise one entry per
+    alpha: None when a fit at that alpha did not converge, else ``(squared
+    error, rejections under the null per hypothesis, rejections under each
+    alternative)``.
     """
-    config, n, rep = args
-    design = make_design(replace(config.design, n=n))
+    config, n, start, stop = task
+    design = Design(make_design(replace(config.design, n=n)))
     theta_true = Theta(beta=np.asarray(config.true_beta, dtype=float), sigma=config.true_sigma)
     truth = theta_true.to_array()
     thetas, hyps, alt_hyps = [theta_true], [], []
@@ -184,56 +199,68 @@ def _replication(args):
             alt[index] = alt_value
             thetas.append(Theta.from_array(alt))
             alt_hyps.append(hyps[-1])
-    rng = RngStream(config.seed, stream_id=rep)
-    draws = [ModelData(design, generate_data(design, t, config.contamination, rng)) for t in thetas]
-    try:
-        paths = [fit_rp_path(data, config.alphas) for data in draws]
-    except DegenerateFitError:
-        return None
-    outcomes = []
-    for a in config.alphas:
-        fits = [path[float(a)] for path in paths]
-        if not all(fit.converged for fit in fits):
-            outcomes.append(None)
-            continue
-        err = fits[0].theta_hat.to_array() - truth
-        level = [wald_composite(draws[0], fits[0], h).reject_at(config.level) for h in hyps]
-        power = [
-            wald_composite(data, fit, h).reject_at(config.level)
-            for data, fit, h in zip(draws[1:], fits[1:], alt_hyps)
+    means = _means(design.matrix, thetas, config.contamination)
+    records = []
+    for rep in range(start, stop):
+        rng = RngStream(config.seed, stream_id=rep)
+        draws = [
+            ModelData(design, mean + theta.sigma * rng.normal(n))
+            for mean, theta in zip(means, thetas)
         ]
-        outcomes.append((float(err @ err), level, power))
-    return outcomes
+        try:
+            paths = [fit_rp_path(data, config.alphas) for data in draws]
+        except DegenerateFitError:
+            records.append(None)
+            continue
+        outcomes = []
+        for a in config.alphas:
+            fits = [path[float(a)] for path in paths]
+            if not all(fit.converged for fit in fits):
+                outcomes.append(None)
+                continue
+            err = fits[0].theta_hat.to_array() - truth
+            level = [wald_composite(draws[0], fits[0], h).reject_at(config.level) for h in hyps]
+            power = [
+                wald_composite(data, fit, h).reject_at(config.level)
+                for data, fit, h in zip(draws[1:], fits[1:], alt_hyps)
+            ]
+            outcomes.append((float(err @ err), level, power))
+        records.append(outcomes)
+    return records
 
 
 def run_study(config: StudyConfig) -> StudyResult:
     """Run the full replicated study.
 
     Every ``(n, rep)`` replication returns its outcome record (see
-    ``_replication``); the study only counts them.  Per (alpha, n) cell:
-    root-mean-square estimation error against the clean generating
+    ``_replication_block``); the study only counts them.  Per (alpha, n)
+    cell: root-mean-square estimation error against the clean generating
     parameter, and empirical level and power per hypothesis, each the
     rejection count over the ``replications_used``.  A degenerate fit
     excludes its whole replication; a non-converged fit excludes the
-    replication from that cell only.  All replications run in one pass, on
-    at most one process pool.
+    replication from that cell only.  All blocks run in one pass, on at most
+    one process pool.
     """
-    jobs = [(config, n, rep) for n in config.ns for rep in range(config.replications)]
+    reps = config.replications
+    tasks = [
+        (config, n, start, min(start + _BLOCK, reps))
+        for n in config.ns
+        for start in range(0, reps, _BLOCK)
+    ]
     if config.n_workers > 1:
-        # a pool starts all its workers at its first task, so none beyond the jobs
-        with ProcessPoolExecutor(max_workers=min(config.n_workers, len(jobs))) as pool:
-            records = list(pool.map(_replication, jobs, chunksize=_CHUNKSIZE))
+        # a pool starts all its workers at its first task, so none beyond the blocks
+        with ProcessPoolExecutor(max_workers=min(config.n_workers, len(tasks))) as pool:
+            blocks = list(pool.map(_replication_block, tasks, chunksize=1))
     else:
-        records = [_replication(job) for job in jobs]
+        blocks = [_replication_block(task) for task in tasks]
+    records = [record for block in blocks for record in block]
     names = [name for name, *_ in config.hypotheses]
     alt_names = [name for name, *_, alt_value in config.hypotheses if alt_value is not None]
     cells = {}
     total_nonconv = 0
     total_excluded = 0
-    reps = config.replications
-    for block, n in enumerate(config.ns):
-        block_records = records[block * reps : (block + 1) * reps]
-        kept = [record for record in block_records if record is not None]
+    for k, n in enumerate(config.ns):
+        kept = [record for record in records[k * reps : (k + 1) * reps] if record is not None]
         for i, a in enumerate(config.alphas):
             used = [record[i] for record in kept if record[i] is not None]
             total_nonconv += len(kept) - len(used)

@@ -26,7 +26,7 @@ from renyireg.inference import (
     contiguous_power,
     required_sample_size,
 )
-from renyireg.model import ModelData, NormalLinearFamily, Theta, objective
+from renyireg.model import ModelData, NormalLinearFamily, Theta, objective, rp_loss_single, v_weight
 from renyireg.numerics import chisq_quantile, normal_quantile
 from renyireg.robustness import IFRequest, are, gross_error_sensitivity, if_mlrm_closed
 from renyireg.simulation import StudyConfig, contiguous_table
@@ -49,9 +49,8 @@ def alpha_valid(a):
 
 
 def raises_domain_error(call) -> bool:
-    """Whether ``call`` raises DomainError.  Other errors are outside the
-    rules: a valid but huge tuning value overflows the generic route (the
-    normal power integral's logarithm from about 1e3 on)."""
+    """Whether ``call`` raises DomainError; any other error is outside the
+    rules and counts as not raising it."""
     try:
         call()
     except DomainError:
@@ -215,6 +214,24 @@ def test_huge_alphas_stay_in_range():
             assert in_range(if_mlrm_closed(DATA, req).first_order, log_influence_bound(a)), k
             powers = list(contiguous_table([a], [0.0, 5.0, 30.0], 1.0, 0.05)[a].values())
             assert in_range(powers, -math.inf) and all(0.0 <= p <= 1.0 for p in powers), k
+
+
+@pytest.mark.parametrize("a", [1e2, 1e3, 1e4])
+def test_generic_route_at_huge_alpha(a):
+    # the normal power integral under- or overflows here, its logarithm does not:
+    # V_i = ((1+a)/2pi)^{a/(2(1+a))} sigma^{-a/(1+a)} e^{-a r_i^2/2}
+    family = NormalLinearFamily(DATA.design)
+    sigma = THETA.sigma
+    r = (DATA.response - DATA.design @ THETA.beta) / sigma
+    log_v = a / (1 + a) * (0.5 * math.log((1 + a) / (2 * math.pi)) - math.log(sigma)) - 0.5 * a * r * r
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i, y in enumerate(DATA.response):
+            loss = rp_loss_single(family, i, y, THETA, a)
+            assert loss == pytest.approx(-log_v[i] / a, rel=1e-12), i
+            assert v_weight(family, i, y, THETA, a) == pytest.approx(math.exp(log_v[i]), rel=1e-10), i
+        value = objective(family, DATA, THETA, a)
+    assert value == pytest.approx(float(np.mean(np.exp(log_v))), rel=1e-10)
 
 
 def test_huge_alpha_values():

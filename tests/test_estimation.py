@@ -19,7 +19,7 @@ from renyireg.estimation import (
     fit_rp_path,
 )
 from renyireg.exceptions import DecompositionError, DegenerateFitError, DomainError
-from renyireg.model import ModelData, NormalLinearFamily, Theta, objective
+from renyireg.model import Design, ModelData, NormalLinearFamily, Theta, objective
 from renyireg.numerics import RngStream
 from renyireg.simulation import DesignSpec, generate_data, make_design
 
@@ -108,6 +108,35 @@ class TestFitMle:
         assert fit.theta_hat.sigma == pytest.approx(10.4845, abs=1e-3)
         assert fit.theta_hat.beta[0] == pytest.approx(109.8730, abs=1e-3)
         assert fit.theta_hat.beta[1] == pytest.approx(-1.1269, abs=1e-3)
+
+
+class TestSharedDesign:
+    def test_path_on_a_shared_design_is_bit_identical(self, rng):
+        data = random_instance(rng, n=60)
+        shared = Design(data.design)
+        for response in (data.response, data.response + 3.0 * (rng.random(60) < 0.2)):
+            own = fit_rp_path(ModelData(data.design, response), [0.0, 0.3, 1.0])
+            on_shared = fit_rp_path(ModelData(shared, response), [0.0, 0.3, 1.0])
+            for a, fit in own.items():
+                other = on_shared[a]
+                assert np.array_equal(fit.theta_hat.to_array(), other.theta_hat.to_array())
+                assert np.array_equal(fit.sigma_n, other.sigma_n)
+                assert (fit.converged, fit.iterations, fit.gradient_norm, fit.objective_value) == (
+                    other.converged, other.iterations, other.gradient_norm, other.objective_value
+                )
+
+    def test_rank_check_runs_once_per_design(self, rng, monkeypatch):
+        calls = []
+        real = estimation.numerics.scaled_min_eigenvalue
+        monkeypatch.setattr(
+            estimation.numerics, "scaled_min_eigenvalue", lambda g: calls.append(1) or real(g)
+        )
+        shared = Design(random_instance(rng).design)
+        for _ in range(3):
+            data = ModelData(shared, rng.normal(size=30))
+            fit_mle(data)
+            design_diagnostics(data)
+        assert len(calls) == 1
 
 
 class TestFitRp:

@@ -8,6 +8,7 @@ import pytest
 from renyireg import numerics
 from renyireg.exceptions import DomainError
 from renyireg.model import (
+    Design,
     ModelData,
     NormalLinearFamily,
     QuadratureFamily,
@@ -43,6 +44,33 @@ class TestTypes:
             ModelData(design=np.ones((2, 2)), response=np.array([1.0, 2.0]))
         with pytest.raises(DomainError):
             ModelData(design=np.ones((3, 1)), response=np.array([1.0, np.nan, 2.0]))
+
+    def test_design_validation(self):
+        for bad in (np.ones((2, 2)), np.array([[1.0, 0.0], [1.0, np.inf], [1.0, 2.0]])):
+            with pytest.raises(DomainError):
+                Design(bad)
+        shared = Design(np.ones((3, 1)))
+        with pytest.raises(DomainError):
+            ModelData(shared, np.array([1.0, np.nan, 2.0]))
+        with pytest.raises(DomainError):
+            ModelData(shared, np.ones(4))
+
+    def test_responses_share_one_design(self, rng):
+        x = np.column_stack([np.ones(6), rng.normal(size=6)])
+        shared = Design(x)
+        first, second = (ModelData(shared, rng.normal(size=6)) for _ in range(2))
+        # the array itself, not a copy, and no Design object where callers read the array
+        assert first.design is x and second.design is x
+        assert first.fixed_design is shared and second.fixed_design is shared
+        assert first.xtx_over_n is second.xtx_over_n
+        assert first.xtx_over_n_inverse is second.xtx_over_n_inverse
+        assert not first.xtx_over_n.flags.writeable
+        assert not first.xtx_over_n_inverse.flags.writeable
+        # an array gets a Design of its own, with equal products
+        own = ModelData(x, first.response)
+        assert own.fixed_design is not shared
+        assert np.array_equal(own.xtx_over_n, first.xtx_over_n)
+        assert np.array_equal(own.xtx_over_n_inverse, first.xtx_over_n_inverse)
 
 
 class TestNormalFamilyIntegrals:
@@ -124,6 +152,31 @@ class TestNormalFamilyIntegrals:
         for i in (0, np.array([0, 2])):
             with pytest.raises(DomainError, match="power exponent"):
                 getattr(fam, integral)(i, theta, c)
+
+
+class TestLogPowerIntegral:
+    @pytest.mark.parametrize("c", [0.5, 1.8, 40.0])
+    @pytest.mark.parametrize("sigma", [0.3, 7.0])
+    def test_closed_form_is_log_of_integral(self, c, sigma):
+        fam = NormalLinearFamily(np.array([[1.0, 2.0], [1.0, -1.0], [1.0, 0.5]]))
+        theta = Theta(beta=np.array([0.3, -0.7]), sigma=sigma)
+        expected = math.log(fam.power_integral(0, theta, c))
+        assert fam.log_power_integral(0, theta, c) == pytest.approx(expected, rel=1e-14, abs=1e-15)
+        many = fam.log_power_integral(np.array([0, 2]), theta, c)
+        assert many.shape == (2,) and np.all(many == fam.log_power_integral(1, theta, c))
+        # the contract's default takes the logarithm of the family's integral
+        quad = QuadratureFamily(fam)
+        assert quad.log_power_integral(0, theta, c) == pytest.approx(expected, rel=1e-10, abs=1e-12)
+
+    def test_finite_where_the_integral_is_not(self):
+        fam = NormalLinearFamily(np.ones((2, 1)))
+        theta = Theta(beta=np.array([0.0]), sigma=0.8)
+        c = 1e4 + 1.0
+        # (2 pi)^{(1-c)/2} underflows and 0.8^{1-c} overflows
+        expected = (1.0 - c) * (0.5 * math.log(2 * math.pi) + math.log(0.8)) - 0.5 * math.log(c)
+        assert fam.log_power_integral(0, theta, c) == pytest.approx(expected, rel=1e-15)
+        with pytest.raises(DomainError):
+            fam.log_power_integral(0, theta, 0.0)
 
 
 class TestArrayContract:

@@ -187,6 +187,21 @@ class TestNoncentralChisq:
         vals = [numerics.noncentral_chisq_sf(q, 1, d) for d in np.linspace(0, 40, 41)]
         assert np.all(np.diff(vals) > 0)
 
+    def test_one_df_does_not_fall_from_zero_noncentrality(self):
+        # one formula at every delta, also where delta / 2 underflows: the
+        # tail starts at its central value and does not fall as delta grows
+        q = numerics.chisq_quantile(1, 0.05)
+        deltas = [0.0, 5e-324, 1e-300, *np.logspace(-40, 2, 400)]
+        vals = [numerics.noncentral_chisq_sf(q, 1, d) for d in deltas]
+        assert np.all(np.diff(vals) >= 0.0)
+        # the expansion used for small delta agrees with the normal pair
+        for d in np.logspace(-14, -8.01, 13):
+            rx, rd = math.sqrt(q), math.sqrt(d)
+            pair = scipy.special.ndtr(rd - rx) + scipy.special.ndtr(-rd - rx)
+            assert numerics.noncentral_chisq_sf(q, 1, d) == pytest.approx(pair, abs=1e-16)
+        # are_beta underflows at alpha 1e250: a positive shift keeps the level
+        assert contiguous_table([1e250], [0.0, 30.0], 1.0, 0.05)[1e250][30.0] >= 0.05
+
     def test_known_values(self):
         # published power values at these noncentralities are 0.88 and 0.59
         assert numerics.noncentral_chisq_sf(3.841459, 1, 10) == pytest.approx(0.885, abs=0.01)

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from renyireg import simulation
+from renyireg import numerics, simulation
 from renyireg.exceptions import DegenerateFitError, DomainError
 from renyireg.model import Theta
 from renyireg.numerics import RngStream, chisq_quantile, noncentral_chisq_sf
@@ -106,23 +106,26 @@ class TestRunStudy:
         parallel = run_study(tiny_config(n_workers=2))
         assert study_result_rows(serial) == study_result_rows(parallel)
 
-    @pytest.mark.parametrize("chunksize", [1, 7])
-    def test_csv_bytes_do_not_depend_on_pool_chunks(self, chunksize, tmp_path, monkeypatch):
-        # 24 jobs over two sample sizes: chunks of 7 straddle the blocks
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_csv_bytes_do_not_depend_on_pool_chunks(self, block, tmp_path, monkeypatch):
+        # 24 replications over two sample sizes: blocks of 7 leave a short
+        # last block at each n
         config = tiny_config(sample_sizes=(20, 40), replications=12)
         write_study_csv(run_study(config), tmp_path / "serial.csv")
-        chunks = []
+        tasks = []
 
         class RecordingPool(simulation.ProcessPoolExecutor):
             def map(self, fn, *iterables, **kwargs):
-                chunks.append(kwargs["chunksize"])
+                tasks.extend((n, start, stop) for _, n, start, stop in iterables[0])
+                assert kwargs["chunksize"] == 1
                 return super().map(fn, *iterables, **kwargs)
 
         monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(simulation, "_CHUNKSIZE", chunksize)
+        monkeypatch.setattr(simulation, "_BLOCK", block)
         pooled = run_study(dataclasses.replace(config, n_workers=2))
         write_study_csv(pooled, tmp_path / "pooled.csv")
-        assert chunks == [chunksize]
+        starts = range(0, 12, block)
+        assert tasks == [(n, s, min(s + block, 12)) for n in (20, 40) for s in starts]
         assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
     def test_deterministic_repeat(self):
@@ -176,8 +179,8 @@ class TestRunStudy:
     @pytest.mark.parametrize("workers, opened", [(64, 8), (3, 3)])
     def test_pool_is_sized_by_the_work(self, workers, opened, monkeypatch):
         # a pool starts all its workers at its first task, so a study of 8
-        # jobs asks for at most 8; the fake maps in-process, so a broken cap
-        # starts no process
+        # blocks (16 replications) asks for at most 8; the fake maps
+        # in-process, so a broken cap starts no process
         sizes = []
 
         class InProcessPool:
@@ -190,14 +193,29 @@ class TestRunStudy:
             def __exit__(self, *exc_info):
                 return False
 
-            def map(self, fn, jobs, chunksize=1):
-                return map(fn, jobs)
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
 
         monkeypatch.setattr(simulation, "ProcessPoolExecutor", InProcessPool)
-        config = tiny_config(sample_sizes=(20, 40), replications=4)
+        monkeypatch.setattr(simulation, "_BLOCK", 2)
+        config = tiny_config(sample_sizes=(20, 40), replications=8)
         pooled = run_study(dataclasses.replace(config, n_workers=workers))
         assert sizes == [opened]
         assert study_result_rows(pooled) == study_result_rows(run_study(config))
+
+    def test_design_is_checked_once_per_block(self, monkeypatch):
+        # 3 blocks of at most 5 replications at each n, 3 draws per
+        # replication; the design's 2 x 2 X'X/n is rank-checked once per block
+        grams = []
+        real = numerics.scaled_min_eigenvalue
+        monkeypatch.setattr(
+            numerics, "scaled_min_eigenvalue", lambda gram: grams.append(np.shape(gram)) or real(gram)
+        )
+        monkeypatch.setattr(simulation, "_BLOCK", 5)
+        run_study(tiny_config(sample_sizes=(20, 40), replications=12))
+        assert grams.count((2, 2)) == 6
+        # and each of the two hypotheses once per block
+        assert grams.count((1, 1)) == 12
 
     def test_failed_fits_are_counted_per_cell(self, monkeypatch):
         # fits run in draw order, three per replication (the null, then the
