@@ -8,6 +8,8 @@ observations with large standardized residuals.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .data import DatasetDescriptor, exclude_rows, load_csv, load_dataset
 from .estimation import (
     CovarianceTriple,
@@ -85,4 +87,8 @@ from .simulation import (
     write_study_json,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, not the submodules that importing them binds here
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

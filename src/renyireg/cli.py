@@ -209,10 +209,12 @@ def cmd_test(args) -> int:
 
 
 def cmd_influence(args) -> int:
-    if len(args.t_grid) != 3 or args.t_grid[2] < 1:
-        raise DomainError("--t-grid expects lo,hi,count with count >= 1")
-    lo, hi, count = args.t_grid
-    grid = np.linspace(lo, hi, int(count))
+    *bounds, count = args.t_grid
+    if len(bounds) != 2 or not (count >= 1 and float(count).is_integer()):
+        raise DomainError("--t-grid expects lo,hi,count with an integer count >= 1")
+    if args.direction < -1:
+        raise DomainError(f"--direction must be an observation index or -1, got {args.direction}")
+    grid = np.linspace(*bounds, int(count))
     data, inputs = _resolve_data(args)
     if args.exclude:
         data = exclude_rows(data, args.exclude)

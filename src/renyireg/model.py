@@ -40,6 +40,9 @@ __all__ = [
 ]
 
 LOG_2PI = math.log(2.0 * math.pi)
+# directions per quadrature call: 2^16 evaluation points of the 64-node
+# rule, the largest block that robustness.if_general takes
+_QUADRATURE_DIRECTIONS = (1 << 16) // numerics.QUADRATURE_NODES
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,6 +179,11 @@ def _outer(v):
     return v[..., :, None] * v[..., None, :]
 
 
+def _per_direction(i, value):
+    """A float for an int direction ``i``, else ``value`` once per direction."""
+    return float(value) if np.ndim(i) == 0 else np.full(np.shape(i), value)
+
+
 class DensityFamily:
     """Contract for a family of densities sharing a common parameter.
 
@@ -299,30 +307,28 @@ class NormalLinearFamily(DensityFamily):
         return jac
 
     def center(self, i, theta):
-        mu = self._mean(self.design[i], theta)
-        return float(mu) if np.ndim(i) == 0 else mu
+        return _per_direction(i, self._mean(self.design[i], theta))
 
     def scale(self, i, theta):
-        return theta.sigma if np.ndim(i) == 0 else np.full(np.shape(i), theta.sigma)
+        return _per_direction(i, theta.sigma)
 
     # closed-form integrals ------------------------------------------------
-    # For c > 0, f^c = K_c * N(mu, sigma^2/c) with
-    # K_c = (2 pi)^{(1-c)/2} sigma^{1-c} c^{-1/2}.
+    # For c > 0, f^c = K_c * N(mu, sigma^2/c), where the logarithm
+    # log K_c = (1-c) log(sqrt(2 pi) sigma) - log(c)/2 is finite for every c.
+
+    @staticmethod
+    def _log_mass(theta, c):
+        _check_exponent(c)
+        return (1.0 - c) * (0.5 * LOG_2PI + math.log(theta.sigma)) - 0.5 * math.log(c)
 
     def _mass(self, theta, c):
-        _check_exponent(c)
-        sig = theta.sigma
-        return (2.0 * math.pi) ** ((1.0 - c) / 2.0) * sig ** (1.0 - c) / math.sqrt(c)
+        return math.exp(self._log_mass(theta, c))
 
     def power_integral(self, i, theta, c):
-        mass = self._mass(theta, c)
-        return mass if np.ndim(i) == 0 else np.full(np.shape(i), mass)
+        return _per_direction(i, self._mass(theta, c))
 
     def log_power_integral(self, i, theta, c):
-        # log K_c, finite for every finite c > 0
-        _check_exponent(c)
-        log_mass = (1.0 - c) * (0.5 * LOG_2PI + math.log(theta.sigma)) - 0.5 * math.log(c)
-        return log_mass if np.ndim(i) == 0 else np.full(np.shape(i), log_mass)
+        return _per_direction(i, self._log_mass(theta, c))
 
     def power_score_integral(self, i, theta, c):
         # under N(mu, sigma^2/c): E[u_beta] = 0, E[u_sigma] = (1/c - 1)/sigma
@@ -382,10 +388,14 @@ class QuadratureFamily(DensityFamily):
         return self.base.scale(i, theta)
 
     def _integrate(self, i, theta, c, weight=None):
-        """int f_i^c weight dy; ``weight`` maps the node array to one value
-        or array per node, and each function is evaluated once on all nodes
-        (``(64,)`` for an int ``i``, ``(k, 64)`` for k directions)."""
+        """int f_i^c weight dy; ``weight(i, y, theta)`` maps the node array
+        (``(64,)`` for an int ``i``, ``(k, 64)`` for k directions, in blocks
+        of ``_QUADRATURE_DIRECTIONS``) to one value or array per node, and
+        each function is evaluated once on all nodes of a block."""
         _check_exponent(c)
+        if np.ndim(i) == 1 and len(i) > _QUADRATURE_DIRECTIONS:
+            blocks = np.split(i, range(_QUADRATURE_DIRECTIONS, len(i), _QUADRATURE_DIRECTIONS))
+            return np.concatenate([self._integrate(b, theta, c, weight) for b in blocks])
         center = self.base.center(i, theta)
         # f^c concentrates like the base density narrowed by sqrt(c)
         scale = self.base.scale(i, theta) / math.sqrt(c)
@@ -394,7 +404,7 @@ class QuadratureFamily(DensityFamily):
             f_c = np.exp(c * self.base.log_density(i, y, theta))
             if weight is None:
                 return f_c
-            w = weight(y)
+            w = weight(i, y, theta)
             return f_c.reshape(f_c.shape + (1,) * (w.ndim - f_c.ndim)) * w
 
         return numerics.integrate(fn, center, scale)
@@ -403,35 +413,33 @@ class QuadratureFamily(DensityFamily):
         return self._integrate(i, theta, c)
 
     def power_score_integral(self, i, theta, c):
-        return self._integrate(i, theta, c, lambda y: self.base.score_vector(i, y, theta))
+        return self._integrate(i, theta, c, self.base.score_vector)
 
     def power_score_outer_integral(self, i, theta, c):
-        return self._integrate(i, theta, c, lambda y: _outer(self.base.score_vector(i, y, theta)))
+        return self._integrate(i, theta, c, lambda j, y, t: _outer(self.base.score_vector(j, y, t)))
 
     def power_score_jacobian_integral(self, i, theta, c):
-        return self._integrate(i, theta, c, lambda y: self.base.score_jacobian(i, y, theta))
+        return self._integrate(i, theta, c, self.base.score_jacobian)
 
 
 # ---------------------------------------------------------------------------
 # objective pieces
 # ---------------------------------------------------------------------------
 
-def rp_loss_single(family: DensityFamily, i: int, y: float, theta: Theta, alpha: float) -> float:
-    """Per-observation divergence loss, dropping the theta-free constant.
-
-    For ``alpha > 0`` this is ``log(int f_i^{alpha+1})/(alpha+1) - log f_i(y)``;
-    at ``alpha = 0`` it is the negative log-density.
-    """
+def rp_loss_single(family: DensityFamily, i, y, theta: Theta, alpha: float):
+    """Per-observation divergence loss, dropping the theta-free constant:
+    ``log(int f_i^{alpha+1})/(alpha+1) - log f_i(y)`` for ``alpha > 0``, the
+    negative log-density at ``alpha = 0``, infinite where ``log f_i(y)`` is
+    not finite.  A float for an int ``i``, one loss per direction for an
+    index array (``i`` and ``y`` as in the contract)."""
     check_alpha(alpha)
     log_f = family.log_density(i, y, theta)
-    if not np.isfinite(log_f) or log_f == -np.inf:
-        return math.inf
-    if alpha == 0.0:
-        return -log_f
-    return family.log_power_integral(i, theta, alpha + 1.0) / (alpha + 1.0) - log_f
+    norm = family.log_power_integral(i, theta, alpha + 1.0) / (alpha + 1.0) if alpha else 0.0
+    loss = np.where(np.isfinite(log_f), norm - log_f, np.inf)
+    return float(loss) if loss.ndim == 0 else loss
 
 
-def v_weight(family: DensityFamily, i: int, y: float, theta: Theta, alpha: float) -> float:
+def v_weight(family: DensityFamily, i, y, theta: Theta, alpha: float):
     """The per-observation objective weight V_i, constants retained.
 
     Equals ``exp(-alpha * rp_loss_single(...))`` and, for the normal family,
@@ -440,50 +448,41 @@ def v_weight(family: DensityFamily, i: int, y: float, theta: Theta, alpha: float
     """
     if alpha <= 0:
         raise DomainError(f"v_weight requires alpha > 0, got {alpha}")
-    return math.exp(-alpha * rp_loss_single(family, i, y, theta, alpha))
+    with np.errstate(over="raise"):  # a weight past the double range raises, never reads inf
+        v = np.exp(-alpha * rp_loss_single(family, i, y, theta, alpha))
+    return float(v) if v.ndim == 0 else v
 
 
 def objective(family: DensityFamily, data: ModelData, theta: Theta, alpha: float) -> float:
     """Sample objective whose maximizer is the estimator.
 
     Average of ``v_weight`` over observations for ``alpha > 0``; average
-    log-likelihood at ``alpha = 0``.
+    log-likelihood at ``alpha = 0``.  One family call on all observations.
     """
     check_alpha(alpha)
-    y = data.response
+    i, y = np.arange(data.n_obs), data.response
     if alpha == 0.0:
-        return float(
-            np.mean([family.log_density(i, y[i], theta) for i in range(data.n_obs)])
-        )
-    return float(
-        np.mean([v_weight(family, i, y[i], theta, alpha) for i in range(data.n_obs)])
-    )
+        return float(np.mean(family.log_density(i, y, theta)))
+    return float(np.mean(v_weight(family, i, y, theta, alpha)))
 
 
 def score(family: DensityFamily, data: ModelData, theta: Theta, alpha: float) -> np.ndarray:
     """Gradient of :func:`objective` with respect to (beta, sigma).
 
-    For the normal family the components are positive multiples of the sums
-    ``sum e^{-alpha r_i^2/2} r_i x_i`` and
-    ``sum e^{-alpha r_i^2/2} (r_i^2 - 1/(1+alpha))``.
+    ``d V_i / d theta = alpha V_i (u_i(y_i) - m_i)``, ``m_i`` the mean of u_i
+    under f_i^{1+alpha}; for the normal family the components are positive
+    multiples of ``sum e^{-alpha r_i^2/2} r_i x_i`` and
+    ``sum e^{-alpha r_i^2/2} (r_i^2 - 1/(1+alpha))``.  ``m_i`` is lost, and
+    ``ArithmeticError`` raised, where ``int f_i^{1+alpha}`` is not a
+    positive normal (so finite) double: it underflows at huge alpha.
     """
     check_alpha(alpha)
-    y = data.response
-    n = data.n_obs
+    i, y = np.arange(data.n_obs), data.response
+    u = family.score_vector(i, y, theta)
     if alpha == 0.0:
-        grad = np.zeros(theta.dim)
-        for i in range(n):
-            grad += family.score_vector(i, y[i], theta)
-        return grad / n
-    grad = np.zeros(theta.dim)
-    for i in range(n):
-        v = v_weight(family, i, y[i], theta, alpha)
-        u = family.score_vector(i, y[i], theta)
-        c = family.power_score_integral(i, theta, alpha + 1.0) / family.power_integral(
-            i, theta, alpha + 1.0
-        )
-        # d V_i / d theta = alpha * V_i * (u_i(y) - tilted mean of u_i)
-        grad += alpha * v * (u - c)
-        # (for the normal family the tilted-mean term is the -1/(1+alpha)
-        #  part of the sigma component and zero for beta)
-    return grad / n
+        return np.mean(u, axis=0)
+    j0 = family.power_integral(i, theta, alpha + 1.0)
+    if not np.all((j0 >= np.finfo(float).tiny) & (j0 < math.inf)):
+        raise ArithmeticError(f"int f^(1+alpha) at alpha {alpha} is not a positive normal double")
+    tilted = family.power_score_integral(i, theta, alpha + 1.0) / j0[:, None]
+    return alpha * np.mean(v_weight(family, i, y, theta, alpha)[:, None] * (u - tilted), axis=0)

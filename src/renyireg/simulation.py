@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import write_csv, write_json
 from .estimation import fit_rp_path
-from .exceptions import DegenerateFitError, DomainError, check_alpha, check_probability
+from .exceptions import DegenerateFitError, DomainError, check_alpha, check_probability, is_index
 from .inference import LinearHypothesis, wald_composite
 from .model import Design, ModelData, Theta
 from .numerics import RngStream, chisq_quantile, noncentral_chisq_sf
@@ -65,9 +65,9 @@ class DesignSpec:
         if self.kind not in ("two_point", "fixed_normal"):
             raise DomainError(f"unknown design kind {self.kind!r}")
         if self.n < 4:
-            raise DomainError("need n >= 4")
+            raise DomainError(f"need n >= 4, got {self.n}")
         if self.kind == "two_point" and self.n % 2 != 0:
-            raise DomainError("two-point design requires even n")
+            raise DomainError(f"two-point design requires even n, got {self.n}")
 
 
 @dataclass(frozen=True)
@@ -123,6 +123,22 @@ class StudyConfig:
         for a in self.alphas:
             check_alpha(a)
         check_probability(self.level, "level")
+        # every design has an intercept and one covariate: theta is (beta0, beta1, sigma)
+        betas = {"true_beta": self.true_beta}
+        if self.contamination is not None:
+            betas["contaminating_beta"] = self.contamination.contaminating_beta
+        for name, beta in betas.items():
+            if np.shape(beta) != (2,):
+                raise DomainError(f"{name} needs 2 entries, one per design column, got {beta}")
+        for name, index, *_ in self.hypotheses:
+            if not is_index(index, 3):
+                raise DomainError(f"hypothesis {name}: parameter index {index} outside 0..2")
+        if not is_index(self.n_workers) or self.n_workers < 1:
+            raise DomainError(f"need at least one worker, got {self.n_workers}")
+        if len(set(self.ns)) != len(self.ns):
+            raise DomainError(f"sample sizes repeat: {self.ns}")
+        for n in self.ns:
+            replace(self.design, n=n)  # the design refuses an n it cannot build
 
     @property
     def ns(self) -> tuple:

@@ -26,7 +26,15 @@ from renyireg.inference import (
     contiguous_power,
     required_sample_size,
 )
-from renyireg.model import ModelData, NormalLinearFamily, Theta, objective, rp_loss_single, v_weight
+from renyireg.model import (
+    ModelData,
+    NormalLinearFamily,
+    Theta,
+    objective,
+    rp_loss_single,
+    score,
+    v_weight,
+)
 from renyireg.numerics import chisq_quantile, normal_quantile
 from renyireg.robustness import IFRequest, are, gross_error_sensitivity, if_mlrm_closed
 from renyireg.simulation import StudyConfig, contiguous_table
@@ -224,6 +232,9 @@ def test_generic_route_at_huge_alpha(a):
     sigma = THETA.sigma
     r = (DATA.response - DATA.design @ THETA.beta) / sigma
     log_v = a / (1 + a) * (0.5 * math.log((1 + a) / (2 * math.pi)) - math.log(sigma)) - 0.5 * a * r * r
+    # d V_i / d beta = a V_i r_i x_i / sigma, d V_i / d sigma = a V_i (r_i^2 - 1/(1+a)) / sigma
+    terms = np.column_stack([r[:, None] * DATA.design, r * r - 1.0 / (1.0 + a)])
+    gradient = a * np.mean(np.exp(log_v)[:, None] * terms, axis=0) / sigma
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for i, y in enumerate(DATA.response):
@@ -231,6 +242,12 @@ def test_generic_route_at_huge_alpha(a):
             assert loss == pytest.approx(-log_v[i] / a, rel=1e-12), i
             assert v_weight(family, i, y, THETA, a) == pytest.approx(math.exp(log_v[i]), rel=1e-10), i
         value = objective(family, DATA, THETA, a)
+        if a < 1e4:
+            assert score(family, DATA, THETA, a) == pytest.approx(gradient, rel=1e-12)
+        else:
+            # int f^{1+a} underflows to 0, and with it the score's tilted mean
+            with pytest.raises(ArithmeticError, match="alpha"):
+                score(family, DATA, THETA, a)
     assert value == pytest.approx(float(np.mean(np.exp(log_v))), rel=1e-10)
 
 
@@ -263,6 +280,8 @@ CLI_CASES = [
     (["test", "--data", "first_word", "--null", "beta-1=1"], "beta-1"),
     (["test", "--data", "first_word", "--null", "beta1=nan"], "finite"),
     (["power", "--dx", "nan"], "shift"),
+    (["influence", "--data", "first_word", "--direction", "-2"], "--direction"),
+    (["influence", "--data", "first_word", "--t-grid", "0,1,2.5"], "--t-grid"),
 ]
 
 

@@ -356,6 +356,33 @@ class TestSimulate:
         assert code == EXIT_ERROR
         assert capsys.readouterr().err.startswith(f"error: {cfg}:2: ")
 
+    @pytest.mark.parametrize(
+        "text, workers, named",
+        [
+            ("true_beta = 1,2,3\n", 1, "true_beta"),
+            ("true_beta = 1\n", 1, "true_beta"),
+            ("contamination_fraction = 0.1\ncontaminating_beta = 1.5\n", 1, "contaminating_beta"),
+            ("", 0, "worker"),
+            ("", -3, "worker"),
+            ("sample_sizes = 20,21\n", 2, "even n"),
+            ("sample_sizes = 2,20\n", 2, "n >= 4"),
+            ("sample_sizes = 20,20\n", 1, "repeat"),
+        ],
+    )
+    def test_config_refused_before_the_study(
+        self, tmp_path, capsys, monkeypatch, text, workers, named
+    ):
+        studies = []
+        monkeypatch.setattr(cli, "run_study", studies.append)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", str(cfg), "--workers", str(workers), "--output", str(out)]
+        assert main(argv) == EXIT_ERROR
+        error = capsys.readouterr().err
+        assert error.startswith("error: ") and named in error, error
+        assert studies == [] and not out.exists()
+
 
 class TestConfigDefaults:
     def test_absent_keys_take_dataclass_defaults(self, tmp_path):

@@ -27,6 +27,19 @@ def toy_data(rng, n=6, p=2, sigma=1.0):
     return ModelData(design=x, response=y), Theta(beta=beta, sigma=sigma)
 
 
+def record_integrate_sizes(monkeypatch):
+    """The number of directions of each later ``numerics.integrate`` call."""
+    sizes = []
+    integrate = numerics.integrate
+
+    def recording(fn, center, scale):
+        sizes.append(np.size(center))
+        return integrate(fn, center, scale)
+
+    monkeypatch.setattr(numerics, "integrate", recording)
+    return sizes
+
+
 class TestTypes:
     def test_theta_validation(self):
         with pytest.raises(DomainError):
@@ -266,6 +279,18 @@ class TestArrayContract:
                 getattr(quad, method)(i, theta, 1.6)
                 assert sorted(calls) == [(name, nodes) for name in names], (method, nodes)
 
+    def test_quadrature_blocks_change_no_bit(self, rng, monkeypatch):
+        # 3000 directions are integrated in blocks of at most 1024 directions
+        x = np.column_stack([np.ones(3000), rng.normal(size=3000)])
+        quad = QuadratureFamily(NormalLinearFamily(x))
+        theta = Theta(beta=rng.normal(size=2), sigma=0.9)
+        idx = np.arange(3000)
+        sizes = record_integrate_sizes(monkeypatch)
+        whole = quad.power_integral(idx, theta, 1.6)
+        assert sizes == [1024, 1024, 952]
+        blocks = [quad.power_integral(idx[s : s + 1000], theta, 1.6) for s in range(0, 3000, 1000)]
+        np.testing.assert_array_equal(whole, np.concatenate(blocks))
+
 
 class TestLossAndWeight:
     def test_loss_zero_residual_alpha0(self):
@@ -336,6 +361,21 @@ class TestLossAndWeight:
         v2 = v_weight(fam, 0, c * 1.3, Theta(beta=np.array([0.0]), sigma=c), alpha)
         assert v2 == pytest.approx(v1 * c ** (-alpha / (alpha + 1)), rel=1e-12)
 
+    @pytest.mark.parametrize("quadrature", [False, True])
+    def test_index_array_equals_int_directions(self, rng, quadrature):
+        data, theta = toy_data(rng, n=9)
+        fam = NormalLinearFamily(data.design)
+        if quadrature:
+            fam = QuadratureFamily(fam)
+        idx = np.array([3, 0, 8, 3])
+        y = data.response[idx]
+        for fn, alpha in ((rp_loss_single, 0.0), (rp_loss_single, 0.6), (v_weight, 0.6)):
+            single = [fn(fam, int(i), float(y[d]), theta, alpha) for d, i in enumerate(idx)]
+            assert all(type(value) is float for value in single)
+            got = fn(fam, idx, y, theta, alpha)
+            assert got.shape == idx.shape
+            np.testing.assert_array_equal(got, single)
+
     def test_alpha_zero_rejected(self):
         fam = NormalLinearFamily(np.ones((2, 1)))
         with pytest.raises(DomainError):
@@ -387,6 +427,18 @@ class TestObjective:
             assert objective(fam, data, theta, alpha) == pytest.approx(
                 objective(fam2, data2, theta, alpha), rel=1e-12
             )
+
+    def test_quadrature_route_makes_one_call_per_integral(self, rng, monkeypatch):
+        data, theta = toy_data(rng, n=200)
+        fam = NormalLinearFamily(data.design)
+        quad = QuadratureFamily(fam)
+        calls = record_integrate_sizes(monkeypatch)
+        value = objective(quad, data, theta, 0.5)
+        gradient = score(quad, data, theta, 0.5)
+        # one for the objective's weights; the score's two integrals and its weights
+        assert calls == [200] * 4
+        assert value == pytest.approx(objective(fam, data, theta, 0.5), rel=1e-10)
+        assert gradient == pytest.approx(score(fam, data, theta, 0.5), rel=1e-10)
 
 
 class TestScore:

@@ -1,6 +1,7 @@
 """Package-level properties: what importing renyireg costs."""
 
 import importlib
+import inspect
 import json
 import math
 import os
@@ -75,3 +76,12 @@ def test_every_exported_name_resolves():
         if not hasattr(module, name)
     ]
     assert missing == []
+
+
+def test_star_import_binds_no_module():
+    namespace = {}
+    exec("from renyireg import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(renyireg.__all__)
+    assert [name for name, value in namespace.items() if inspect.ismodule(value)] == []
+    assert {"fit_rp", "ModelData", "run_study"} <= set(renyireg.__all__)

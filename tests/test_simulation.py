@@ -291,6 +291,38 @@ class TestRunStudy:
             assert float(got["empirical_level"]) == want["empirical_level"]
 
 
+class TestStudyConfigChecks:
+    """A configuration the study cannot run is refused when it is built,
+    not from inside a replication block or a pool worker."""
+
+    @pytest.mark.parametrize(
+        "changes, named",
+        [
+            ({"true_beta": (1.0,)}, "true_beta needs 2 entries"),
+            ({"true_beta": (1.0, 2.0, 3.0)}, "true_beta needs 2 entries"),
+            (
+                {"contamination": ContaminationSpec(contaminating_beta=(1.5, 2.0, 0.0))},
+                "contaminating_beta needs 2 entries",
+            ),
+            ({"hypotheses": (("beta1", 3, 1.0, None),)}, "index 3 outside 0..2"),
+            ({"hypotheses": (("sigma", -1, 1.0, 0.8),)}, "index -1 outside 0..2"),
+            ({"n_workers": 0}, "worker"),
+            ({"n_workers": -3}, "worker"),
+            ({"sample_sizes": (20, 21)}, "even n, got 21"),
+            ({"sample_sizes": (2,)}, "n >= 4, got 2"),
+            ({"design": DesignSpec(kind="fixed_normal"), "sample_sizes": (3,)}, "n >= 4, got 3"),
+            ({"sample_sizes": (20, 40, 20)}, "repeat"),
+        ],
+    )
+    def test_refused_when_built(self, changes, named):
+        with pytest.raises(DomainError, match=named):
+            StudyConfig(**changes)
+
+    def test_odd_n_allowed_on_a_normal_design(self):
+        config = StudyConfig(design=DesignSpec(kind="fixed_normal"), sample_sizes=(21, 40))
+        assert config.ns == (21, 40)
+
+
 class TestContiguousTable:
     def test_zero_shift_column_is_level(self):
         table = contiguous_table([0.0, 0.5, 1.5], [0.0, 5.0], sigma=1.0, level=0.05)
