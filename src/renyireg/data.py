@@ -18,9 +18,6 @@ __all__ = [
     "load_csv",
     "load_dataset",
     "exclude_rows",
-    "BUNDLED_DATASETS",
-    "write_csv",
-    "write_json",
 ]
 
 

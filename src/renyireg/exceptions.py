@@ -2,6 +2,8 @@
 
 import numpy as np
 
+__all__ = ["DecompositionError", "DegenerateFitError", "DomainError", "NonFiniteIntegrandError"]
+
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""

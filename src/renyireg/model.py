@@ -40,9 +40,9 @@ __all__ = [
 ]
 
 LOG_2PI = math.log(2.0 * math.pi)
-# directions per quadrature call: 2^16 evaluation points of the 64-node
-# rule, the largest block that robustness.if_general takes
-_QUADRATURE_DIRECTIONS = (1 << 16) // numerics.QUADRATURE_NODES
+# directions per quadrature call: one block of evaluation points, the
+# largest block that robustness.if_general takes
+_QUADRATURE_DIRECTIONS = numerics.BLOCK_POINTS // numerics.QUADRATURE_NODES
 
 
 @dataclass(frozen=True, eq=False)
@@ -466,6 +466,15 @@ def objective(family: DensityFamily, data: ModelData, theta: Theta, alpha: float
     return float(np.mean(v_weight(family, i, y, theta, alpha)))
 
 
+def _power_mass(family: DensityFamily, i, theta: Theta, alpha: float) -> np.ndarray:
+    """``int f_i^{1+alpha}`` for the directions ``i``, the divisor of every tilted
+    mean; ``ArithmeticError`` where it is not a positive normal double."""
+    j0 = family.power_integral(i, theta, alpha + 1.0)
+    if not np.all((j0 >= np.finfo(float).tiny) & (j0 < math.inf)):
+        raise ArithmeticError(f"int f^(1+alpha) at alpha {alpha} is not a positive normal double")
+    return j0
+
+
 def score(family: DensityFamily, data: ModelData, theta: Theta, alpha: float) -> np.ndarray:
     """Gradient of :func:`objective` with respect to (beta, sigma).
 
@@ -473,16 +482,13 @@ def score(family: DensityFamily, data: ModelData, theta: Theta, alpha: float) ->
     under f_i^{1+alpha}; for the normal family the components are positive
     multiples of ``sum e^{-alpha r_i^2/2} r_i x_i`` and
     ``sum e^{-alpha r_i^2/2} (r_i^2 - 1/(1+alpha))``.  ``m_i`` is lost, and
-    ``ArithmeticError`` raised, where ``int f_i^{1+alpha}`` is not a
-    positive normal (so finite) double: it underflows at huge alpha.
+    ``ArithmeticError`` raised, where :func:`_power_mass` is.
     """
     check_alpha(alpha)
     i, y = np.arange(data.n_obs), data.response
     u = family.score_vector(i, y, theta)
     if alpha == 0.0:
         return np.mean(u, axis=0)
-    j0 = family.power_integral(i, theta, alpha + 1.0)
-    if not np.all((j0 >= np.finfo(float).tiny) & (j0 < math.inf)):
-        raise ArithmeticError(f"int f^(1+alpha) at alpha {alpha} is not a positive normal double")
+    j0 = _power_mass(family, i, theta, alpha)
     tilted = family.power_score_integral(i, theta, alpha + 1.0) / j0[:, None]
     return alpha * np.mean(v_weight(family, i, y, theta, alpha)[:, None] * (u - tilted), axis=0)

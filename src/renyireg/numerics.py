@@ -28,7 +28,6 @@ __all__ = [
     "integrate",
     "solve_spd",
     "min_eigenvalue",
-    "scaled_min_eigenvalue",
 ]
 
 
@@ -245,6 +244,9 @@ def noncentral_chisq_sf(x, df, delta):
 
 # nodes of the Gauss-Hermite rule that ``integrate`` uses
 QUADRATURE_NODES = 64
+# evaluation points (quadrature nodes, residuals) per block of an array-valued
+# integrand or score matrix, so that memory stays bounded in n
+BLOCK_POINTS = 1 << 16
 
 
 @functools.cache

@@ -30,7 +30,7 @@ from . import numerics
 from .estimation import _normal_factors, _sigma_n
 from .exceptions import DecompositionError, DomainError, check_alpha, is_index
 from .inference import LinearHypothesis
-from .model import DensityFamily, ModelData, Theta
+from .model import DensityFamily, ModelData, Theta, _power_mass
 
 __all__ = [
     "IFRequest",
@@ -45,11 +45,6 @@ __all__ = [
 ]
 
 UNBOUNDED_SENSITIVITY = math.inf
-
-# residuals per block of the points x directions matrix in _stacked_scores,
-# and evaluation points (quadrature nodes or contamination points) per block
-# of directions in if_general
-_STACKED_BLOCK_RESIDUALS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -118,7 +113,8 @@ def if_general(family: DensityFamily, data: ModelData, req: IFRequest) -> IFRepo
     difference of the two per-direction curvature blocks of the estimating
     equations; at the model they share every integral, with exponent
     alpha + 1 throughout, the score-Jacobian integral cancels, and what is
-    left is the tilted score covariance (j2 j0 - j1 j1') / j0^2.
+    left is the tilted score covariance j2 / j0 - m m', m = j1 / j0.  Where
+    j0 is not a positive normal double, ``ArithmeticError`` names alpha.
     """
     n = family.n_directions
     if n != data.n_obs:
@@ -130,26 +126,24 @@ def if_general(family: DensityFamily, data: ModelData, req: IFRequest) -> IFRepo
     hit[_direction_indices(req, n)] = True
     total = np.zeros((family.param_dim, family.param_dim))
     num = np.zeros((pts.size, family.param_dim))
-    size = max(1, _STACKED_BLOCK_RESIDUALS // max(numerics.QUADRATURE_NODES, pts.size))
+    size = max(1, numerics.BLOCK_POINTS // max(numerics.QUADRATURE_NODES, pts.size))
     for start in range(0, n, size):
         block = np.arange(start, min(start + size, n))
-        j0 = family.power_integral(block, theta, c)
-        j1 = family.power_score_integral(block, theta, c)
+        j0 = _power_mass(family, block, theta, alpha)
+        m = family.power_score_integral(block, theta, c) / j0[:, None]
         j2 = family.power_score_outer_integral(block, theta, c)
-        total += np.sum(
-            (j2 * j0[:, None, None] - j1[:, :, None] * j1[:, None, :]) / (j0**2)[:, None, None],
-            axis=0,
-        )
+        total += np.sum(j2 / j0[:, None, None] - m[:, :, None] * m[:, None, :], axis=0)
         sel = hit[block]
         if sel.any():
-            # the estimating score of direction i at t, f_i(t)^alpha (u_i(t) j0 - j1) / j0^2,
+            # the estimating score of direction i at t, f_i(t)^alpha (u_i(t) - m_i) / j0_i,
             # is 1/sqrt(1+alpha)-tilted relative to the psi normalization; the
-            # matrix carries the same factor, so scaling cancels
+            # matrix carries the same factor, so scaling cancels.  f^alpha / j0
+            # is one exponential: f^alpha alone underflows at huge alpha
             i = block[sel]
             u = family.score_vector(i, pts[None, :], theta)
-            f_alpha = np.exp(alpha * family.log_density(i, pts[None, :], theta))
-            k0, k1 = j0[sel, None, None], j1[sel, None, :]
-            num += np.sum(f_alpha[..., None] * (u * k0 - k1) / k0**2, axis=0)
+            log_f = family.log_density(i, pts[None, :], theta)
+            weight = np.exp(alpha * log_f - np.log(j0[sel, None]))
+            num += np.sum(weight[..., None] * (u - m[sel, None, :]), axis=0)
     try:
         m_inv = numerics.spd_inverse(total / n)
     except DecompositionError as err:
@@ -167,7 +161,7 @@ def _stacked_scores(data: ModelData, req: IFRequest) -> np.ndarray:
     psi_i(t) = exp(-a r^2/2) (r x_i, r^2 - 1/(1+a)) / sigma.
 
     The residuals form one points x directions matrix, taken in blocks of
-    whole points of at most ``_STACKED_BLOCK_RESIDUALS`` entries (one point
+    whole points of at most ``numerics.BLOCK_POINTS`` entries (one point
     when a point alone is larger), so memory stays O(n p).
     """
     x = data.design[_direction_indices(req, data.n_obs)]
@@ -175,7 +169,7 @@ def _stacked_scores(data: ModelData, req: IFRequest) -> np.ndarray:
     fitted = x @ req.theta.beta
     pts = req.contamination_points
     out = np.empty((pts.size, data.n_params + 1))
-    rows = max(1, _STACKED_BLOCK_RESIDUALS // fitted.size)
+    rows = max(1, numerics.BLOCK_POINTS // fitted.size)
     for start in range(0, pts.size, rows):
         block = slice(start, start + rows)
         r = (pts[block, None] - fitted) / sig

@@ -39,7 +39,6 @@ __all__ = [
     "generate_data",
     "run_study",
     "contiguous_table",
-    "study_result_rows",
     "write_study_csv",
     "write_study_json",
 ]

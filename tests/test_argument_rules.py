@@ -29,6 +29,7 @@ from renyireg.inference import (
 from renyireg.model import (
     ModelData,
     NormalLinearFamily,
+    QuadratureFamily,
     Theta,
     objective,
     rp_loss_single,
@@ -36,7 +37,13 @@ from renyireg.model import (
     v_weight,
 )
 from renyireg.numerics import chisq_quantile, normal_quantile
-from renyireg.robustness import IFRequest, are, gross_error_sensitivity, if_mlrm_closed
+from renyireg.robustness import (
+    IFRequest,
+    are,
+    gross_error_sensitivity,
+    if_general,
+    if_mlrm_closed,
+)
 from renyireg.simulation import StudyConfig, contiguous_table
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -249,6 +256,27 @@ def test_generic_route_at_huge_alpha(a):
             with pytest.raises(ArithmeticError, match="alpha"):
                 score(family, DATA, THETA, a)
     assert value == pytest.approx(float(np.mean(np.exp(log_v))), rel=1e-10)
+
+
+@pytest.mark.parametrize("direction", ["all", 3])
+@pytest.mark.parametrize("quadrature", [False, True], ids=["closed_form", "quadrature"])
+@pytest.mark.parametrize("a", [540.0, 1e3, 1e4])
+def test_generic_influence_at_huge_alpha(a, quadrature, direction):
+    # int f^{1+a} is a tiny normal double at 540 and 1e3, and 0 at 1e4
+    family = NormalLinearFamily(DATA.design)
+    if quadrature:
+        family = QuadratureFamily(family)
+    req = IFRequest(contamination_points=POINTS, theta=THETA, alpha=a, direction=direction)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if a < 1e4:
+            general = if_general(family, DATA, req).first_order
+            closed = if_mlrm_closed(DATA, req).first_order
+            assert np.max(np.abs(general - closed)) <= 1e-9 * np.max(np.abs(closed))
+        else:
+            refusal = f"alpha {a} is not a positive normal double"
+            with pytest.raises(ArithmeticError, match=refusal):
+                if_general(family, DATA, req)
 
 
 def test_huge_alpha_values():

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from renyireg import cli
+from renyireg import cli, exclude_rows, fit_rp_path, gross_error_sensitivity, load_dataset
 from renyireg.cli import EXIT_ERROR, EXIT_NONCONVERGED, EXIT_OK, build_parser, main
 from renyireg.simulation import ContaminationSpec, DesignSpec, StudyConfig
 
@@ -115,6 +115,13 @@ class TestFit:
         assert code == EXIT_ERROR
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("given", [["--response", "y"], ["--covariates", "x1"], []])
+    def test_user_csv_needs_response_and_covariates(self, tmp_path, capsys, given):
+        argv = ["fit", "--data", str(user_csv(tmp_path)), *given, "--output", str(tmp_path / "out")]
+        assert main(argv) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: user CSV files need --response and --covariates")
+
     def test_negative_column_position_is_an_error(self, tmp_path, capsys):
         # positions are 0-based; -1 is not the last column
         code = main(
@@ -201,16 +208,40 @@ class TestTest:
         )
         assert code == EXIT_ERROR
 
-    @pytest.mark.parametrize("null", ["beta=1", "beta1=abc", "betax=1"])
-    def test_malformed_hypothesis_token(self, tmp_path, capsys, null):
+    @pytest.mark.parametrize(
+        "null, named",
+        [
+            pytest.param(null, named, id=null)
+            for null, named in [
+                ("beta=1", "'beta=1'"),
+                ("beta1=abc", "'beta1=abc'"),
+                ("betax=1", "'betax=1'"),
+                ("beta1", "'beta1'; use name=value"),
+                ("beta2=1", "beta2 out of range for 2 coefficients"),
+                (" , ", "empty hypothesis"),
+            ]
+        ],
+    )
+    def test_malformed_hypothesis_token(self, tmp_path, capsys, null, named):
         # an error line naming the token, not a traceback
         code = main(["test", "--data", "first_word", "--null", null, "--output", str(tmp_path)])
         assert code == EXIT_ERROR
         err = capsys.readouterr().err
-        assert err.startswith("error:") and repr(null) in err
+        assert err.startswith("error:") and named in err
 
 
 class TestInfluence:
+    def test_excluded_rows_are_dropped_before_fitting(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["influence", "--data", "first_word", "--alphas", "0.5", "--direction", "0",
+                "--exclude", "18", "--output", str(out)]
+        assert main(argv) == EXIT_OK
+        data = exclude_rows(load_dataset("first_word").data, [18])
+        theta = fit_rp_path(data, [0.5])[0.5].theta_hat
+        summary = json.loads((out / "influence_summary.json").read_text())["0.5"]
+        got = (summary["gross_error_beta"], summary["gross_error_sigma"])
+        assert got == gross_error_sensitivity(data, 0, theta, 0.5)
+
     def test_summary_flags_unbounded_mle(self, tmp_path):
         code = main(
             [
@@ -347,7 +378,7 @@ class TestSimulate:
         assert "nonsense" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "line", ["n = abc", "alphas = 0,x", "level =", "sample_sizes =", "alphas = ,"]
+        "line", ["n = abc", "alphas = 0,x", "level =", "sample_sizes =", "alphas = ,", "n 20"]
     )
     def test_bad_value_names_its_line(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
@@ -389,6 +420,12 @@ class TestConfigDefaults:
         cfg = tmp_path / "empty.cfg"
         cfg.write_text("# nothing set\n")
         assert cli._parse_config_file(cfg) == StudyConfig()
+
+    def test_seed_flag_overrides_the_file(self, tmp_path):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("seed = 3\n")
+        assert cli._parse_config_file(cfg).seed == 3
+        assert cli._parse_config_file(cfg, seed_override=9).seed == 9
 
     def test_every_key_sets_its_field(self, tmp_path):
         values = {

@@ -65,6 +65,23 @@ class TestLoadCsv:
         with pytest.raises(DomainError):
             load_csv(path, response_column="y", covariate_columns=["x"], transform="log_log")
 
+    @pytest.mark.parametrize(
+        "text, kwargs, named",
+        [
+            ("y,x\n1.0,2.0\n", {"transform": "log"}, "unknown transform 'log'"),
+            ("", {}, "no data rows"),
+            ("\n , \n", {}, "no data rows"),
+            ("y,x\n", {}, "no data rows"),
+            ("1.0,2.0\n2.0,3.0\n", {"header": False}, "named but the file has no header"),
+        ],
+        ids=["unknown transform", "empty file", "blank rows", "header only", "no header"],
+    )
+    def test_refused(self, tmp_path, text, kwargs, named):
+        path = tmp_path / "toy.csv"
+        path.write_text(text)
+        with pytest.raises(DomainError, match=named):
+            load_csv(path, response_column="y", covariate_columns=["x"], **kwargs)
+
 
 class TestBundled:
     def test_brain_weight_shape_and_logs(self):

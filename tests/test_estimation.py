@@ -3,11 +3,12 @@
 import dataclasses
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from renyireg import estimation
+from renyireg import estimation, numerics
 from renyireg.data import exclude_rows, load_dataset
 from renyireg.estimation import (
     SolverOptions,
@@ -409,6 +410,16 @@ class TestSolverKernel:
         val, _, _ = _objective_grad_hess(x, y, beta, point[-1], alpha)
         assert val == -math.inf
 
+    def test_stage_with_nothing_to_ascend_ends_unconverged(self):
+        # at sigma 1e-3 every weight of residuals near 100 underflows: value,
+        # gradient and Hessian are 0, and there is no saddle-free direction
+        x = np.asfortranarray(np.column_stack([np.ones(6), np.arange(6.0)]))
+        y = 100.0 * np.array([1.0, -1.0, 2.0, -2.0, 1.0, -1.0])
+        stage = estimation._newton_stage(
+            x, y, np.zeros(2), math.log(1e-3), 1.0, 1e-12, x.T @ x / 6
+        )
+        assert (stage.converged, stage.iterations, stage.value) == (False, 0, 0.0)
+
 
 class TestBlockedKernel:
     """The kernel sums over blocks of ``_ROWS`` rows; on a design of two full
@@ -505,6 +516,31 @@ class TestMultistart:
         assert multi.converged
         assert multi.objective_value >= plain.objective_value
 
+    def test_singular_and_exact_subsamples_are_skipped(self, monkeypatch):
+        # rows 0-5 share one covariate value, so their subsample has a
+        # singular X'X; rows 6-11 lie on a line, so theirs fits exactly and
+        # its scale is below the collapse floor.  Only the third, mixed
+        # subsample starts a Newton run
+        x1 = np.array([1.0] * 6 + [2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+        y = np.concatenate([[0.4, 3.1, 1.7, 4.2, 2.5, 3.6], 1.0 + 2.0 * x1[6:]])
+        data = ModelData(design=np.column_stack([np.ones(12), x1]), response=y)
+        subsets = iter([np.arange(6), np.arange(6, 12), np.array([0, 2, 6, 8, 10, 11])])
+        draws = SimpleNamespace(choice=lambda n, size, replace: next(subsets), random=lambda: 0.5)
+        scripted = SimpleNamespace(generator=draws)
+        monkeypatch.setattr(numerics, "RngStream", lambda seed, stream_id: scripted)
+        stages = []
+        stage = estimation._newton_stage
+
+        def recording(x, y, beta, s, a, *args):
+            stages.append(a)
+            return stage(x, y, beta, s, a, *args)
+
+        monkeypatch.setattr(estimation, "_newton_stage", recording)
+        fit = fit_rp_path(data, [0.3], SolverOptions(multistart=3))[0.3]
+        # the continuation stage and one restart
+        assert stages == [0.3, 0.3]
+        assert fit.converged
+
 
 class TestMultistartTies:
     """A restart that reaches the continuation fit's point ties with it on
@@ -582,6 +618,18 @@ class TestInitTies:
         assert estimation._replaces(True, value - 1.0, False, value)
         assert not estimation._replaces(False, better, False, value)
         assert not estimation._replaces(False, better, True, value)
+
+    def test_better_init_replaces_continuation_fit(self):
+        # first_word at alpha 1.0: the path stays on the wide branch (sigma
+        # 4.42); a run from the fit at 1.1 reaches the narrow one (sigma
+        # 0.79) at a higher objective, and replaces the path's fit
+        data = load_dataset("first_word").data
+        plain = fit_rp(data, 1.0)
+        fit = fit_rp(data, 1.0, init=fit_rp(data, 1.1).theta_hat)
+        assert plain.theta_hat.sigma == pytest.approx(4.419, abs=1e-3)
+        assert fit.converged
+        assert fit.theta_hat.sigma == pytest.approx(0.795, abs=1e-3)
+        assert estimation._replaces(True, fit.objective_value, True, plain.objective_value)
 
 
 class TestSolverEvaluations:
@@ -893,6 +941,26 @@ class TestStepControl:
             np.testing.assert_allclose(
                 fits[a].theta_hat.to_array(), ref[a].theta_hat.to_array(), rtol=1e-6
             )
+
+    def test_collapsed_stage_is_retried_with_half_the_step(self, monkeypatch, rng):
+        # a stage over a step above the floor that collapses is abandoned
+        # as an unconverged one is: the path retries from the last fit
+        data = random_instance(rng, n=200, p=3)
+        stages = []
+        stage = estimation._newton_stage
+
+        def collapsing_once(x, y, beta, s, a, *args):
+            stages.append(a)
+            if len(stages) == 1:
+                raise DegenerateFitError("scale collapsed")
+            return stage(x, y, beta, s, a, *args)
+
+        monkeypatch.setattr(estimation, "_newton_stage", collapsing_once)
+        fit = fit_rp_path(data, [1.0])[1.0]
+        assert stages == [1.0, 0.5, 1.0]
+        monkeypatch.undo()
+        ref = fit_rp_path(data, [0.5, 1.0])[1.0]
+        np.testing.assert_array_equal(fit.theta_hat.to_array(), ref.theta_hat.to_array())
 
 
 class TestSolverOptions:

@@ -285,3 +285,46 @@ class TestContiguousPower:
             for a in alphas
         ]
         assert all(p2 < p1 for p1, p2 in zip(by_alpha, by_alpha[1:]))
+
+
+
+def _zero_at_alternative(theta):
+    # the covariance vanishes away from the null point beta = 0
+    return np.eye(theta.dim) * float(theta.beta[0] == 0.0)
+
+
+_SMALL = make_data(np.random.default_rng(0))
+_NULL, _ALTERNATIVE = Theta(beta=np.array([0.0]), sigma=1.0), Theta(beta=np.array([0.2]), sigma=1.0)
+REFUSALS = {
+    "hypothesis values": (
+        lambda: LinearHypothesis(m_matrix=np.eye(3)[:, :1], m_vector=[1.0, 2.0]),
+        "dimensions differ",
+    ),
+    "wald_composite": (
+        lambda: wald_composite(
+            _SMALL, fit_mle(_SMALL), LinearHypothesis.coordinates([1], [1.0], 4)
+        ),
+        "does not match parameter dimension",
+    ),
+    "contiguous_power": (
+        lambda: contiguous_power(
+            LinearHypothesis.coordinates([1], [1.0], 3), np.ones(4), 0.05, np.eye(3)
+        ),
+        "shift vector does not match",
+    ),
+    "approx_power zero variance": (
+        lambda: approx_power(_ALTERNATIVE, _NULL, 0.3, 100, 0.05, _zero_at_alternative),
+        "zero variance",
+    ),
+    "required_sample_size zero variance": (
+        lambda: required_sample_size(_ALTERNATIVE, _NULL, 0.3, 0.9, 0.05, _zero_at_alternative),
+        "zero variance",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_refused(case):
+    call, named = REFUSALS[case]
+    with pytest.raises(DomainError, match=named):
+        call()

@@ -546,6 +546,13 @@ class _SpdContract:
             numerics.solve_spd(a, b)
         assert err.value.pivot == 1
 
+    def test_shapes_refused(self):
+        k = self.ORDER
+        with pytest.raises(DomainError, match="square"):
+            numerics.solve_spd(np.eye(k, k + 1), np.ones(k))
+        with pytest.raises(DomainError, match="dimension mismatch"):
+            numerics.solve_spd(np.eye(k), np.ones(k + 1))
+
     def test_matrix_right_hand_side_matches_inverse(self, rng):
         for order in (1, 2, self.ORDER):
             m = rng.normal(size=(order, order))

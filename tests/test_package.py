@@ -8,6 +8,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import renyireg
@@ -85,3 +86,15 @@ def test_star_import_binds_no_module():
     assert sorted(namespace) == sorted(renyireg.__all__)
     assert [name for name, value in namespace.items() if inspect.ismodule(value)] == []
     assert {"fit_rp", "ModelData", "run_study"} <= set(renyireg.__all__)
+
+
+def test_all_is_the_union_of_the_modules_all():
+    # the package declares no name itself; a name in two modules' __all__
+    # would let one star import shadow the other
+    modules = ["data", "estimation", "exceptions", "inference", "model", "numerics",
+               "robustness", "simulation"]
+    names = Counter(
+        name for module in modules for name in importlib.import_module(f"renyireg.{module}").__all__
+    )
+    assert [name for name, count in names.items() if count > 1] == []
+    assert renyireg.__all__ == sorted(names)

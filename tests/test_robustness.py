@@ -8,7 +8,7 @@ import pytest
 
 from renyireg import numerics, robustness
 from renyireg.estimation import covariance_mlrm
-from renyireg.exceptions import DomainError
+from renyireg.exceptions import DecompositionError, DomainError
 from renyireg.inference import LinearHypothesis
 from renyireg.model import ModelData, NormalLinearFamily, QuadratureFamily, Theta
 from renyireg.robustness import (
@@ -71,7 +71,7 @@ class TestFirstOrder:
             # nodes; a budget of 1 still takes one direction per block
             for block, sizes in ((256, [(4,)] * 6), (1, [(1,)] * 24)):
                 with monkeypatch.context() as patch:
-                    patch.setattr(robustness, "_STACKED_BLOCK_RESIDUALS", block)
+                    patch.setattr(numerics, "BLOCK_POINTS", block)
                     calls.clear()
                     blocked = if_general(quad, data, req).first_order
                 assert calls == sizes
@@ -94,6 +94,14 @@ class TestFirstOrder:
         req = IFRequest([1.0, 3.0], Theta(beta=np.ones(2), sigma=1.0), 0.5, direction=2)
         with pytest.raises(DomainError):
             if_general(quad, data, req)
+
+    def test_singular_sensitivity_refused(self, rng):
+        # two equal design columns make the coefficient block of the matrix singular
+        data = small_data(rng, n=8)
+        x = np.column_stack([data.design, data.design[:, 1]])
+        req = IFRequest([1.0, 3.0], Theta(beta=np.ones(3), sigma=1.0), 0.5)
+        with pytest.raises(DecompositionError, match="sensitivity matrix singular"):
+            if_general(NormalLinearFamily(x), ModelData(design=x, response=data.response), req)
 
     def test_zero_residual_beta_component_vanishes(self, rng):
         data = small_data(rng)
@@ -129,7 +137,7 @@ class TestFirstOrder:
         points = rng.normal(scale=4.0, size=25)
         req = IFRequest(contamination_points=points, theta=theta, alpha=0.6, direction=direction)
         whole = robustness._stacked_scores(data, req)
-        monkeypatch.setattr(robustness, "_STACKED_BLOCK_RESIDUALS", block)
+        monkeypatch.setattr(numerics, "BLOCK_POINTS", block)
         blocked = robustness._stacked_scores(data, req)
         assert blocked.shape == whole.shape == (25, 3)
         assert np.max(np.abs(blocked - whole)) <= 1e-14 * np.max(np.abs(whole))

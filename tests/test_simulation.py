@@ -312,11 +312,25 @@ class TestStudyConfigChecks:
             ({"sample_sizes": (2,)}, "n >= 4, got 2"),
             ({"design": DesignSpec(kind="fixed_normal"), "sample_sizes": (3,)}, "n >= 4, got 3"),
             ({"sample_sizes": (20, 40, 20)}, "repeat"),
+            ({"replications": 0}, "at least one replication"),
         ],
     )
     def test_refused_when_built(self, changes, named):
         with pytest.raises(DomainError, match=named):
             StudyConfig(**changes)
+
+    @pytest.mark.parametrize(
+        "spec, fields, named",
+        [
+            (DesignSpec, {"kind": "uniform"}, "unknown design kind 'uniform'"),
+            (ContaminationSpec, {"fraction": 0.5}, r"fraction must lie in \[0, 0.5\)"),
+            (ContaminationSpec, {"fraction": -0.1}, r"fraction must lie in \[0, 0.5\)"),
+            (ContaminationSpec, {"placement": "last_block"}, "unknown placement 'last_block'"),
+        ],
+    )
+    def test_spec_refused_when_built(self, spec, fields, named):
+        with pytest.raises(DomainError, match=named):
+            spec(**fields)
 
     def test_odd_n_allowed_on_a_normal_design(self):
         config = StudyConfig(design=DesignSpec(kind="fixed_normal"), sample_sizes=(21, 40))
