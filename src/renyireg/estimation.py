@@ -183,39 +183,42 @@ def _sigma_n(xtx_over_n_inverse: np.ndarray, sigma: float, a: float) -> np.ndarr
 # vectorized objective internals (beta, s = log sigma parameterization)
 # ---------------------------------------------------------------------------
 
-def _objective_grad_hess(x, y, beta, s, a):
+def _objective_grad_hess(x, y, beta, s, a, hessian=True):
     """Objective value, gradient and Hessian at ``(beta, s)``.
 
     With ``r = (y - x beta) / sigma`` and ``v = exp(-a r^2 / 2)``, every entry
     is a constant times one of three moments ``sum v r^{0,2,4}`` or one of
     three weighted design products.  They are summed over blocks of ``_ROWS``
-    rows, so that each block's temporaries stay in cache.
+    rows, so that each block's temporaries stay in cache.  With ``hessian``
+    false the Hessian's moment and products are skipped and ``None`` is
+    returned in its place; the value and gradient are the same bits.
 
     A non-finite value is returned as ``-inf``, so a line search rejects the
-    point; the derivatives are then meaningless.
+    point; the derivatives are then meaningless.  Weights that underflow to
+    0 are what the sums need, so callers run the kernel under
+    ``np.errstate(under="ignore")``.
     """
     n, p = x.shape
     sig = math.exp(s)
     k = 1.0 / (1 + a)
-    m0 = m2 = m4 = 0.0
-    g = np.zeros(p)
-    cross = np.zeros(p)
-    h = np.zeros((p, p))
-    with np.errstate(under="ignore"):
-        for start in range(0, n, _ROWS):
-            xb = x[start : start + _ROWS]
-            r = y[start : start + _ROWS] - xb @ beta
-            r /= sig
-            r2 = r * r
-            v = np.exp(-0.5 * a * r2)
-            vr = v * r
-            vr2 = vr * r
-            m0 += float(v.sum())
-            m2 += float(vr2.sum())
-            m4 += float(vr2 @ r2)
-            g += vr @ xb
-            cross += (vr * (a * r2 - (a * k + 2.0))) @ xb
-            h += xb.T @ (xb * (a * vr2 - v)[:, None])
+    sums = None
+    for start in range(0, n, _ROWS):
+        xb = x[start : start + _ROWS]
+        r = y[start : start + _ROWS] - xb @ beta
+        r /= sig
+        r2 = r * r
+        v = np.exp(-0.5 * a * r2)
+        vr = v * r
+        vr2 = vr * r
+        block = [float(v.sum()), float(vr2.sum()), vr @ xb]
+        if hessian:
+            block += [
+                float(vr2 @ r2),
+                (vr * (a * r2 - (a * k + 2.0))) @ xb,
+                xb.T @ (xb * (a * vr2 - v)[:, None]),
+            ]
+        sums = block if sums is None else [total + part for total, part in zip(sums, block)]
+    m0, m2, g = sums[:3]
     c = ((1 + a) / (2 * math.pi)) ** (a / (2 * (1 + a))) * sig ** (-a / (1 + a))
     val = c * m0 / n
     if not math.isfinite(val):
@@ -223,6 +226,9 @@ def _objective_grad_hess(x, y, beta, s, a):
     grad = np.empty(p + 1)
     grad[:p] = a * c / (n * sig) * g
     grad[p] = a * c / n * (m2 - k * m0)
+    if not hessian:
+        return val, grad, None
+    m4, cross, h = sums[3:]
     hess = np.empty((p + 1, p + 1))
     hess[:p, :p] = a * c / (n * sig**2) * h
     cross *= a * c / (n * sig)
@@ -259,7 +265,9 @@ def _saddle_free_direction(xtx, s, val, neg, grad):
 
 
 class _Stage(NamedTuple):
-    """Where a Newton stage ended, with the kernel's value and gradient there."""
+    """Where a Newton stage ended, with the kernel's value and gradient there.
+    ``iterations`` counts the steps the line search accepted; a converged
+    stage's closing full step is not among them."""
 
     beta: np.ndarray
     s: float
@@ -279,53 +287,62 @@ def _newton_stage(x, y, beta, s, a, scale_floor, xtx, saddle_free=True) -> _Stag
     the decrement ``grad @ direction`` does not change under X -> XA, and it
     scales with the objective value under y -> c y, so the rule has no units.
     A converged stage then takes that full Newton step and reports the value
-    and gradient at its end, so that the fit does not depend on where the
-    stage started.  Where the Newton matrix is not positive definite the
-    stage takes a saddle-free step (``xtx`` is X'X / n), or with
-    ``saddle_free`` false ends there unconverged.
+    and gradient at its end, which it evaluates without the Hessian, so that
+    the fit does not depend on where the stage started.  Where the Newton
+    matrix is not positive definite the stage takes a saddle-free step
+    (``xtx`` is X'X / n), or with ``saddle_free`` false ends there
+    unconverged.  The kernel's weights may underflow, so the stage runs
+    under ``np.errstate(under="ignore")``, set once for all its points.
     """
     beta = beta.copy()
-    val, grad, hess = _objective_grad_hess(x, y, beta, s, a)
-    for it in range(MAX_ITER):
-        if math.exp(s) < scale_floor:
-            raise DegenerateFitError(
-                f"scale collapsed below {scale_floor:.3e} during fitting"
-            )
-        neg = -hess
-        try:
-            direction = numerics.solve_spd(neg, grad)
-        except DecompositionError:
-            if not saddle_free:
+    s = float(s)
+    with np.errstate(under="ignore"):
+        val, grad, hess = _objective_grad_hess(x, y, beta, s, a)
+        for it in range(MAX_ITER):
+            if math.exp(s) < scale_floor:
+                raise DegenerateFitError(
+                    f"scale collapsed below {scale_floor:.3e} during fitting"
+                )
+            neg = -hess
+            try:
+                direction = numerics.solve_spd(neg, grad)
+            except DecompositionError:
+                if not saddle_free:
+                    return _Stage(beta, s, False, it, val, grad)
+                direction = _saddle_free_direction(xtx, s, val, neg, grad)
+                if direction is None:
+                    return _Stage(beta, s, False, it, val, grad)
+                slope = float(grad @ direction)
+            else:
+                # the decrement is also the line search's slope
+                slope = float(grad @ direction)
+                if slope <= TOL**2 * val:
+                    beta = beta + direction[:-1]
+                    s = s + float(direction[-1])
+                    val, grad, _ = _objective_grad_hess(x, y, beta, s, a, hessian=False)
+                    return _Stage(beta, s, True, it, val, grad)
+            ds = float(direction[-1])
+            # keep single stages from tunnelling into the degenerate spike
+            if abs(ds) > 1.0:
+                direction = direction / abs(ds)
+                ds = float(direction[-1])
+                slope = float(grad @ direction)
+            # near the optimum the predicted gain drops below the objective's
+            # float resolution; the slack keeps the search from stalling there
+            slack = 1e-14 * (1.0 + abs(val))
+            step = 1.0
+            for _ in range(60):
+                cand_beta = beta + step * direction[:-1]
+                cand_s = s + step * ds
+                cand = _objective_grad_hess(x, y, cand_beta, cand_s, a)
+                if cand[0] >= val + 1e-4 * step * slope - slack:
+                    beta, s = cand_beta, cand_s
+                    val, grad, hess = cand
+                    break
+                step *= 0.5
+            else:
                 return _Stage(beta, s, False, it, val, grad)
-            direction = _saddle_free_direction(xtx, s, val, neg, grad)
-            if direction is None:
-                return _Stage(beta, s, False, it, val, grad)
-        else:
-            if float(grad @ direction) <= TOL**2 * val:
-                beta = beta + direction[:-1]
-                s = s + float(direction[-1])
-                val, grad, _ = _objective_grad_hess(x, y, beta, s, a)
-                return _Stage(beta, s, True, it, val, grad)
-        # keep single stages from tunnelling into the degenerate spike
-        if abs(direction[-1]) > 1.0:
-            direction = direction / abs(direction[-1])
-        slope = float(grad @ direction)
-        # near the optimum the predicted gain drops below the objective's
-        # float resolution; the slack keeps the search from stalling there
-        slack = 1e-14 * (1.0 + abs(val))
-        step = 1.0
-        for _ in range(60):
-            cand_beta = beta + step * direction[:-1]
-            cand_s = s + step * direction[-1]
-            cand = _objective_grad_hess(x, y, cand_beta, cand_s, a)
-            if cand[0] >= val + 1e-4 * step * slope - slack:
-                beta, s = cand_beta, cand_s
-                val, grad, hess = cand
-                break
-            step *= 0.5
-        else:
-            return _Stage(beta, s, False, it, val, grad)
-    return _Stage(beta, s, False, MAX_ITER, val, grad)
+        return _Stage(beta, s, False, MAX_ITER, val, grad)
 
 
 def fit_mle(data: ModelData) -> FitResult:

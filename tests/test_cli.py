@@ -4,11 +4,15 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import renyireg
 from renyireg import cli, exclude_rows, fit_rp_path, gross_error_sensitivity, load_dataset
 from renyireg.cli import EXIT_ERROR, EXIT_NONCONVERGED, EXIT_OK, build_parser, main
 from renyireg.simulation import ContaminationSpec, DesignSpec, StudyConfig
@@ -151,6 +155,23 @@ class TestFit:
         assert err.value.code == 2
         assert "invalid _float_list value" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    def test_scale_collapse_is_one_error_line(self, tmp_path):
+        # the continuation to alpha 1.2 falls into the sigma -> 0 spike of
+        # first_word's 21 rows; run as a command, so that a traceback shows
+        src = str(Path(renyireg.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "renyireg.cli", "fit", "--data", "first_word",
+             "--alphas", "1.2", "--output", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == EXIT_ERROR
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: scale collapsed"), proc.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_negative_multistart_is_an_error(self, tmp_path, capsys):
         code = main(

@@ -11,6 +11,7 @@ import pytest
 from renyireg import estimation, numerics
 from renyireg.data import exclude_rows, load_dataset
 from renyireg.estimation import (
+    MAX_ITER,
     SolverOptions,
     _objective_grad_hess,
     covariance_mlrm,
@@ -420,6 +421,76 @@ class TestSolverKernel:
         )
         assert (stage.converged, stage.iterations, stage.value) == (False, 0, 0.0)
 
+    @pytest.mark.parametrize("name", ["brain_weight", "first_word"])
+    def test_closing_point_has_the_same_bits(self, name):
+        # a converged stage evaluates its closing point without the Hessian
+        data = load_dataset(name).data
+        x = np.asfortranarray(data.design)
+        for a, fit in fit_rp_path(data, (0.2, 0.6, 1.0)).items():
+            beta, s = fit.theta_hat.beta, math.log(fit.theta_hat.sigma)
+            assert_closing_point_has_the_same_bits(x, data.response, beta, s, a)
+            assert_closing_point_has_the_same_bits(x, data.response, 1.1 * beta, s - 0.2, a)
+
+    # per unconverged exit of a stage: the kernel's values, the stage's
+    # iterations and its kernel calls.  Three steps are accepted and then
+    # no trial point, or every step is accepted and the decrement never falls
+    STAGE_EXITS = {
+        "line_search": (
+            lambda: itertools.chain([1.0, 2.0, 3.0, 4.0], itertools.repeat(-math.inf)),
+            3,
+            1 + 3 + 60,
+        ),
+        "max_iter": (lambda: itertools.count(1.0), MAX_ITER, 1 + MAX_ITER),
+    }
+
+    @staticmethod
+    def scripted_kernel(monkeypatch, values):
+        """Replace the kernel by one whose gradient (1, 1, 0) and Hessian -I
+        give the Newton step (1, 1, 0), with a decrement of 2, everywhere;
+        ``values`` gives the value at each call."""
+        hessians = []
+
+        def kernel(x, y, beta, s, a, hessian=True):
+            hessians.append(hessian)
+            return next(values), np.array([1.0, 1.0, 0.0]), -np.eye(3) if hessian else None
+
+        monkeypatch.setattr(estimation, "_objective_grad_hess", kernel)
+        return hessians
+
+    @pytest.mark.parametrize("exit", STAGE_EXITS)
+    def test_unconverged_stage_exits(self, exit, monkeypatch):
+        values, iterations, calls = self.STAGE_EXITS[exit]
+        hessians = self.scripted_kernel(monkeypatch, values())
+        x = np.asfortranarray(np.column_stack([np.ones(6), np.arange(6.0)]))
+        stage = estimation._newton_stage(
+            x, np.arange(6.0), np.zeros(2), 0.0, 0.5, 1e-12, x.T @ x / 6
+        )
+        # iterations counts the accepted steps
+        assert (stage.converged, stage.iterations) == (False, iterations)
+        assert stage.value == iterations + 1.0
+        np.testing.assert_array_equal(stage.beta, [iterations, iterations])
+        assert len(hessians) == calls and all(hessians)
+
+    @pytest.mark.parametrize("exit", STAGE_EXITS)
+    def test_path_reports_unconverged_stage(self, exit, monkeypatch):
+        data = TestSolverEvaluations.contaminated()
+        values, iterations, _ = self.STAGE_EXITS[exit]
+        self.scripted_kernel(monkeypatch, values())
+        # a step of at most _MIN_ALPHA_STEP runs one stage and keeps it
+        fit = fit_rp_path(data, [0.01])[0.01]
+        assert (fit.converged, fit.iterations) == (False, iterations)
+        assert fit.objective_value == iterations + 1.0
+
+
+def assert_closing_point_has_the_same_bits(x, y, beta, s, alpha):
+    """The kernel without the Hessian returns the value and gradient of the
+    full call, bit for bit, and no Hessian."""
+    val, grad, _ = _objective_grad_hess(x, y, beta, s, alpha)
+    closing = _objective_grad_hess(x, y, beta, s, alpha, hessian=False)
+    assert closing[0] == val
+    np.testing.assert_array_equal(closing[1], grad)
+    assert closing[2] is None
+
 
 class TestBlockedKernel:
     """The kernel sums over blocks of ``_ROWS`` rows; on a design of two full
@@ -451,6 +522,11 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0])
     def test_derivatives_match_central_differences(self, alpha):
         assert_kernel_matches_central_differences(*self.instance(), alpha)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0])
+    def test_closing_point_has_the_same_bits(self, alpha):
+        x, y, point = self.instance()
+        assert_closing_point_has_the_same_bits(x, y, point[:-1], point[-1], alpha)
 
     def test_non_finite_row_in_last_block_is_minus_inf(self):
         x, y, point = self.instance()
@@ -654,9 +730,9 @@ class TestSolverEvaluations:
         points = []
         kernel = estimation._objective_grad_hess
 
-        def recording(x, y, beta, s, a):
+        def recording(x, y, beta, s, a, hessian=True):
             points.append((beta.tobytes(), s, a))
-            return kernel(x, y, beta, s, a)
+            return kernel(x, y, beta, s, a, hessian)
 
         monkeypatch.setattr(estimation, "_objective_grad_hess", recording)
         return points
@@ -675,6 +751,57 @@ class TestSolverEvaluations:
         fit = fit_rp(data, 0.7, options=SolverOptions(multistart=2))
         assert fit.converged
         assert len(set(points)) == len(points)
+
+    def test_closing_point_has_no_hessian(self, monkeypatch):
+        # per stage, the kernel's calls in order; only a converged stage's
+        # last one, its closing point, is made without the Hessian
+        stages = []
+        kernel, stage = estimation._objective_grad_hess, estimation._newton_stage
+
+        def recording_kernel(x, y, beta, s, a, hessian=True):
+            stages[-1][1].append(hessian)
+            return kernel(x, y, beta, s, a, hessian)
+
+        def recording_stage(*args):
+            stages.append([None, []])
+            stages[-1][0] = stage(*args)
+            return stages[-1][0]
+
+        monkeypatch.setattr(estimation, "_objective_grad_hess", recording_kernel)
+        monkeypatch.setattr(estimation, "_newton_stage", recording_stage)
+        data = self.contaminated()
+        fit_rp_path(data, self.ALPHAS)
+        fit_rp(data, 0.7, options=SolverOptions(multistart=2))
+        # the path to alpha 1 halves its first step here (TestUnitFreeConvergence)
+        gen = np.random.default_rng(451)
+        x = np.column_stack([np.ones(60), gen.normal(size=(60, 2))])
+        y = x @ np.array([1.0, 2.0, -1.0]) + gen.normal(size=60)
+        y[:6] += 6.0
+        fit_rp_path(ModelData(design=x, response=y), [1.0])
+        outcomes = [result.converged for result, _ in stages]
+        assert True in outcomes and False in outcomes
+        for result, hessians in stages:
+            assert hessians[:-1] == [True] * (len(hessians) - 1)
+            assert hessians[-1] is not result.converged
+
+    def test_fit_inside_caller_error_state(self):
+        # rows 100 sigma out have weights that underflow to 0; each stage
+        # sets its own error state, so a caller's does not reach the kernel
+        data = self.contaminated()
+        y = data.response.copy()
+        y[:10] += 100.0
+        data = ModelData(design=data.design, response=y)
+        x = np.asfortranarray(data.design)
+        ref = fit_rp_path(data, self.ALPHAS)
+        with np.errstate(under="raise"):
+            with pytest.raises(FloatingPointError):
+                _objective_grad_hess(x, y, ref[1.0].theta_hat.beta, 0.0, 1.0)
+            fits = fit_rp_path(data, self.ALPHAS)
+        for a in self.ALPHAS:
+            assert fits[a].converged
+            np.testing.assert_array_equal(
+                fits[a].theta_hat.to_array(), ref[a].theta_hat.to_array()
+            )
 
     def test_layout_of_design_does_not_matter(self):
         base = self.contaminated().design
