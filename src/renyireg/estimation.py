@@ -20,6 +20,7 @@ import numpy as np
 
 from . import numerics
 from .exceptions import DecompositionError, DegenerateFitError, DomainError, check_alpha
+from .exceptions import check_seed, is_index
 from .model import ModelData, Theta
 
 __all__ = [
@@ -84,8 +85,9 @@ class SolverOptions:
     multistart_seed: int = 0
 
     def __post_init__(self):
-        if self.multistart < 0:
-            raise DomainError(f"multistart must be nonnegative, got {self.multistart}")
+        if not is_index(self.multistart) or self.multistart < 0:
+            raise DomainError(f"multistart must be a nonnegative integer, got {self.multistart!r}")
+        check_seed(self.multistart_seed, "multistart_seed")
 
 
 def design_diagnostics(data: ModelData) -> DesignDiagnostics:
@@ -169,12 +171,12 @@ def covariance_mlrm(data: ModelData, theta: Theta, alpha: float) -> CovarianceTr
 def _sigma_n(xtx_over_n_inverse: np.ndarray, sigma: float, a: float) -> np.ndarray:
     """The sandwich ``sigma_n`` of :func:`covariance_mlrm` alone, from
     ``(X'X/n)^{-1}``, the scale and a valid tuning value; each entry is the
-    factor at its own scale, in Python floats, which overflow silently."""
+    factor at its own scale ``(sigma s) sigma``, inf where a product
+    overflows, as the Python floats of a per-entry form would give."""
     p = xtx_over_n_inverse.shape[0]
     sigma_n = np.zeros((p + 1, p + 1))
-    sigma_n[:p, :p].flat = [
-        _normal_factors(a, sigma * s * sigma)[0] for s in xtx_over_n_inverse.ravel().tolist()
-    ]
+    with np.errstate(over="ignore"):
+        sigma_n[:p, :p] = _normal_factors(a, sigma * xtx_over_n_inverse * sigma)[0]
     sigma_n[p, p] = _normal_factors(a, sigma * sigma)[1]
     return sigma_n
 

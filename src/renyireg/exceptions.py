@@ -1,4 +1,5 @@
-"""Exception types, and one rule per argument kind: tuning value, probability, index."""
+"""Exception types, and one rule per argument kind: tuning value, probability,
+index, seed."""
 
 import numpy as np
 
@@ -27,6 +28,13 @@ def is_index(value, size=None) -> bool:
     """Whether ``value`` is an int, not a bool, in 0..size-1 if ``size`` is given."""
     integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
     return integer and (size is None or 0 <= value < size)
+
+
+def check_seed(seed, what: str) -> None:
+    """Refuse ``seed``, named ``what`` in the message, unless it is an index
+    below 2^64, the range numpy seeds from."""
+    if not is_index(seed, 2**64):
+        raise DomainError(f"{what} must be an integer in [0, 2^64), got {seed!r}")
 
 
 class DecompositionError(ArithmeticError):

@@ -187,13 +187,19 @@ def _per_direction(i, value):
 class DensityFamily:
     """Contract for a family of densities sharing a common parameter.
 
-    Subclasses provide the pointwise quantities (log-density, score vector
-    u_i = d log f_i / d theta, and its Jacobian), each evaluated at a response
-    ``y`` that is a scalar or an array of points.  For an array of shape
-    ``s`` the outputs gain those leading axes: ``log_density`` returns shape
-    ``s``, ``score_vector`` ``s + (dim,)`` and ``score_jacobian``
-    ``s + (dim, dim)``; for a scalar they return a number, ``(dim,)`` and
-    ``(dim, dim)``.
+    Subclasses provide the pointwise quantities
+
+        log_density(i, y, theta)    = log f_i(y, theta)
+        score_vector(i, y, theta)   = u_i = d log f_i / d theta
+        score_jacobian(i, y, theta) = du_i / dtheta
+
+    each evaluated at a response ``y`` that is a scalar or an array of
+    points.  For an array of shape ``s`` the outputs gain those leading
+    axes: ``log_density`` returns shape ``s``, ``score_vector``
+    ``s + (dim,)`` and ``score_jacobian`` ``s + (dim, dim)``; for a scalar
+    they return a number, ``(dim,)`` and ``(dim, dim)``.  They also provide
+    ``center(i, theta)`` and ``scale(i, theta)``, the location and width
+    hints that quadrature centres and scales its nodes by.
 
     The direction ``i`` is an int or a 1-D index array of k directions.  An
     index array adds a leading directions axis: ``y`` then carries the
@@ -221,37 +227,8 @@ class DensityFamily:
     n_directions: int
     param_dim: int
 
-    def log_density(self, i: int, y, theta: Theta):
-        raise NotImplementedError
-
-    def score_vector(self, i: int, y, theta: Theta) -> np.ndarray:
-        raise NotImplementedError
-
-    def score_jacobian(self, i: int, y, theta: Theta) -> np.ndarray:
-        raise NotImplementedError
-
-    def center(self, i: int, theta: Theta) -> float:
-        """Location hint for quadrature."""
-        raise NotImplementedError
-
-    def scale(self, i: int, theta: Theta) -> float:
-        """Width hint for quadrature."""
-        raise NotImplementedError
-
-    def power_integral(self, i, theta, c):
-        raise NotImplementedError
-
     def log_power_integral(self, i, theta, c):
         return np.log(self.power_integral(i, theta, c))
-
-    def power_score_integral(self, i, theta, c):
-        raise NotImplementedError
-
-    def power_score_outer_integral(self, i, theta, c):
-        raise NotImplementedError
-
-    def power_score_jacobian_integral(self, i, theta, c):
-        raise NotImplementedError
 
 
 class NormalLinearFamily(DensityFamily):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DecompositionError, DomainError, NonFiniteIntegrandError
-from .exceptions import check_probability, is_index
+from .exceptions import check_probability, check_seed, is_index
 
 __all__ = [
     "RngStream",
@@ -491,8 +491,8 @@ class RngStream:
     _gen: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (0 <= self.seed < 2**64) or not (0 <= self.stream_id < 2**64):
-            raise DomainError("seed and stream_id must be unsigned 64-bit integers")
+        check_seed(self.seed, "seed")
+        check_seed(self.stream_id, "stream_id")
         ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))
         object.__setattr__(self, "_gen", np.random.Generator(np.random.Philox(ss)))
 

@@ -24,7 +24,8 @@ import numpy as np
 
 from .data import write_csv, write_json
 from .estimation import fit_rp_path
-from .exceptions import DegenerateFitError, DomainError, check_alpha, check_probability, is_index
+from .exceptions import DegenerateFitError, DomainError, check_alpha, check_probability
+from .exceptions import check_seed, is_index
 from .inference import LinearHypothesis, wald_composite
 from .model import Design, ModelData, Theta
 from .numerics import RngStream, chisq_quantile, noncentral_chisq_sf
@@ -63,8 +64,9 @@ class DesignSpec:
     def __post_init__(self):
         if self.kind not in ("two_point", "fixed_normal"):
             raise DomainError(f"unknown design kind {self.kind!r}")
-        if self.n < 4:
-            raise DomainError(f"need n >= 4, got {self.n}")
+        if not is_index(self.n) or self.n < 4:
+            raise DomainError(f"need an integer n >= 4, got {self.n!r}")
+        check_seed(self.seed, "design seed")
         if self.kind == "two_point" and self.n % 2 != 0:
             raise DomainError(f"two-point design requires even n, got {self.n}")
 
@@ -88,6 +90,7 @@ class ContaminationSpec:
             raise DomainError("contamination fraction must lie in [0, 0.5)")
         if self.placement not in ("first_block", "random_indices"):
             raise DomainError(f"unknown placement {self.placement!r}")
+        check_seed(self.placement_seed, "placement_seed")
 
     def indices(self, n: int) -> np.ndarray:
         count = int(math.floor(self.fraction * n))
@@ -115,8 +118,9 @@ class StudyConfig:
     n_workers: int = 1
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise DomainError("need at least one replication")
+        if not is_index(self.replications) or self.replications < 1:
+            raise DomainError(f"need at least one replication, got {self.replications!r}")
+        check_seed(self.seed, "seed")
         if not self.alphas or not self.hypotheses:
             raise DomainError("need at least one alpha and one hypothesis")
         for a in self.alphas:
@@ -129,6 +133,10 @@ class StudyConfig:
         for name, beta in betas.items():
             if np.shape(beta) != (2,):
                 raise DomainError(f"{name} needs 2 entries, one per design column, got {beta}")
+            if not np.all(np.isfinite(beta)):
+                raise DomainError(f"{name} must be finite, got {beta}")
+        if not (math.isfinite(self.true_sigma) and self.true_sigma > 0):
+            raise DomainError(f"true_sigma must be finite and positive, got {self.true_sigma}")
         for name, index, *_ in self.hypotheses:
             if not is_index(index, 3):
                 raise DomainError(f"hypothesis {name}: parameter index {index} outside 0..2")

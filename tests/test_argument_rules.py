@@ -1,5 +1,6 @@
-"""The three argument rules: a tuning value is finite and >= 0, a
-probability lies in (0, 1), a parameter index lies in 0..dim-1.  Every
+"""The argument rules: a tuning value is finite and >= 0, a probability
+lies in (0, 1), a parameter index lies in 0..dim-1, and a count or a seed is
+an int, not a bool, from its least value up (a seed below 2^64).  Every
 public entry point that takes such an argument raises DomainError exactly
 when the rule fails, and the command line exits 1 on it instead of hanging,
 crashing or writing NaN."""
@@ -13,11 +14,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import renyireg
-from renyireg.estimation import covariance_mlrm, fit_rp, fit_rp_path
+from renyireg.estimation import SolverOptions, covariance_mlrm, fit_rp, fit_rp_path
 from renyireg.exceptions import DomainError
 from renyireg.inference import (
     LinearHypothesis,
@@ -36,7 +37,7 @@ from renyireg.model import (
     score,
     v_weight,
 )
-from renyireg.numerics import chisq_quantile, normal_quantile
+from renyireg.numerics import RngStream, chisq_quantile, normal_quantile
 from renyireg.robustness import (
     IFRequest,
     are,
@@ -44,7 +45,7 @@ from renyireg.robustness import (
     if_general,
     if_mlrm_closed,
 )
-from renyireg.simulation import StudyConfig, contiguous_table
+from renyireg.simulation import ContaminationSpec, DesignSpec, StudyConfig, contiguous_table
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 ALPHAS = st.floats()
@@ -104,6 +105,30 @@ PROBABILITY_TAKERS = {
 }
 
 
+# least value and exclusive bound of each count and seed; the designs are
+# fixed-normal, which takes an odd n
+COUNT_TAKERS = {
+    "StudyConfig.replications": (1, math.inf, lambda v: StudyConfig(replications=v)),
+    "StudyConfig.n_workers": (1, math.inf, lambda v: StudyConfig(n_workers=v)),
+    "StudyConfig.sample_sizes": (
+        4,
+        math.inf,
+        lambda v: StudyConfig(design=DesignSpec(kind="fixed_normal"), sample_sizes=(v,)),
+    ),
+    "DesignSpec.n": (4, math.inf, lambda v: DesignSpec(kind="fixed_normal", n=v)),
+    "SolverOptions.multistart": (0, math.inf, lambda v: SolverOptions(multistart=v)),
+    "StudyConfig.seed": (0, 2**64, lambda v: StudyConfig(seed=v)),
+    "DesignSpec.seed": (0, 2**64, lambda v: DesignSpec(seed=v)),
+    "ContaminationSpec.placement_seed": (0, 2**64, lambda v: ContaminationSpec(placement_seed=v)),
+    "SolverOptions.multistart_seed": (0, 2**64, lambda v: SolverOptions(multistart_seed=v)),
+    "RngStream.seed": (0, 2**64, lambda v: RngStream(v)),
+    "RngStream.stream_id": (0, 2**64, lambda v: RngStream(0, stream_id=v)),
+}
+COUNTS = st.one_of(
+    st.integers(-3, 2**66), st.integers(-3, 2**62).map(np.int64), st.floats(), st.booleans()
+)
+
+
 @pytest.mark.parametrize("name", sorted(ALPHA_TAKERS))
 @PROPERTY
 @given(a=ALPHAS)
@@ -116,6 +141,22 @@ def test_alpha_rule(name, a):
 @given(p=PROBABILITIES)
 def test_probability_rule(name, p):
     assert raises_domain_error(lambda: PROBABILITY_TAKERS[name](p)) == (not 0.0 < p < 1.0)
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_TAKERS))
+@PROPERTY
+@given(v=COUNTS)
+@example(v=2.5)
+@example(v=200.0)
+@example(v=201.5)
+@example(v=True)
+@example(v=-1)
+@example(v=2**64 - 1)
+@example(v=2**64)
+def test_count_and_seed_rule(name, v):
+    least, bound, taker = COUNT_TAKERS[name]
+    integer = isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+    assert raises_domain_error(lambda: taker(v)) == (not (integer and least <= v < bound))
 
 
 def test_normal_quantile_checks_every_entry():

@@ -119,6 +119,12 @@ class TestFit:
         assert code == EXIT_ERROR
         assert "error:" in capsys.readouterr().err
 
+    def test_bad_direction_exit_code(self, tmp_path, capsys):
+        argv = ["influence", "--data", "first_word", "--direction", "-2"]
+        assert main([*argv, "--output", str(tmp_path / "out")]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: --direction")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("given", [["--response", "y"], ["--covariates", "x1"], []])
     def test_user_csv_needs_response_and_covariates(self, tmp_path, capsys, given):
         argv = ["fit", "--data", str(user_csv(tmp_path)), *given, "--output", str(tmp_path / "out")]

@@ -117,6 +117,7 @@ class TestBundled:
         ds = load_dataset("brain_weight")
         sub = exclude_rows(ds.data, ds.outlier_rows)
         assert sub.n_obs == 25
+        assert exclude_rows(ds.data, []) is ds.data
         with pytest.raises(DomainError):
             exclude_rows(ds.data, [0])
         with pytest.raises(DomainError):

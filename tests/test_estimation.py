@@ -321,6 +321,24 @@ class TestCovariance:
         cov = covariance_mlrm(data, Theta(beta=np.zeros(2), sigma=1.0), 0.7)
         assert np.all(cov.sigma_n[:2, 2] == 0.0) and np.all(cov.sigma_n[2, :2] == 0.0)
 
+    def test_sandwich_equals_one_factor_per_entry(self):
+        """The coefficient block in one array expression has the bits of one
+        factor call per entry in Python floats, from p = 1 to 5, sigma from
+        1e-150 to 1e150 and alpha from 0 to 1e300, with exact zeros: inf
+        where a product overflows, and no warning."""
+        gen = np.random.default_rng(2023)
+        for case in range(5000):
+            p = int(gen.integers(1, 6))
+            inverse = gen.normal(size=(p, p)) * 10.0 ** gen.uniform(-30.0, 30.0, size=(p, p))
+            inverse[gen.random((p, p)) < 0.2] = 0.0
+            sigma = float(10.0 ** gen.uniform(-150.0, 150.0))
+            a = 0.0 if case % 10 == 0 else float(10.0 ** gen.uniform(-3.0, 300.0))
+            factors = estimation._normal_factors
+            want = np.zeros((p + 1, p + 1))
+            want[:p, :p].flat = [factors(a, sigma * s * sigma)[0] for s in inverse.ravel().tolist()]
+            want[p, p] = factors(a, sigma * sigma)[1]
+            np.testing.assert_array_equal(estimation._sigma_n(inverse, sigma, a), want)
+
 
 class TestDiagnostics:
     def test_orthonormal_scaled(self):

@@ -8,6 +8,7 @@ import pytest
 from renyireg import numerics
 from renyireg.exceptions import DomainError
 from renyireg.model import (
+    DensityFamily,
     Design,
     ModelData,
     NormalLinearFamily,
@@ -246,6 +247,38 @@ class TestArrayContract:
                 stacked = np.array([fn(int(i), theta, 1.6) for i in idx])
                 assert got.shape == stacked.shape, (type(family).__name__, name)
                 np.testing.assert_array_equal(got, stacked)
+
+    def test_quadrature_pointwise_functions_are_the_base_family(self, rng):
+        x = np.column_stack([np.ones(5), rng.normal(size=(5, 2))])
+        fam = NormalLinearFamily(x)
+        quad = QuadratureFamily(fam)
+        theta = Theta(beta=rng.normal(size=3), sigma=0.7)
+        ys = rng.normal(scale=3.0, size=(3, 6))
+        for i, y in ((1, ys[0]), (np.array([4, 0, 2]), ys)):
+            for name in ("log_density", "score_vector", "score_jacobian"):
+                got = getattr(quad, name)(i, y, theta)
+                np.testing.assert_array_equal(got, getattr(fam, name)(i, y, theta))
+            for name in ("center", "scale"):
+                np.testing.assert_array_equal(
+                    getattr(quad, name)(i, theta), getattr(fam, name)(i, theta)
+                )
+
+    def test_missing_contract_method_is_named(self):
+        class Unfinished(DensityFamily):
+            n_directions = 1
+            param_dim = 2
+
+            def center(self, i, theta):
+                return 0.0
+
+            def scale(self, i, theta):
+                return 1.0
+
+        theta = Theta(beta=np.zeros(1), sigma=1.0)
+        with pytest.raises(AttributeError, match="log_density"):
+            QuadratureFamily(Unfinished()).power_integral(0, theta, 1.5)
+        with pytest.raises(AttributeError, match="power_integral"):
+            Unfinished().log_power_integral(0, theta, 1.5)
 
     def test_quadrature_integrals_evaluate_base_once(self, rng):
         calls = []

@@ -159,6 +159,7 @@ class TestChisqSurvival:
         # x / 2 underflows to 0: the tail is 1, not a log of zero
         for df in (1, 2, 3):
             assert numerics.chisq_sf(5e-324, df) == 1.0
+            assert numerics._chisq_cdf_scalar(0.0, df) == 0.0
             assert numerics.noncentral_chisq_sf(5e-324, df, 2.0) == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("df", [0, 1.5, -1, 2.0, True, np.float64(3.0)])

@@ -1,6 +1,7 @@
 """Designs, data generation, replicated studies, and the local-power table."""
 
 import dataclasses
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -313,6 +314,17 @@ class TestStudyConfigChecks:
             ({"design": DesignSpec(kind="fixed_normal"), "sample_sizes": (3,)}, "n >= 4, got 3"),
             ({"sample_sizes": (20, 40, 20)}, "repeat"),
             ({"replications": 0}, "at least one replication"),
+            # generating parameters, refused here and not in a replication block
+            ({"true_sigma": math.nan}, "true_sigma must be finite and positive"),
+            ({"true_sigma": math.inf}, "true_sigma must be finite and positive"),
+            ({"true_sigma": -1.0}, "true_sigma must be finite and positive"),
+            ({"true_sigma": 0.0}, "true_sigma must be finite and positive"),
+            ({"true_beta": (math.nan, 1.0)}, "true_beta must be finite"),
+            ({"true_beta": (1.0, -math.inf)}, "true_beta must be finite"),
+            (
+                {"contamination": ContaminationSpec(contaminating_beta=(1.5, math.nan))},
+                "contaminating_beta must be finite",
+            ),
         ],
     )
     def test_refused_when_built(self, changes, named):
