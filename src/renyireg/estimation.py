@@ -172,8 +172,23 @@ def _sigma_n(xtx_over_n_inverse: np.ndarray, sigma: float, a: float) -> np.ndarr
     """The sandwich ``sigma_n`` of :func:`covariance_mlrm` alone, from
     ``(X'X/n)^{-1}``, the scale and a valid tuning value; each entry is the
     factor at its own scale ``(sigma s) sigma``, inf where a product
-    overflows, as the Python floats of a per-entry form would give."""
+    overflows, as the Python floats of a per-entry form would give.  Up to
+    order ``numerics._SMALL_ORDER`` it is that per-entry form, above it one
+    array expression, which costs about the same at every order while the
+    per-entry form grows as ``p^2`` (docs/MATH.md)."""
     p = xtx_over_n_inverse.shape[0]
+    if p + 1 <= numerics._SMALL_ORDER:
+        # one evaluation of the factors; _normal_factors multiplies a scale
+        # by ratio_beta sqrt(t) and then by t, t = 1 + a
+        t = 1.0 + a
+        _, corner, ratio_beta, _ = _normal_factors(a, sigma * sigma)
+        per_beta = ratio_beta * math.sqrt(t)
+        rows = [
+            [sigma * v * sigma * per_beta * t for v in row] + [0.0]
+            for row in xtx_over_n_inverse.tolist()
+        ]
+        rows.append([0.0] * p + [corner])
+        return np.array(rows)
     sigma_n = np.zeros((p + 1, p + 1))
     with np.errstate(over="ignore"):
         sigma_n[:p, :p] = _normal_factors(a, sigma * xtx_over_n_inverse * sigma)[0]
@@ -242,9 +257,21 @@ def _objective_grad_hess(x, y, beta, s, a, hessian=True):
 
 def _scaled_gradient_norm(grad, s):
     """Max-norm of the gradient in (beta, sigma) coordinates."""
-    g_check = grad.copy()
-    g_check[-1] /= math.exp(s)
-    return float(np.max(np.abs(g_check)))
+    *g_beta, g_s = grad.tolist()
+    return _max_abs([*g_beta, g_s / math.exp(s)])
+
+
+def _max_abs(values) -> float:
+    """``float(np.max(np.abs(values)))`` of a few numbers, without an array:
+    the largest absolute value, or NaN where an entry is NaN."""
+    norm = 0.0
+    for v in values:
+        v = abs(v)
+        if v != v:
+            return float(v)
+        if v > norm:
+            norm = v
+    return float(norm)
 
 
 def _saddle_free_direction(xtx, s, val, neg, grad):
@@ -355,17 +382,18 @@ def fit_mle(data: ModelData) -> FitResult:
     n = data.n_obs
     beta = numerics.solve_spd(data.xtx_over_n, x.T @ y / n)
     resid = y - x @ beta
-    sigma = float(np.sqrt(np.mean(resid * resid)))
+    # np.mean's own sum and division, with the square root in Python floats
+    sigma = math.sqrt(float(np.add.reduce(resid * resid)) / n)
     # <= keeps a zero response (rms 0, sigma 0) a degenerate fit
-    if sigma <= DEGENERATE_SCALE_FACTOR * float(np.sqrt(np.mean(y * y))):
+    if sigma <= DEGENERATE_SCALE_FACTOR * math.sqrt(float(np.add.reduce(y * y)) / n):
         raise DegenerateFitError(
             "residuals vanish: the likelihood is unbounded as sigma -> 0"
         )
     theta = Theta(beta=beta, sigma=sigma)
-    grad = np.concatenate([x.T @ resid / (n * sigma**2), [0.0]])
-    # sigma component is exactly zero at the 1/n solution by construction
-    gnorm = float(np.max(np.abs(grad)))
-    loglik = float(-0.5 * math.log(2 * math.pi) - math.log(sigma) - 0.5)
+    # the sigma component of the gradient is exactly zero at the 1/n solution
+    scale = n * sigma**2
+    gnorm = _max_abs([v / scale for v in (x.T @ resid).tolist()])
+    loglik = -0.5 * math.log(2 * math.pi) - math.log(sigma) - 0.5
     return FitResult(
         theta_hat=theta,
         alpha=0.0,

@@ -137,9 +137,17 @@ class StudyConfig:
                 raise DomainError(f"{name} must be finite, got {beta}")
         if not (math.isfinite(self.true_sigma) and self.true_sigma > 0):
             raise DomainError(f"true_sigma must be finite and positive, got {self.true_sigma}")
-        for name, index, *_ in self.hypotheses:
+        for name, index, null_value, alt_value in self.hypotheses:
             if not is_index(index, 3):
                 raise DomainError(f"hypothesis {name}: parameter index {index} outside 0..2")
+            values = (null_value,) if alt_value is None else (null_value, alt_value)
+            if not all(math.isfinite(v) for v in values):
+                raise DomainError(f"hypothesis {name}: values must be finite, got {values}")
+            # an alternative is a generating parameter, and the scale is index 2
+            if index == 2 and alt_value is not None and not alt_value > 0:
+                raise DomainError(
+                    f"hypothesis {name}: the scale alternative must be positive, got {alt_value}"
+                )
         if not is_index(self.n_workers) or self.n_workers < 1:
             raise DomainError(f"need at least one worker, got {self.n_workers}")
         if len(set(self.ns)) != len(self.ns):

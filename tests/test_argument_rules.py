@@ -129,6 +129,21 @@ COUNTS = st.one_of(
 )
 
 
+def positive(v) -> bool:
+    return math.isfinite(v) and v > 0
+
+
+# the rule and a taker of each value of a study hypothesis: null values and
+# alternatives are finite, and an alternative of the scale (index 2) is a
+# generating parameter, so it is positive too
+HYPOTHESIS_VALUE_TAKERS = {
+    "beta1.null": (math.isfinite, lambda v: StudyConfig(hypotheses=(("beta1", 1, v, 0.45),))),
+    "beta1.alternative": (math.isfinite, lambda v: StudyConfig(hypotheses=(("beta1", 1, 1.0, v),))),
+    "sigma.null": (math.isfinite, lambda v: StudyConfig(hypotheses=(("sigma", 2, v, 0.8),))),
+    "sigma.alternative": (positive, lambda v: StudyConfig(hypotheses=(("sigma", 2, 1.0, v),))),
+}
+
+
 @pytest.mark.parametrize("name", sorted(ALPHA_TAKERS))
 @PROPERTY
 @given(a=ALPHAS)
@@ -157,6 +172,20 @@ def test_count_and_seed_rule(name, v):
     least, bound, taker = COUNT_TAKERS[name]
     integer = isinstance(v, (int, np.integer)) and not isinstance(v, bool)
     assert raises_domain_error(lambda: taker(v)) == (not (integer and least <= v < bound))
+
+
+@pytest.mark.parametrize("name", sorted(HYPOTHESIS_VALUE_TAKERS))
+@PROPERTY
+@given(v=st.floats())
+@example(v=-0.5)
+@example(v=0.0)
+@example(v=5e-324)
+@example(v=math.nan)
+@example(v=-math.inf)
+def test_hypothesis_value_rule(name, v):
+    # refused when the configuration is built, not inside a replication block
+    valid, taker = HYPOTHESIS_VALUE_TAKERS[name]
+    assert raises_domain_error(lambda: taker(v)) == (not valid(v))
 
 
 def test_normal_quantile_checks_every_entry():

@@ -322,10 +322,11 @@ class TestCovariance:
         assert np.all(cov.sigma_n[:2, 2] == 0.0) and np.all(cov.sigma_n[2, :2] == 0.0)
 
     def test_sandwich_equals_one_factor_per_entry(self):
-        """The coefficient block in one array expression has the bits of one
-        factor call per entry in Python floats, from p = 1 to 5, sigma from
-        1e-150 to 1e150 and alpha from 0 to 1e300, with exact zeros: inf
-        where a product overflows, and no warning."""
+        """The coefficient block, per entry up to order
+        ``numerics._SMALL_ORDER`` and in one array expression above it, has
+        the bits of one factor call per entry in Python floats, from p = 1
+        to 5, sigma from 1e-150 to 1e150 and alpha from 0 to 1e300, with
+        exact zeros: inf where a product overflows, and no warning."""
         gen = np.random.default_rng(2023)
         for case in range(5000):
             p = int(gen.integers(1, 6))
