@@ -276,19 +276,23 @@ def _max_abs(values) -> float:
 
 def _saddle_free_direction(xtx, s, val, neg, grad):
     """Ascent direction where ``neg`` (minus the Hessian) is not positive
-    definite, or None where the derivatives are not finite: each generalised
-    eigenvector of ``neg`` against ``val * diag(X'X / (n sigma^2), 2)``, a
-    metric that changes with the units of y and X as the Hessian does, gets
-    the absolute value of its curvature, floored at 1e-8 of the largest.
-    ``xtx`` is X'X / n."""
+    definite, or None where the derivatives are not finite or numpy refuses
+    the metric: each generalised eigenvector of ``neg`` against ``val *
+    diag(X'X / (n sigma^2), 2)``, a metric that changes with the units of y
+    and X as the Hessian does, gets the absolute value of its curvature,
+    floored at 1e-8 of the largest.  ``xtx`` is X'X / n.  Near response
+    scales of 1e150 the metric underflows and numpy refuses its Cholesky."""
     if not (val > 0 and np.all(np.isfinite(neg)) and np.all(np.isfinite(grad))):
         return None
     p = xtx.shape[0]
     metric = np.zeros((p + 1, p + 1))
     metric[:p, :p] = xtx / math.exp(2.0 * s)
     metric[p, p] = 2.0
-    root_inv = np.linalg.inv(np.linalg.cholesky(val * metric))
-    curvature, vectors = np.linalg.eigh(root_inv @ neg @ root_inv.T)
+    try:
+        root_inv = np.linalg.inv(np.linalg.cholesky(val * metric))
+        curvature, vectors = np.linalg.eigh(root_inv @ neg @ root_inv.T)
+    except np.linalg.LinAlgError:
+        return None
     curvature = np.maximum(np.abs(curvature), 1e-8 * np.max(np.abs(curvature)))
     return root_inv.T @ (vectors @ ((vectors.T @ (root_inv @ grad)) / curvature))
 
@@ -376,16 +380,23 @@ def _newton_stage(x, y, beta, s, a, scale_floor, xtx, saddle_free=True) -> _Stag
 
 def fit_mle(data: ModelData) -> FitResult:
     """Closed-form maximum-likelihood fit: OLS coefficients and the
-    1/n-denominator scale estimate."""
+    1/n-denominator scale estimate.  Raises DomainError where the response's
+    or the residuals' sum of squares overflows."""
     _require_full_rank(data)
     x, y = data.design, data.response
     n = data.n_obs
     beta = numerics.solve_spd(data.xtx_over_n, x.T @ y / n)
     resid = y - x @ beta
-    # np.mean's own sum and division, with the square root in Python floats
-    sigma = math.sqrt(float(np.add.reduce(resid * resid)) / n)
+    # np.mean's own sums, of the residuals and of the response; one that
+    # overflows is refused here, not read as a vanishing residual
+    with np.errstate(over="ignore"):
+        rss = float(np.add.reduce(resid * resid))
+        yy = float(np.add.reduce(y * y))
+    if not (math.isfinite(rss) and math.isfinite(yy)):
+        raise DomainError("the response is too large: its sum of squares overflows")
+    sigma = math.sqrt(rss / n)
     # <= keeps a zero response (rms 0, sigma 0) a degenerate fit
-    if sigma <= DEGENERATE_SCALE_FACTOR * math.sqrt(float(np.add.reduce(y * y)) / n):
+    if sigma <= DEGENERATE_SCALE_FACTOR * math.sqrt(yy / n):
         raise DegenerateFitError(
             "residuals vanish: the likelihood is unbounded as sigma -> 0"
         )
@@ -413,6 +424,12 @@ def _continue(x, y, xtx, beta, s, a_from, a_to, scale_floor) -> _Stage:
     matrix that is not positive definite, ends unconverged or collapses, and
     is retried from the last accepted fit with half the step.  A stage at or
     below that length takes saddle-free steps and is accepted as it ends.
+    One that ends where it began, unconverged without an accepted step,
+    would leave every later stage to restart at that point, so one last
+    stage runs from it straight at ``a_to``.  Such stages arise where no
+    Newton matrix is finite and positive definite (response scales near
+    1e-150 or 1e150), and halving would crawl there in steps of
+    ``_MIN_ALPHA_STEP``.
     """
     a = a_to
     while True:
@@ -428,6 +445,8 @@ def _continue(x, y, xtx, beta, s, a_from, a_to, scale_floor) -> _Stage:
             a = a_from + 0.5 * (a - a_from)
         elif a == a_to:
             return stage
+        elif not (stage.converged or stage.iterations):
+            return _newton_stage(x, y, stage.beta, stage.s, a_to, scale_floor, xtx)
         else:
             beta, s, a_from, a = stage.beta, stage.s, a, a_to
 

@@ -8,6 +8,7 @@ module), so each statistic is asymptotically chi-square under its null.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -136,6 +137,31 @@ def wald_composite(data: ModelData, fit: FitResult, hyp: LinearHypothesis) -> Wa
     diff = m.T @ theta.to_array() - hyp.m_vector
     stat = wald_statistic(diff, m.T @ fit.sigma_n @ m, data.n_obs)
     return _outcome(stat, hyp.n_restrictions)
+
+
+def _coordinate_p_value(fit: FitResult, index: int, value: float, n: int) -> float:
+    """P-value of the Wald test of ``theta[index] = value``, index in 0..p,
+    on ``fit`` from ``n`` observations: the p-value of ``wald_composite``
+    with ``LinearHypothesis.coordinates([index], [value], p + 1)``, bit for
+    bit, from two Python floats.  With ``d = theta_hat[index] - value`` and
+    ``r = sqrt(sigma_n[index, index])`` the statistic ``(n d) ((d / r) / r)``
+    repeats the operations of ``solve_spd`` on that test's 1 x 1 system
+    ``M' sigma_n M`` (docs/MATH.md).  Raises ``wald_statistic``'s
+    DecompositionError where that system is not positive definite: where the
+    variance is not positive, or where an entry of ``sigma_n`` is not finite,
+    which makes ``M' sigma_n M`` NaN or inf.
+    """
+    rows = fit.sigma_n.tolist()
+    var = rows[index][index]
+    if not (var > 0.0 and all(map(math.isfinite, itertools.chain.from_iterable(rows)))):
+        raise DecompositionError(
+            "covariance not positive definite: matrix is not positive definite (pivot 0)"
+        )
+    theta = fit.theta_hat
+    estimate = theta.sigma if index == theta.beta.size else theta.beta[index]
+    d = float(estimate) - float(value)
+    r = math.sqrt(var)
+    return numerics.chisq_sf((n * d) * ((d / r) / r), 1)
 
 
 def _power_terms(theta_star: Theta, theta0: Theta, sigma_provider) -> tuple:

@@ -5,8 +5,9 @@ test power.
 A study runs in blocks of consecutive replications at one sample size.  A
 block builds what every replication of a study shares once: the design with
 its X'X/n, inverse and rank check (a :class:`~renyireg.model.Design`), the
-generating parameters, the hypotheses and each draw's mean vector.  Each
-replication then only draws and fits.
+generating parameters and each draw's mean vector.  Each replication then
+only draws, fits, and decides each hypothesis, which pins one coordinate of
+theta, from that fitted coordinate and its entry of ``sigma_n``.
 
 Reproducibility: every replication draws from its own stream addressed by
 ``(seed, replication_index)``, so a study result is a pure function of its
@@ -26,7 +27,7 @@ from .data import write_csv, write_json
 from .estimation import fit_rp_path
 from .exceptions import DegenerateFitError, DomainError, check_alpha, check_probability
 from .exceptions import check_seed, is_index
-from .inference import LinearHypothesis, wald_composite
+from .inference import _coordinate_p_value
 from .model import Design, ModelData, Theta
 from .numerics import RngStream, chisq_quantile, noncentral_chisq_sf
 from .robustness import are
@@ -210,9 +211,9 @@ def _replication_block(task):
 
     The block builds the design, the generating parameters (the truth, then
     one alternative per hypothesis that has one, in ``config.hypotheses``
-    order), the hypotheses and each draw's mean once.  Replication ``rep``
-    draws one response per parameter from ``RngStream(config.seed, rep)``
-    and fits every alpha on each draw.  Its record is None when a fit
+    order) and each draw's mean once.  Replication ``rep`` draws one
+    response per parameter from ``RngStream(config.seed, rep)`` and fits
+    every alpha on each draw.  Its record is None when a fit
     degenerates, which excludes the replication; otherwise one entry per
     alpha: None when a fit at that alpha did not converge, else ``(squared
     error, rejections under the null per hypothesis, rejections under each
@@ -222,14 +223,14 @@ def _replication_block(task):
     design = Design(make_design(replace(config.design, n=n)))
     theta_true = Theta(beta=np.asarray(config.true_beta, dtype=float), sigma=config.true_sigma)
     truth = theta_true.to_array()
-    thetas, hyps, alt_hyps = [theta_true], [], []
+    thetas, nulls, alt_nulls = [theta_true], [], []
     for _, index, null_value, alt_value in config.hypotheses:
-        hyps.append(LinearHypothesis.coordinates([index], [null_value], truth.size))
+        nulls.append((index, null_value))
         if alt_value is not None:
             alt = truth.copy()
             alt[index] = alt_value
             thetas.append(Theta.from_array(alt))
-            alt_hyps.append(hyps[-1])
+            alt_nulls.append(nulls[-1])
     means = _means(design.matrix, thetas, config.contamination)
     records = []
     for rep in range(start, stop):
@@ -250,10 +251,11 @@ def _replication_block(task):
                 outcomes.append(None)
                 continue
             err = fits[0].theta_hat.to_array() - truth
-            level = [wald_composite(draws[0], fits[0], h).reject_at(config.level) for h in hyps]
+            # each hypothesis pins one coordinate: wald_composite's decision, bit for bit
+            level = [_coordinate_p_value(fits[0], i, v, n) < config.level for i, v in nulls]
             power = [
-                wald_composite(data, fit, h).reject_at(config.level)
-                for data, fit, h in zip(draws[1:], fits[1:], alt_hyps)
+                _coordinate_p_value(fit, i, v, n) < config.level
+                for fit, (i, v) in zip(fits[1:], alt_nulls)
             ]
             outcomes.append((float(err @ err), level, power))
         records.append(outcomes)

@@ -179,6 +179,26 @@ class TestFit:
         assert len(lines) == 1 and lines[0].startswith("error: scale collapsed"), proc.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "scale,code,err",
+        # 1e150: numpy refuses the saddle-free metric, and the fit at 0.5
+        # ends unconverged; 1e155: the residuals' sum of squares overflows
+        [(1e150, EXIT_NONCONVERGED, ""),
+         (1e155, EXIT_ERROR, "error: the response is too large: its sum of squares overflows\n")],
+    )
+    def test_extreme_response_scale(self, tmp_path, capsys, scale, code, err):
+        gen = np.random.default_rng(0)
+        x = gen.standard_normal(40)
+        y = 1.0 + 2.0 * x + gen.standard_normal(40)
+        y[:5] += 5.0
+        path = tmp_path / "rows.csv"
+        rows = zip((scale * y).tolist(), x.tolist())
+        path.write_text("y,x\n" + "".join(f"{a!r},{b!r}\n" for a, b in rows))
+        argv = ["fit", "--data", str(path), "--response", "y", "--covariates", "x",
+                "--alphas", "0,0.5", "--output", str(tmp_path / "out")]
+        assert main(argv) == code
+        assert capsys.readouterr().err == err
+
     def test_negative_multistart_is_an_error(self, tmp_path, capsys):
         code = main(
             ["fit", "--data", "brain_weight", "--multistart", "-3", "--output", str(tmp_path)]

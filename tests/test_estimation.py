@@ -1018,6 +1018,53 @@ class TestUnitFreeConvergence:
             fit_rp_path(data, [0.0, 0.5])
 
 
+class TestExtremeResponseScales:
+    """40 rows, five of them shifted by 5, at response scales where the
+    kernel's numbers leave the range of a double.  The fit is not unit-free
+    there, but it ends with a flag or a DomainError, never with numpy's
+    exception or a warning."""
+
+    @staticmethod
+    def rows():
+        gen = np.random.default_rng(0)
+        x = np.column_stack([np.ones(40), gen.standard_normal(40)])
+        y = x @ np.array([1.0, 2.0]) + gen.standard_normal(40)
+        y[:5] += 5.0
+        return x, y
+
+    @pytest.mark.parametrize("alpha", [0.5, 1e4])
+    def test_refused_metric_ends_the_path_unconverged(self, alpha, monkeypatch):
+        # at 1e150 the path converges to about alpha 0.15; beyond it every
+        # Newton matrix underflows, and so does the saddle-free metric, whose
+        # Cholesky numpy refuses.  A stage at the shortest step that ends
+        # where it began sends one last stage to the target, where a crawl
+        # in the shortest steps would take 25 of them to 0.5 and 8e5 to 1e4
+        x, y = self.rows()
+        stages = TestStepControl.record_stages(monkeypatch)
+        fit = fit_rp_path(ModelData(design=x, response=1e150 * y), [alpha])[alpha]
+        assert not fit.converged
+        assert fit.iterations == 0
+        assert stages[-1] == (alpha, True)
+        assert sum(saddle_free for _, saddle_free in stages) < 5
+
+    @pytest.mark.parametrize(
+        "response",
+        [
+            # the residuals' sum of squares overflows
+            lambda x, y: 1e155 * y,
+            # only the response's: an exact line, its residuals rounding
+            lambda x, y: 1e160 * (x @ np.array([1.0, 2.0])),
+        ],
+    )
+    def test_overflowing_sum_of_squares_is_refused(self, response):
+        # an overflow RuntimeWarning would fail the test too
+        data = ModelData(design=self.rows()[0], response=response(*self.rows()))
+        with pytest.raises(DomainError, match="sum of squares overflows"):
+            fit_mle(data)
+        with pytest.raises(DomainError, match="sum of squares overflows"):
+            fit_rp_path(data, [0.5])
+
+
 class TestStepControl:
     """The path steps straight to each target and halves a step whose stage
     fails; it then ends on the branch that a 0.01 ladder follows."""

@@ -1,19 +1,24 @@
 """Wald-type tests, power approximation, sample size, local alternatives."""
 
 import csv
+import dataclasses
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from renyireg import load_dataset, numerics
 from renyireg.cli import EXIT_OK, main
-from renyireg.estimation import covariance_mlrm, fit_mle, fit_rp
+from renyireg.estimation import covariance_mlrm, fit_mle, fit_rp, fit_rp_path
 from renyireg.exceptions import DecompositionError, DomainError
 from renyireg.inference import (
     UNBOUNDED_SAMPLE_SIZE,
     LinearHypothesis,
     WaldOutcome,
+    _coordinate_p_value,
     approx_power,
     contiguous_power,
     required_sample_size,
@@ -175,6 +180,89 @@ class TestRejectAt:
                         assert row[f"reject_at_{level}"] == str(reject), (data, level, row)
                         decisions.add(reject)
         assert decisions == {True, False}
+
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@contextmanager
+def tail_statistics():
+    """The statistics of the chi-square tails evaluated inside, in order.  A
+    patch of the module attribute, which inference calls, so that it can
+    enter and leave within one ``hypothesis`` example."""
+    seen = []
+    sf = numerics.chisq_sf
+    numerics.chisq_sf = lambda x, df: seen.append(x) or sf(x, df)
+    try:
+        yield seen
+    finally:
+        numerics.chisq_sf = sf
+
+
+class TestCoordinatePValue:
+    """A study decides each hypothesis ``theta[index] = value`` from the
+    fitted coordinate and its ``sigma_n`` diagonal entry: the test that
+    ``wald_composite`` makes, bit for bit."""
+
+    @PROPERTY
+    @given(
+        p=st.integers(1, 3),
+        n=st.integers(12, 80),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(-100.0, 100.0).map(lambda e: 10.0**e),
+        alpha=st.floats(0.0, 2.0),
+        # nulls this many standard errors from the estimate, 0 included
+        shifts=st.lists(st.floats(-4.0, 4.0), min_size=4, max_size=4),
+    )
+    @example(p=2, n=40, seed=0, scale=1e-100, alpha=0.5, shifts=[0.0, 1.96, -1.96, 4.0])
+    @example(p=3, n=12, seed=1, scale=1e100, alpha=0.0, shifts=[-0.0, 2.0, -3.0, 0.5])
+    def test_equals_wald_composite(self, p, n, seed, scale, alpha, shifts):
+        gen = np.random.default_rng(seed)
+        x = np.column_stack([np.ones(n), gen.normal(size=(n, p - 1))])
+        y = x @ np.linspace(1.0, -1.0, p) + gen.normal(size=n)
+        y[: n // 8] += 5.0
+        data = ModelData(x, scale * y)
+        fit = fit_rp_path(data, [alpha])[alpha]
+        theta = fit.theta_hat.to_array()
+        for index in range(p + 1):
+            se = math.sqrt(fit.sigma_n[index, index] / n)
+            value = theta[index] + shifts[index] * se
+            hyp = LinearHypothesis.coordinates([index], [value], p + 1)
+            with tail_statistics() as stats:
+                got = _coordinate_p_value(fit, index, value, n)
+                want = wald_composite(data, fit, hyp)
+            assert [v.hex() for v in stats] == [want.statistic.hex()] * 2
+            assert got.hex() == want.p_value.hex()
+            for level in (0.01, 0.05, 0.5):
+                assert (got < level) == want.reject_at(level)
+
+    @pytest.mark.parametrize(
+        "entry,index,bad",
+        [
+            # an entry off the tested coordinate, either sign of infinity or NaN
+            ((0, 1), 2, math.inf),
+            ((2, 0), 1, -math.inf),
+            ((2, 2), 0, math.nan),
+            # the variance itself: zero, negative, infinite
+            ((1, 1), 1, 0.0),
+            ((0, 0), 0, -1.0),
+            ((2, 2), 2, math.inf),
+        ],
+    )
+    def test_refuses_what_wald_composite_refuses(self, rng, entry, index, bad):
+        data = make_data(rng)
+        fit = fit_rp(data, 0.5)
+        sigma_n = fit.sigma_n.copy()
+        sigma_n[entry] = bad
+        broken = dataclasses.replace(fit, sigma_n=sigma_n)
+        value = fit.theta_hat.to_array()[index] + 0.1
+        hyp = LinearHypothesis.coordinates([index], [value], 3)
+        # M' sigma_n M multiplies the non-finite entry by 0
+        with pytest.raises(DecompositionError) as want, np.errstate(invalid="ignore"):
+            wald_composite(data, broken, hyp)
+        with pytest.raises(DecompositionError) as got:
+            _coordinate_p_value(broken, index, value, data.n_obs)
+        assert str(got.value) == str(want.value)
 
 
 def identity_sigma_provider(theta):

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -215,8 +214,8 @@ class TestRunStudy:
         monkeypatch.setattr(simulation, "_BLOCK", 5)
         run_study(tiny_config(sample_sizes=(20, 40), replications=12))
         assert grams.count((2, 2)) == 6
-        # and each of the two hypotheses once per block
-        assert grams.count((1, 1)) == 12
+        # the hypotheses pin single coordinates, and no restriction matrix is built
+        assert grams.count((1, 1)) == 0
 
     def test_failed_fits_are_counted_per_cell(self, monkeypatch):
         # fits run in draw order, three per replication (the null, then the
@@ -244,12 +243,12 @@ class TestRunStudy:
                 null_fits[rep] = fits
             return fits
 
-        def fake_wald(data, fit, hyp):
+        def fake_p_value(fit, index, value, n):
             # odd replications reject every hypothesis on every draw
-            return SimpleNamespace(reject_at=lambda level: owner[id(fit)][0] % 2 == 1)
+            return 0.0 if owner[id(fit)][0] % 2 == 1 else 1.0
 
         monkeypatch.setattr(simulation, "fit_rp_path", fake_fit)
-        monkeypatch.setattr(simulation, "wald_composite", fake_wald)
+        monkeypatch.setattr(simulation, "_coordinate_p_value", fake_p_value)
         with pytest.warns(UserWarning, match="6.2% of fits did not converge"):
             result = run_study(tiny_config(replications=8, n_workers=1))
 

@@ -90,8 +90,8 @@ def problem(p, n, seed, scale, contaminated):
 
 ORDERS = st.integers(1, SMALL - 1)
 SCALES = st.floats(-150.0, 150.0).map(lambda e: 10.0**e)
-# a path crawls in steps of estimation._MIN_ALPHA_STEP where every Newton
-# matrix overflows (a response scale of 1e-150), so generated paths stop at 2
+# generated paths stop at 2; the examples below reach 1e4, where at a
+# response scale of 1e150 no Newton matrix is positive definite
 PATH_ALPHAS = st.floats(1e-3, 2.0)
 
 
