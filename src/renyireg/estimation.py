@@ -276,12 +276,13 @@ def _max_abs(values) -> float:
 
 def _saddle_free_direction(xtx, s, val, neg, grad):
     """Ascent direction where ``neg`` (minus the Hessian) is not positive
-    definite, or None where the derivatives are not finite or numpy refuses
-    the metric: each generalised eigenvector of ``neg`` against ``val *
-    diag(X'X / (n sigma^2), 2)``, a metric that changes with the units of y
-    and X as the Hessian does, gets the absolute value of its curvature,
-    floored at 1e-8 of the largest.  ``xtx`` is X'X / n.  Near response
-    scales of 1e150 the metric underflows and numpy refuses its Cholesky."""
+    definite, or None where the derivatives are not finite, numpy refuses
+    the metric or no curvature is nonzero: each generalised eigenvector of
+    ``neg`` against ``val * diag(X'X / (n sigma^2), 2)``, a metric that
+    changes with the units of y and X as the Hessian does, gets the absolute
+    value of its curvature, floored at 1e-8 of the largest.  ``xtx`` is
+    X'X / n.  Near response scales of 1e150 the metric underflows and numpy
+    refuses its Cholesky; at a subnormal alpha ``neg`` is 0."""
     if not (val > 0 and np.all(np.isfinite(neg)) and np.all(np.isfinite(grad))):
         return None
     p = xtx.shape[0]
@@ -293,7 +294,11 @@ def _saddle_free_direction(xtx, s, val, neg, grad):
         curvature, vectors = np.linalg.eigh(root_inv @ neg @ root_inv.T)
     except np.linalg.LinAlgError:
         return None
-    curvature = np.maximum(np.abs(curvature), 1e-8 * np.max(np.abs(curvature)))
+    curvature = np.abs(curvature)
+    top = float(curvature.max())
+    if not top > 0.0:
+        return None
+    curvature = np.maximum(curvature, 1e-8 * top)
     return root_inv.T @ (vectors @ ((vectors.T @ (root_inv @ grad)) / curvature))
 
 

@@ -55,9 +55,9 @@ class Theta:
     def __post_init__(self):
         beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
         object.__setattr__(self, "beta", beta)
-        if not np.all(np.isfinite(beta)):
+        if not all(map(math.isfinite, beta.ravel().tolist())):
             raise DomainError("beta must be finite")
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise DomainError(f"sigma must be positive, got {self.sigma}")
 
     @property
@@ -141,7 +141,7 @@ class ModelData:
         object.__setattr__(self, "response", y)
         if shared.matrix.shape[0] != y.shape[0]:
             raise DomainError("design and response row counts differ")
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise DomainError("response must be finite")
 
     @property

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -1063,6 +1064,24 @@ class TestExtremeResponseScales:
             fit_mle(data)
         with pytest.raises(DomainError, match="sum of squares overflows"):
             fit_rp_path(data, [0.5])
+
+
+@pytest.mark.parametrize("p, n", [(1, 12), (2, 40)])
+def test_subnormal_alpha_ends_with_a_flag(p, n):
+    # at alpha 5e-324 the kernel's a * c underflows: the Newton matrix and
+    # every curvature of the saddle-free metric are 0, so there is no
+    # direction, and the stage ends unconverged at the maximum-likelihood fit
+    gen = np.random.default_rng(0)
+    x = np.column_stack([np.ones(n), gen.standard_normal((n, p - 1))])
+    data = ModelData(design=x, response=x @ np.arange(1.0, p + 1) + gen.standard_normal(n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_rp_path(data, [5e-324])[5e-324]
+    assert not fit.converged
+    assert fit.iterations == 0
+    mle = fit_mle(data).theta_hat
+    assert np.array_equal(fit.theta_hat.beta, mle.beta)
+    assert fit.theta_hat.sigma == pytest.approx(mle.sigma, rel=1e-15)
 
 
 class TestStepControl:

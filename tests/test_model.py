@@ -48,6 +48,32 @@ class TestTypes:
         with pytest.raises(DomainError):
             Theta(beta=np.array([np.inf]), sigma=1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_theta_refuses_non_finite_beta_entry(self, bad, where):
+        beta = [0.5, -1.0, 2.0]
+        beta[where] = bad
+        for given in (beta, np.array(beta), np.array([beta])):
+            with pytest.raises(DomainError, match="^beta must be finite$"):
+                Theta(beta=given, sigma=1.0)
+
+    @pytest.mark.parametrize(
+        "sigma",
+        [0.0, -0.0, -1.5, 0, -2, np.float64(0.0), np.float64(-1.0), np.int64(0), False,
+         math.nan, math.inf, -math.inf, np.float64(math.nan), np.float32(math.inf)],
+    )
+    def test_theta_refuses_sigma(self, sigma):
+        with pytest.raises(DomainError) as err:
+            Theta(beta=[0.0, 1.0], sigma=sigma)
+        assert str(err.value) == f"sigma must be positive, got {sigma}"
+
+    @pytest.mark.parametrize(
+        "sigma", [1e-300, 5e-324, 2.0, 3, np.float64(0.5), np.float32(2.5), np.int64(4), True]
+    )
+    def test_theta_keeps_positive_sigma(self, sigma):
+        theta = Theta(beta=np.array([0.0, 1.0]), sigma=sigma)
+        assert theta.sigma is sigma
+
     def test_theta_round_trip(self):
         t = Theta(beta=np.array([1.0, -2.0]), sigma=0.5)
         back = Theta.from_array(t.to_array())
@@ -56,8 +82,9 @@ class TestTypes:
     def test_model_data_validation(self):
         with pytest.raises(DomainError):
             ModelData(design=np.ones((2, 2)), response=np.array([1.0, 2.0]))
-        with pytest.raises(DomainError):
-            ModelData(design=np.ones((3, 1)), response=np.array([1.0, np.nan, 2.0]))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DomainError, match="^response must be finite$"):
+                ModelData(design=np.ones((3, 1)), response=np.array([1.0, bad, 2.0]))
 
     def test_design_validation(self):
         for bad in (np.ones((2, 2)), np.array([[1.0, 0.0], [1.0, np.inf], [1.0, 2.0]])):

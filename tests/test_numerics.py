@@ -489,31 +489,34 @@ class TestIntegrate:
 
 class _SpdContract:
     """The error contract of ``solve_spd`` at order ``ORDER``: the
-    subclasses run it on either side of the cut between the Python-float
-    Cholesky and LAPACK."""
+    subclasses run it at every order of the straight-line Python-float
+    Cholesky and above the cut, where LAPACK solves.  An entry or block
+    that the order does not hold is taken modulo the order."""
 
     ORDER: int
 
     def test_not_spd_reports_pivot(self):
         k = self.ORDER
+        j = 1 % k
         a = np.eye(k)
-        a[1, 1] = -2.0
+        a[j, j] = -2.0
         with pytest.raises(DecompositionError) as err:
             numerics.solve_spd(a, np.ones(k))
-        assert err.value.pivot == 1
-        assert "pivot 1" in str(err.value)
+        assert err.value.pivot == j
+        assert f"pivot {j}" in str(err.value)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", [(0, 0), (1, 0), (2, 2), (0, 2), (-1, 1)])
     def test_non_finite_entry_raises(self, bad, where):
         k = self.ORDER
+        where = tuple(i % k for i in where)
         a = np.eye(k) * 2.0
         a[where] = bad
         with pytest.raises(DecompositionError) as err:
             numerics.solve_spd(a, np.ones(k))
         # the first leading block holding the entry fails, whichever
         # triangle the entry is in
-        assert err.value.pivot == max(i % k for i in where)
+        assert err.value.pivot == max(where)
 
     def test_pivot_zero_and_last(self):
         k = self.ORDER
@@ -522,12 +525,16 @@ class _SpdContract:
         with pytest.raises(DecompositionError) as err:
             numerics.solve_spd(a, np.ones(k))
         assert err.value.pivot == 0
-        # the leading block is the identity; the last Schur complement is 2 - k
-        a = np.eye(k)
-        a[-1, :] = a[:, -1] = 1.0
-        with pytest.raises(DecompositionError) as err:
-            numerics.solve_spd(a, np.ones(k))
-        assert err.value.pivot == k - 1
+        # the leading block is the identity; the last Schur complement is
+        # 2 - k, or 0 where the last diagonal entry is k - 1 (at order 1,
+        # the one entry is the last)
+        for last in (k - 1.0,) if k == 1 else (1.0, k - 1.0):
+            a = np.eye(k)
+            a[-1, :] = a[:, -1] = 1.0
+            a[-1, -1] = last
+            with pytest.raises(DecompositionError) as err:
+                numerics.solve_spd(a, np.ones(k))
+            assert err.value.pivot == k - 1
 
     def test_numerically_singular_raises(self):
         # a negated Newton Hessian met in a multistart run, in the leading
@@ -535,14 +542,15 @@ class _SpdContract:
         # pivot rule rejects it, or above the cut the LU solve's exact zero
         # pivot.  Either way the pivot is the working-precision rule's
         k = self.ORDER
+        m = min(k, 3)
         a = np.eye(k)
-        a[:3, :3] = [
+        a[:m, :m] = np.array([
             [1.0098650625722085e22, -1.1229909170978357e22, 1.4575280775018532e06],
             [-1.1229909170978357e22, 1.2487892161276397e22, -1.6208014843890255e06],
             [1.4575280775018532e06, -1.6208014843890255e06, 8.1428110171251155e03],
-        ]
+        ])[:m, :m]
         b = np.ones(k)
-        b[:3] = [5.6e5, -6.2e5, -3.1e3]
+        b[:m] = [5.6e5, -6.2e5, -3.1e3][:m]
         with pytest.raises(DecompositionError) as err:
             numerics.solve_spd(a, b)
         assert err.value.pivot == 1
@@ -618,6 +626,26 @@ class TestLinearAlgebra(_SpdContract):
             mine = numerics.min_eigenvalue(a)
             ref = float(np.min(np.linalg.eigvalsh(a)))
             assert mine == pytest.approx(ref, abs=1e-8)
+
+
+class TestSpdContractOrder1(_SpdContract):
+    ORDER = 1
+
+    def test_numerically_singular_raises(self):
+        # at order 1 the working-precision rule a > eps * a is a > 0
+        for a in (0.0, -0.0, -5e-324, math.nan):
+            with pytest.raises(DecompositionError) as err:
+                numerics.solve_spd(np.array([[a]]), np.ones(1))
+            assert err.value.pivot == 0
+        assert numerics.solve_spd(np.array([[5e-324]]), np.array([0.0])) == [0.0]
+
+
+class TestSpdContractOrder2(_SpdContract):
+    ORDER = 2
+
+
+class TestSpdContractOrder4(_SpdContract):
+    ORDER = 4
 
 
 class TestSpdContractAboveCut(_SpdContract):
