@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -48,6 +47,14 @@ _ROWS = 8192
 
 @dataclass(frozen=True)
 class FitResult:
+    """One fit.  The fit of a converged Newton stage evaluates its
+    ``objective_value`` and ``gradient_norm`` at the stage's closing point
+    when either is first read, with the bits an evaluation at fit time would
+    give (docs/MATH.md).  Until then it holds its ``ModelData``, whose
+    arrays must not change in between, the maximum-likelihood coefficients
+    and that point; pickling, copying, ``dataclasses.replace`` and ``==``
+    read both values first."""
+
     theta_hat: Theta
     alpha: float
     converged: bool
@@ -55,6 +62,37 @@ class FitResult:
     gradient_norm: float
     sigma_n: np.ndarray
     objective_value: float
+
+    @classmethod
+    def _pending(cls, closing, **fields):
+        """A fit without its two values, which its closing point ``(data,
+        beta_mle, stage)`` gives where first read.  Its attributes are set
+        as ``__init__`` sets them, so that no instance dictionary is built
+        for them."""
+        fit = object.__new__(cls)
+        for name, value in fields.items():
+            object.__setattr__(fit, name, value)
+        object.__setattr__(fit, "_closing", closing)
+        return fit
+
+    def __getattr__(self, name):
+        # reached only where ``name`` is not set: a pending fit's two values
+        if name not in ("objective_value", "gradient_norm"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        # the stage's closing point, on the problem it ran on
+        data, beta_mle, stage = self._closing
+        _close(*_centred_problem(data, beta_mle), self.alpha, stage)
+        value, gnorm = stage.value, _scaled_gradient_norm(stage.gradient, stage.s)
+        object.__setattr__(self, "objective_value", value)
+        object.__setattr__(self, "gradient_norm", gnorm)
+        # two threads may both have read the pending state
+        vars(self).pop("_closing", None)
+        return value if name == "objective_value" else gnorm
+
+    def __getstate__(self):
+        # a pickle or copy carries the two values, not the pending state
+        self.objective_value
+        return vars(self)
 
 
 @dataclass(frozen=True)
@@ -227,7 +265,7 @@ def _objective_grad_hess(x, y, beta, s, a, hessian=True):
         v = np.exp(-0.5 * a * r2)
         vr = v * r
         vr2 = vr * r
-        block = [float(v.sum()), float(vr2.sum()), vr @ xb]
+        block = [float(np.add.reduce(v)), float(np.add.reduce(vr2)), vr @ xb]
         if hessian:
             block += [
                 float(vr2 @ r2),
@@ -302,17 +340,19 @@ def _saddle_free_direction(xtx, s, val, neg, grad):
     return root_inv.T @ (vectors @ ((vectors.T @ (root_inv @ grad)) / curvature))
 
 
-class _Stage(NamedTuple):
-    """Where a Newton stage ended, with the kernel's value and gradient there.
-    ``iterations`` counts the steps the line search accepted; a converged
-    stage's closing full step is not among them."""
+@dataclass(slots=True)
+class _Stage:
+    """Where a Newton stage ended, with the kernel's value and gradient there;
+    at a converged stage's closing point both are None until ``_close``
+    fills them in.  ``iterations`` counts the steps the line search
+    accepted; a converged stage's closing full step is not among them."""
 
     beta: np.ndarray
     s: float
     converged: bool
     iterations: int
-    value: float
-    gradient: np.ndarray
+    value: float | None = None
+    gradient: np.ndarray | None = None
 
 
 def _newton_stage(x, y, beta, s, a, scale_floor, xtx, saddle_free=True) -> _Stage:
@@ -324,13 +364,14 @@ def _newton_stage(x, y, beta, s, a, scale_floor, xtx, saddle_free=True) -> _Stag
     on a concave neighbourhood predicts a relative gain of at most ``TOL**2``:
     the decrement ``grad @ direction`` does not change under X -> XA, and it
     scales with the objective value under y -> c y, so the rule has no units.
-    A converged stage then takes that full Newton step and reports the value
-    and gradient at its end, which it evaluates without the Hessian, so that
-    the fit does not depend on where the stage started.  Where the Newton
-    matrix is not positive definite the stage takes a saddle-free step
-    (``xtx`` is X'X / n), or with ``saddle_free`` false ends there
-    unconverged.  The kernel's weights may underflow, so the stage runs
-    under ``np.errstate(under="ignore")``, set once for all its points.
+    A converged stage then takes that full Newton step and returns its end
+    unevaluated, so that the fit does not depend on where the stage
+    started; ``_close`` evaluates the value and gradient there where they
+    are read.  Where the Newton matrix is not positive definite the stage
+    takes a saddle-free step (``xtx`` is X'X / n), or with ``saddle_free``
+    false ends there unconverged.  The kernel's weights may underflow, so
+    the stage runs under ``np.errstate(under="ignore")``, set once for all
+    its points.
     """
     beta = beta.copy()
     s = float(s)
@@ -357,8 +398,7 @@ def _newton_stage(x, y, beta, s, a, scale_floor, xtx, saddle_free=True) -> _Stag
                 if slope <= TOL**2 * val:
                     beta = beta + direction[:-1]
                     s = s + float(direction[-1])
-                    val, grad, _ = _objective_grad_hess(x, y, beta, s, a, hessian=False)
-                    return _Stage(beta, s, True, it, val, grad)
+                    return _Stage(beta, s, True, it)
             ds = float(direction[-1])
             # keep single stages from tunnelling into the degenerate spike
             if abs(ds) > 1.0:
@@ -381,6 +421,18 @@ def _newton_stage(x, y, beta, s, a, scale_floor, xtx, saddle_free=True) -> _Stag
             else:
                 return _Stage(beta, s, False, it, val, grad)
         return _Stage(beta, s, False, MAX_ITER, val, grad)
+
+
+def _close(x, y, a, stage) -> _Stage:
+    """Fill in the value and gradient at a converged stage's closing point,
+    once: the kernel without the Hessian, on the ``x`` and ``y`` the stage
+    ran on and under its error state.  Returns ``stage``."""
+    if stage.value is None:
+        with np.errstate(under="ignore"):
+            stage.value, stage.gradient, _ = _objective_grad_hess(
+                x, y, stage.beta, stage.s, a, hessian=False
+            )
+    return stage
 
 
 def fit_mle(data: ModelData) -> FitResult:
@@ -463,7 +515,7 @@ def fit_rp_path(data: ModelData, alphas, options: SolverOptions | None = None):
     """
     opts = options or SolverOptions()
     mle = fit_mle(data)
-    x, y = _centred_problem(data, mle)
+    x, y = _centred_problem(data, mle.theta_hat.beta)
     xtx = data.xtx_over_n
     floor = _collapse_floor(mle)
     results: dict[float, FitResult] = {}
@@ -482,26 +534,34 @@ def fit_rp_path(data: ModelData, alphas, options: SolverOptions | None = None):
     return results
 
 
-def _centred_problem(data: ModelData, mle: FitResult):
+def _centred_problem(data: ModelData, beta_mle: np.ndarray):
     """The design and response that Newton stages run on: a column-major copy
     of X, on which the kernel's design products run faster, and the residuals
     ``y - X beta_MLE``.  Stage coefficients are offsets from ``beta_MLE``, so
     that a response offset ``X d`` never enters the kernel's residuals, where
     it would round ``eps |X d|`` into every gradient."""
     x = np.asfortranarray(data.design)
-    return x, data.response - x @ mle.theta_hat.beta
+    return x, data.response - x @ beta_mle
 
 
 def _package_fit(data, a, stage, mle):
-    """The fit at ``a`` from a stage run on ``_centred_problem(data, mle)``."""
-    theta = Theta(beta=mle.theta_hat.beta + stage.beta, sigma=math.exp(stage.s))
-    return FitResult(
+    """The fit at ``a`` from a stage run on ``_centred_problem`` of ``data``
+    and ``mle``.  Where the stage has not evaluated its closing point, the
+    fit's value and gradient norm stay pending until read (``FitResult``)."""
+    beta_mle = mle.theta_hat.beta
+    theta = Theta(beta=beta_mle + stage.beta, sigma=math.exp(stage.s))
+    fields = dict(
         theta_hat=theta,
         alpha=a,
         converged=stage.converged,
         iterations=stage.iterations,
-        gradient_norm=_scaled_gradient_norm(stage.gradient, stage.s),
         sigma_n=_sigma_n(data.xtx_over_n_inverse, theta.sigma, a),
+    )
+    if stage.value is None:
+        return FitResult._pending((data, beta_mle, stage), **fields)
+    return FitResult(
+        **fields,
+        gradient_norm=_scaled_gradient_norm(stage.gradient, stage.s),
         objective_value=stage.value,
     )
 
@@ -541,9 +601,11 @@ def _multistart_refine(x, y, a, stage, opts, floor, xtx):
             continue
         s0 = math.log(sd * (0.3 + 0.9 * gen.random()))
         try:
-            cand = _newton_stage(x, y, b0, s0, a, floor, xtx)
+            cand = _close(x, y, a, _newton_stage(x, y, b0, s0, a, floor, xtx))
         except DegenerateFitError:
             continue
+        if cand.converged:
+            best = _close(x, y, a, best)
         if _replaces(cand.converged, cand.value, best.converged, best.value):
             best = cand
     return best
@@ -570,11 +632,12 @@ def fit_rp(
     result = fits[alpha]
     if init is not None:
         mle = fits[0.0]
-        x, y = _centred_problem(data, mle)
+        x, y = _centred_problem(data, mle.theta_hat.beta)
         start = init.beta - mle.theta_hat.beta
         stage = _newton_stage(
             x, y, start, math.log(init.sigma), alpha, _collapse_floor(mle), data.xtx_over_n
         )
+        stage = _close(x, y, alpha, stage)
         if _replaces(stage.converged, stage.value, result.converged, result.objective_value):
             result = _package_fit(data, alpha, stage, mle)
     return result

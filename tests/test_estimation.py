@@ -1,8 +1,10 @@
 """Fitting, covariance matrices, and design diagnostics."""
 
+import copy
 import dataclasses
 import itertools
 import math
+import pickle
 import warnings
 from types import SimpleNamespace
 
@@ -13,6 +15,7 @@ from renyireg import estimation, numerics
 from renyireg.data import exclude_rows, load_dataset
 from renyireg.estimation import (
     MAX_ITER,
+    FitResult,
     SolverOptions,
     _objective_grad_hess,
     covariance_mlrm,
@@ -24,7 +27,7 @@ from renyireg.estimation import (
 from renyireg.exceptions import DecompositionError, DegenerateFitError, DomainError
 from renyireg.model import Design, ModelData, NormalLinearFamily, Theta, objective
 from renyireg.numerics import RngStream
-from renyireg.simulation import DesignSpec, generate_data, make_design
+from renyireg.simulation import DesignSpec, StudyConfig, generate_data, make_design, run_study
 
 
 def random_instance(rng, n=30, p=2, sigma=1.0):
@@ -773,36 +776,42 @@ class TestSolverEvaluations:
         assert len(set(points)) == len(points)
 
     def test_closing_point_has_no_hessian(self, monkeypatch):
-        # per stage, the kernel's calls in order; only a converged stage's
-        # last one, its closing point, is made without the Hessian
-        stages = []
+        # every kernel call inside a stage carries the Hessian: a converged
+        # stage ends at its closing point without evaluating it.  Only the
+        # multistart comparison, outside the stages, evaluates closing
+        # points, and without the Hessian
+        calls, outcomes, depth = [], [], []
         kernel, stage = estimation._objective_grad_hess, estimation._newton_stage
 
         def recording_kernel(x, y, beta, s, a, hessian=True):
-            stages[-1][1].append(hessian)
+            calls.append((bool(depth), hessian))
             return kernel(x, y, beta, s, a, hessian)
 
         def recording_stage(*args):
-            stages.append([None, []])
-            stages[-1][0] = stage(*args)
-            return stages[-1][0]
+            depth.append(None)
+            try:
+                result = stage(*args)
+            finally:
+                depth.pop()
+            outcomes.append(result.converged)
+            return result
 
         monkeypatch.setattr(estimation, "_objective_grad_hess", recording_kernel)
         monkeypatch.setattr(estimation, "_newton_stage", recording_stage)
         data = self.contaminated()
         fit_rp_path(data, self.ALPHAS)
-        fit_rp(data, 0.7, options=SolverOptions(multistart=2))
         # the path to alpha 1 halves its first step here (TestUnitFreeConvergence)
         gen = np.random.default_rng(451)
         x = np.column_stack([np.ones(60), gen.normal(size=(60, 2))])
         y = x @ np.array([1.0, 2.0, -1.0]) + gen.normal(size=60)
         y[:6] += 6.0
         fit_rp_path(ModelData(design=x, response=y), [1.0])
-        outcomes = [result.converged for result, _ in stages]
         assert True in outcomes and False in outcomes
-        for result, hessians in stages:
-            assert hessians[:-1] == [True] * (len(hessians) - 1)
-            assert hessians[-1] is not result.converged
+        assert calls and all(inside and hessian for inside, hessian in calls)
+        del calls[:]
+        fit_rp(data, 0.7, options=SolverOptions(multistart=2))
+        assert all(inside is hessian for inside, hessian in calls)
+        assert (False, False) in calls
 
     def test_fit_inside_caller_error_state(self):
         # rows 100 sigma out have weights that underflow to 0; each stage
@@ -886,6 +895,123 @@ class TestSolverEvaluations:
         np.testing.assert_allclose(
             direct.theta_hat.to_array(), fine.theta_hat.to_array(), rtol=1e-12
         )
+
+
+class TestPendingClosingPoint:
+    """A converged stage's fit evaluates its value and gradient norm at the
+    stage's closing point when either is first read, with the bits of the
+    evaluation at the end of the stage."""
+
+    ALPHAS = (0.2, 0.6, 1.0)
+
+    @staticmethod
+    def eager_closing(monkeypatch):
+        """Record, per alpha, the closing value and scaled gradient norm of
+        the last converged stage, evaluated as the stage ends."""
+        closing = {}
+        stage = estimation._newton_stage
+
+        def recording(x, y, beta, s, a, *args):
+            out = stage(x, y, beta, s, a, *args)
+            if out.converged:
+                with np.errstate(under="ignore"):
+                    val, grad, _ = _objective_grad_hess(x, y, out.beta, out.s, a, hessian=False)
+                closing[a] = (val, estimation._scaled_gradient_norm(grad, out.s))
+            return out
+
+        monkeypatch.setattr(estimation, "_newton_stage", recording)
+        return closing
+
+    @staticmethod
+    def kernel_flags(monkeypatch):
+        flags = []
+        kernel = estimation._objective_grad_hess
+
+        def recording(x, y, beta, s, a, hessian=True):
+            flags.append(hessian)
+            return kernel(x, y, beta, s, a, hessian)
+
+        monkeypatch.setattr(estimation, "_objective_grad_hess", recording)
+        return flags
+
+    @staticmethod
+    def bits(fit):
+        return fit.objective_value.hex(), fit.gradient_norm.hex()
+
+    @pytest.mark.parametrize(
+        "draw,alphas",
+        [
+            ("brain_weight", ALPHAS),
+            ("first_word", ALPHAS),
+            ("study_clean", (0.0, 0.3, 0.7, 1.0)),
+        ],
+    )
+    def test_read_gives_eager_bits(self, draw, alphas, monkeypatch):
+        if draw == "study_clean":
+            data = TestSolverEvaluations.study_clean_draw()
+        else:
+            data = load_dataset(draw).data
+        closing = self.eager_closing(monkeypatch)
+        fits = fit_rp_path(data, alphas)
+        assert all(fit.converged for fit in fits.values())
+        # the maximum-likelihood fit has no stage
+        for a in set(alphas) - {0.0}:
+            assert self.bits(fits[a]) == tuple(v.hex() for v in closing[a])
+
+    def test_kernel_calls(self, monkeypatch):
+        flags = self.kernel_flags(monkeypatch)
+        data = TestSolverEvaluations.contaminated()
+        fits = fit_rp_path(data, TestSolverEvaluations.ALPHAS)
+        assert flags and all(flags)
+        converged = [fit for a, fit in fits.items() if a > 0 and fit.converged]
+        assert len(converged) == 3
+        for k, fit in enumerate(converged, 1):
+            fit.gradient_norm
+            assert flags.count(False) == k
+            fit.objective_value
+            fit.gradient_norm
+            assert flags.count(False) == k
+        # the maximum-likelihood fit carries its values
+        fits[0.0].objective_value
+        assert flags.count(False) == 3
+
+    def test_study_evaluates_no_closing_point(self, monkeypatch):
+        flags = self.kernel_flags(monkeypatch)
+        config = StudyConfig(
+            design=DesignSpec(kind="two_point", n=200, a=1.0, b=5.0), replications=3, seed=11
+        )
+        result = run_study(config)
+        assert result.non_convergence_count == 0
+        assert flags and all(flags)
+
+    def test_copies_carry_the_values(self):
+        data = load_dataset("first_word").data
+        ref = fit_rp_path(data, self.ALPHAS)
+        for op in (lambda f: pickle.loads(pickle.dumps(f)), copy.deepcopy, copy.copy,
+                   dataclasses.replace):
+            fits = fit_rp_path(data, self.ALPHAS)
+            for a in self.ALPHAS:
+                copied = op(fits[a])
+                # the copy carries both values, not the pending state
+                assert set(vars(copied)) == {f.name for f in dataclasses.fields(FitResult)}
+                assert self.bits(copied) == self.bits(ref[a])
+        fit = fit_rp_path(data, self.ALPHAS)[1.0]
+        assert dataclasses.replace(fit) == fit
+        assert self.bits(fit) == self.bits(ref[1.0])
+        with pytest.raises(AttributeError, match="'FitResult' object has no attribute 'value'"):
+            fit_rp_path(data, self.ALPHAS)[1.0].value
+
+    def test_read_inside_caller_error_state(self):
+        # rows 100 sigma out have weights that underflow to 0
+        data = TestSolverEvaluations.contaminated()
+        y = data.response.copy()
+        y[:10] += 100.0
+        data = ModelData(design=data.design, response=y)
+        ref = fit_rp_path(data, TestSolverEvaluations.ALPHAS)
+        fits = fit_rp_path(data, TestSolverEvaluations.ALPHAS)
+        with np.errstate(all="raise"):
+            for a, fit in fits.items():
+                assert self.bits(fit) == self.bits(ref[a])
 
 
 class TestDegenerateCollapse:
