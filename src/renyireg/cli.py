@@ -303,6 +303,7 @@ def _parse_config_file(path, seed_override=None, workers=1) -> StudyConfig:
     """Flat key=value file mapping onto the study configuration;
     contamination is on when ``contamination_fraction > 0``."""
     specs = {"design": {}, "contamination": {}, "study": {}, "beta1": {}, "sigma": {}}
+    first_line = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -312,6 +313,11 @@ def _parse_config_file(path, seed_override=None, workers=1) -> StudyConfig:
         key, _, value = (part.strip() for part in line.partition("="))
         if key not in _CONFIG_KEYS:
             raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise DomainError(
+                f"{path}:{lineno}: repeated key {key!r} (first on line {first_line[key]})"
+            )
+        first_line[key] = lineno
         spec, name, parse = _CONFIG_KEYS[key]
         try:
             specs[spec][name] = parse(value)

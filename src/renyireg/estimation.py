@@ -244,7 +244,11 @@ def _objective_grad_hess(x, y, beta, s, a, hessian=True):
     With ``r = (y - x beta) / sigma`` and ``v = exp(-a r^2 / 2)``, every entry
     is a constant times one of three moments ``sum v r^{0,2,4}`` or one of
     three weighted design products.  They are summed over blocks of ``_ROWS``
-    rows, so that each block's temporaries stay in cache.  With ``hessian``
+    rows, so that each block's temporaries stay in cache.  A design of one
+    block is ``_centred_problem``'s contiguous column-major array, whose
+    products ``ndarray.dot`` hands to BLAS past matmul's dispatch; the blocks
+    of a larger design are strided views, which ``ndarray.dot`` would copy
+    first, so they keep matmul (docs/MATH.md).  With ``hessian``
     false the Hessian's moment and products are skipped and ``None`` is
     returned in its place; the value and gradient are the same bits.
 
@@ -256,21 +260,22 @@ def _objective_grad_hess(x, y, beta, s, a, hessian=True):
     n, p = x.shape
     sig = math.exp(s)
     k = 1.0 / (1 + a)
+    dot = np.ndarray.dot if n <= _ROWS else np.matmul
     sums = None
     for start in range(0, n, _ROWS):
         xb = x[start : start + _ROWS]
-        r = y[start : start + _ROWS] - xb @ beta
+        r = y[start : start + _ROWS] - dot(xb, beta)
         r /= sig
         r2 = r * r
         v = np.exp(-0.5 * a * r2)
         vr = v * r
         vr2 = vr * r
-        block = [float(np.add.reduce(v)), float(np.add.reduce(vr2)), vr @ xb]
+        block = [float(np.add.reduce(v)), float(np.add.reduce(vr2)), dot(vr, xb)]
         if hessian:
             block += [
-                float(vr2 @ r2),
-                (vr * (a * r2 - (a * k + 2.0))) @ xb,
-                xb.T @ (xb * (a * vr2 - v)[:, None]),
+                float(dot(vr2, r2)),
+                dot(vr * (a * r2 - (a * k + 2.0)), xb),
+                dot(xb.T, xb * (a * vr2 - v)[:, None]),
             ]
         sums = block if sums is None else [total + part for total, part in zip(sums, block)]
     m0, m2, g = sums[:3]
@@ -362,7 +367,7 @@ def _newton_stage(x, y, beta, s, a, scale_floor, xtx, saddle_free=True) -> _Stag
     gradient and Hessian at every trial point and the accepted one carries
     them into the next iteration.  The stage has converged when a Newton step
     on a concave neighbourhood predicts a relative gain of at most ``TOL**2``:
-    the decrement ``grad @ direction`` does not change under X -> XA, and it
+    the decrement ``grad.dot(direction)`` does not change under X -> XA, and it
     scales with the objective value under y -> c y, so the rule has no units.
     A converged stage then takes that full Newton step and returns its end
     unevaluated, so that the fit does not depend on where the stage
@@ -391,10 +396,10 @@ def _newton_stage(x, y, beta, s, a, scale_floor, xtx, saddle_free=True) -> _Stag
                 direction = _saddle_free_direction(xtx, s, val, neg, grad)
                 if direction is None:
                     return _Stage(beta, s, False, it, val, grad)
-                slope = float(grad @ direction)
+                slope = float(grad.dot(direction))
             else:
                 # the decrement is also the line search's slope
-                slope = float(grad @ direction)
+                slope = float(grad.dot(direction))
                 if slope <= TOL**2 * val:
                     beta = beta + direction[:-1]
                     s = s + float(direction[-1])
@@ -404,7 +409,7 @@ def _newton_stage(x, y, beta, s, a, scale_floor, xtx, saddle_free=True) -> _Stag
             if abs(ds) > 1.0:
                 direction = direction / abs(ds)
                 ds = float(direction[-1])
-                slope = float(grad @ direction)
+                slope = float(grad.dot(direction))
             # near the optimum the predicted gain drops below the objective's
             # float resolution; the slack keeps the search from stalling there
             slack = 1e-14 * (1.0 + abs(val))

@@ -126,6 +126,8 @@ class StudyConfig:
             raise DomainError("need at least one alpha and one hypothesis")
         for a in self.alphas:
             check_alpha(a)
+        if len(set(self.alphas)) != len(self.alphas):
+            raise DomainError(f"alphas repeat: {self.alphas}")
         check_probability(self.level, "level")
         # every design has an intercept and one covariate: theta is (beta0, beta1, sigma)
         betas = {"true_beta": self.true_beta}
@@ -149,6 +151,9 @@ class StudyConfig:
                 raise DomainError(
                     f"hypothesis {name}: the scale alternative must be positive, got {alt_value}"
                 )
+        names = tuple(name for name, *_ in self.hypotheses)
+        if len(set(names)) != len(names):
+            raise DomainError(f"hypothesis names repeat: {names}")
         if not is_index(self.n_workers) or self.n_workers < 1:
             raise DomainError(f"need at least one worker, got {self.n_workers}")
         if len(set(self.ns)) != len(self.ns):

@@ -86,7 +86,7 @@ ALPHA_TAKERS = {
     "IFRequest": lambda a: IFRequest(contamination_points=[0.0], theta=THETA, alpha=a),
     "gross_error_sensitivity": lambda a: gross_error_sensitivity(DATA, 0, THETA, a),
     "objective": lambda a: objective(NormalLinearFamily(DATA.design), DATA, THETA, a),
-    "StudyConfig": lambda a: StudyConfig(alphas=(0.0, a)),
+    "StudyConfig": lambda a: StudyConfig(alphas=(a,)),
 }
 
 PROBABILITY_TAKERS = {

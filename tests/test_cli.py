@@ -445,6 +445,12 @@ class TestSimulate:
             ("sample_sizes = 20,21\n", 2, "even n"),
             ("sample_sizes = 2,20\n", 2, "n >= 4"),
             ("sample_sizes = 20,20\n", 1, "repeat"),
+            ("alphas = 0.5,0,0.5\n", 1, "alphas repeat"),
+            (
+                "replications = 2\n# again\nreplications = 3\n",
+                1,
+                "bad.cfg:3: repeated key 'replications' (first on line 1)",
+            ),
         ],
     )
     def test_config_refused_before_the_study(

@@ -573,6 +573,29 @@ class TestBlockedKernel:
             )
 
 
+class TestCentredProblemLayout:
+    """The kernel hands a design of one block to ``ndarray.dot``, which
+    reaches BLAS without a copy only on a column-major contiguous design and
+    a contiguous response; ``_centred_problem`` returns both at every size
+    and from every input layout."""
+
+    @pytest.mark.parametrize("n", [50, estimation._ROWS, estimation._ROWS + 1])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_design_and_response_are_contiguous(self, n, layout):
+        gen = np.random.default_rng(n)
+        rows = 2 * n if layout == "strided" else n
+        x = np.column_stack([np.ones(rows), gen.normal(size=(rows, 2))])
+        y = x @ np.array([1.0, 2.0, -1.0]) + gen.normal(size=rows)
+        if layout == "F":
+            x = np.asfortranarray(x)
+        elif layout == "strided":
+            x, y = x[::2], y[::2]
+        data = ModelData(design=x, response=y)
+        xc, yc = estimation._centred_problem(data, fit_mle(data).theta_hat.beta)
+        assert xc.shape == (n, 3) and xc.flags.f_contiguous
+        assert yc.shape == (n,) and yc.flags.c_contiguous
+
+
 class TestMultistart:
     @staticmethod
     def contaminated(n=60):

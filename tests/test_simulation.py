@@ -312,6 +312,11 @@ class TestStudyConfigChecks:
             ({"sample_sizes": (2,)}, "n >= 4, got 2"),
             ({"design": DesignSpec(kind="fixed_normal"), "sample_sizes": (3,)}, "n >= 4, got 3"),
             ({"sample_sizes": (20, 40, 20)}, "repeat"),
+            ({"alphas": (0.5, 0.5, 0.0)}, "alphas repeat"),
+            (
+                {"hypotheses": (("beta1", 1, 1.0, 0.45), ("beta1", 1, 1.0, 0.8))},
+                "hypothesis names repeat",
+            ),
             ({"replications": 0}, "at least one replication"),
             # generating parameters, refused here and not in a replication block
             ({"true_sigma": math.nan}, "true_sigma must be finite and positive"),
