@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -35,11 +36,14 @@ class DatasetDescriptor:
 
 def _parse_cell(text, row, col):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise DomainError(
             f"non-numeric value {text!r} at row {row}, column {col}"
         ) from None
+    if not math.isfinite(value):
+        raise DomainError(f"non-finite value {text!r} at row {row}, column {col}")
+    return value
 
 
 def load_csv(
@@ -60,8 +64,8 @@ def load_csv(
     Raises
     ------
     DomainError
-        On non-numeric cells (with row/column location), unknown column
-        names, or empty files.
+        On non-numeric or non-finite cells (with row/column location),
+        unknown column names, or empty files.
     """
     if transform not in ("none", "log_log"):
         raise DomainError(f"unknown transform {transform!r}")
@@ -150,12 +154,13 @@ def load_dataset(name: str) -> DatasetDescriptor:
 
 
 def exclude_rows(data: ModelData, rows_1based) -> ModelData:
-    """Drop the given 1-based rows (the bundled outlier convention)."""
-    rows = sorted(set(int(r) for r in rows_1based))
+    """Drop the given 1-based rows (the bundled outlier convention); each is
+    an index by ``is_index``, so a bool or a float is refused."""
+    rows = list(rows_1based)
+    if not all(is_index(r) and 1 <= r <= data.n_obs for r in rows):
+        raise DomainError(f"row indices must be integers in 1..{data.n_obs}, got {rows}")
     if not rows:
         return data
-    if rows[0] < 1 or rows[-1] > data.n_obs:
-        raise DomainError(f"row indices must lie in 1..{data.n_obs}, got {rows}")
     keep = np.ones(data.n_obs, dtype=bool)
     keep[[r - 1 for r in rows]] = False
     return data.subset(keep)

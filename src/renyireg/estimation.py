@@ -7,7 +7,8 @@ rooted at the maximum-likelihood solution by continuation: starting from the
 closed-form fit at alpha = 0, it runs a damped Newton stage straight to each
 requested alpha in turn, warm-started from the previous one, and halves a
 step whose stage fails.  Every converged stage ends with one full Newton
-step.  An optional multistart pass probes other basins.
+step.  An optional multistart pass probes other basins.  Every stage runs at
+unit response scale, whatever the scale of the data.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ class FitResult:
     ``objective_value`` and ``gradient_norm`` at the stage's closing point
     when either is first read, with the bits an evaluation at fit time would
     give (docs/MATH.md).  Until then it holds its ``ModelData``, whose
-    arrays must not change in between, the maximum-likelihood coefficients
-    and that point; pickling, copying, ``dataclasses.replace`` and ``==``
+    arrays must not change in between, the maximum-likelihood fit and that
+    point; pickling, copying, ``dataclasses.replace`` and ``==``
     read both values first."""
 
     theta_hat: Theta
@@ -66,7 +67,7 @@ class FitResult:
     @classmethod
     def _pending(cls, closing, **fields):
         """A fit without its two values, which its closing point ``(data,
-        beta_mle, stage)`` gives where first read.  Its attributes are set
+        mle, stage)`` gives where first read.  Its attributes are set
         as ``__init__`` sets them, so that no instance dictionary is built
         for them."""
         fit = object.__new__(cls)
@@ -80,9 +81,10 @@ class FitResult:
         if name not in ("objective_value", "gradient_norm"):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         # the stage's closing point, on the problem it ran on
-        data, beta_mle, stage = self._closing
-        _close(*_centred_problem(data, beta_mle), self.alpha, stage)
-        value, gnorm = stage.value, _scaled_gradient_norm(stage.gradient, stage.s)
+        data, mle, stage = self._closing
+        x, y, unit, _ = _centred_problem(data, mle)
+        _close(x, y, self.alpha, stage)
+        value, gnorm = _response_values(stage, self.alpha, unit)
         object.__setattr__(self, "objective_value", value)
         object.__setattr__(self, "gradient_norm", gnorm)
         # two threads may both have read the pending state
@@ -159,12 +161,6 @@ def _require_full_rank(data: ModelData) -> None:
             f"design is rank deficient: min eigenvalue of X'X/n scaled to unit "
             f"diagonal is {lam:.3e}"
         )
-
-
-def _collapse_floor(mle: FitResult) -> float:
-    """Scale below which a Newton stage counts as collapsed: ``1e-10`` of the
-    maximum-likelihood scale, which moves with the fit under y -> c y + X d."""
-    return DEGENERATE_SCALE_FACTOR * mle.theta_hat.sigma
 
 
 def _normal_factors(a: float, scale=1.0):
@@ -324,8 +320,7 @@ def _saddle_free_direction(xtx, s, val, neg, grad):
     ``neg`` against ``val * diag(X'X / (n sigma^2), 2)``, a metric that
     changes with the units of y and X as the Hessian does, gets the absolute
     value of its curvature, floored at 1e-8 of the largest.  ``xtx`` is
-    X'X / n.  Near response scales of 1e150 the metric underflows and numpy
-    refuses its Cholesky; at a subnormal alpha ``neg`` is 0."""
+    X'X / n.  At a subnormal alpha ``neg`` is 0."""
     if not (val > 0 and np.all(np.isfinite(neg)) and np.all(np.isfinite(grad))):
         return None
     p = xtx.shape[0]
@@ -384,9 +379,8 @@ def _newton_stage(x, y, beta, s, a, scale_floor, xtx, saddle_free=True) -> _Stag
         val, grad, hess = _objective_grad_hess(x, y, beta, s, a)
         for it in range(MAX_ITER):
             if math.exp(s) < scale_floor:
-                raise DegenerateFitError(
-                    f"scale collapsed below {scale_floor:.3e} during fitting"
-                )
+                # _continue reports the floor in the response's units
+                raise DegenerateFitError
             neg = -hess
             try:
                 direction = numerics.solve_spd(neg, grad)
@@ -478,20 +472,17 @@ def fit_mle(data: ModelData) -> FitResult:
     )
 
 
-def _continue(x, y, xtx, beta, s, a_from, a_to, scale_floor) -> _Stage:
-    """Newton stages from ``(beta, s)``, the fit at ``a_from``, to ``a_to``.
+def _continue(x, y, xtx, beta, s, a_from, a_to, scale_floor, unit) -> _Stage:
+    """Newton stages from ``(beta, s)``, the fit at ``a_from`` or a start at
+    ``a_from = a_to``, to ``a_to``, on ``_centred_problem``'s ``x``, ``y``,
+    ``scale_floor`` and ``unit``.
 
     Each stage steps straight to ``a_to``.  A stage whose alpha step is
     longer than ``_MIN_ALPHA_STEP`` is abandoned when it meets a Newton
     matrix that is not positive definite, ends unconverged or collapses, and
     is retried from the last accepted fit with half the step.  A stage at or
-    below that length takes saddle-free steps and is accepted as it ends.
-    One that ends where it began, unconverged without an accepted step,
-    would leave every later stage to restart at that point, so one last
-    stage runs from it straight at ``a_to``.  Such stages arise where no
-    Newton matrix is finite and positive definite (response scales near
-    1e-150 or 1e150), and halving would crawl there in steps of
-    ``_MIN_ALPHA_STEP``.
+    below that length takes saddle-free steps and is accepted as it ends; its
+    collapse raises, with the floor in the response's units.
     """
     a = a_to
     while True:
@@ -501,14 +492,14 @@ def _continue(x, y, xtx, beta, s, a_from, a_to, scale_floor) -> _Stage:
             stage = _newton_stage(x, y, beta, s, a, scale_floor, xtx, not may_halve)
         except DegenerateFitError:
             if not may_halve:
-                raise
+                raise DegenerateFitError(
+                    f"scale collapsed below {scale_floor * unit:.3e} during fitting"
+                ) from None
             stage = None
         if may_halve and (stage is None or not stage.converged):
             a = a_from + 0.5 * (a - a_from)
         elif a == a_to:
             return stage
-        elif not (stage.converged or stage.iterations):
-            return _newton_stage(x, y, stage.beta, stage.s, a_to, scale_floor, xtx)
         else:
             beta, s, a_from, a = stage.beta, stage.s, a, a_to
 
@@ -520,41 +511,52 @@ def fit_rp_path(data: ModelData, alphas, options: SolverOptions | None = None):
     """
     opts = options or SolverOptions()
     mle = fit_mle(data)
-    x, y = _centred_problem(data, mle.theta_hat.beta)
+    x, y, unit, floor = _centred_problem(data, mle)
     xtx = data.xtx_over_n
-    floor = _collapse_floor(mle)
     results: dict[float, FitResult] = {}
     beta = np.zeros(data.n_params)
-    s = math.log(mle.theta_hat.sigma)
+    s = math.log(mle.theta_hat.sigma / unit)
     prev = 0.0
     for a in sorted(set(check_alpha(a) for a in alphas)):
         if a == 0.0:
             results[0.0] = mle
             continue
-        stage = _continue(x, y, xtx, beta, s, prev, a, floor)
+        stage = _continue(x, y, xtx, beta, s, prev, a, floor, unit)
         beta, s, prev = stage.beta, stage.s, a
         if opts.multistart > 0:
             stage = _multistart_refine(x, y, a, stage, opts, floor, xtx)
-        results[a] = _package_fit(data, a, stage, mle)
+        results[a] = _package_fit(data, a, stage, mle, unit)
     return results
 
 
-def _centred_problem(data: ModelData, beta_mle: np.ndarray):
-    """The design and response that Newton stages run on: a column-major copy
-    of X, on which the kernel's design products run faster, and the residuals
-    ``y - X beta_MLE``.  Stage coefficients are offsets from ``beta_MLE``, so
-    that a response offset ``X d`` never enters the kernel's residuals, where
-    it would round ``eps |X d|`` into every gradient."""
+def _centred_problem(data: ModelData, mle: FitResult):
+    """What Newton stages run on, ``(x, y, unit, floor)``: a column-major
+    copy of X, on which the kernel's design products run faster, and the
+    residuals ``y - X beta_MLE`` divided exactly by ``unit``, the power of two
+    nearest the maximum-likelihood scale (docs/MATH.md).  Stage coefficients
+    are offsets from ``beta_MLE`` in that unit, so that a response offset
+    ``X d`` never enters the kernel's residuals, where it would round
+    ``eps |X d|`` into every gradient.  ``floor``, the scale below which a
+    stage collapses, is 1e-10 of the maximum-likelihood scale in that unit."""
+    beta_mle, sigma = mle.theta_hat.beta, mle.theta_hat.sigma
+    unit = math.ldexp(1.0, round(math.log2(sigma)))
     x = np.asfortranarray(data.design)
-    return x, data.response - x @ beta_mle
+    return x, (data.response - x @ beta_mle) / unit, unit, DEGENERATE_SCALE_FACTOR * sigma / unit
 
 
-def _package_fit(data, a, stage, mle):
+def _response_values(stage, a, unit):
+    """A closed stage's value and scaled gradient norm in the response's
+    units, where they scale as ``sigma^(-a/(1+a))`` and a further ``1/sigma``."""
+    factor = unit ** (-a / (1 + a))
+    return stage.value * factor, _scaled_gradient_norm(stage.gradient, stage.s) * factor / unit
+
+
+def _package_fit(data, a, stage, mle, unit):
     """The fit at ``a`` from a stage run on ``_centred_problem`` of ``data``
     and ``mle``.  Where the stage has not evaluated its closing point, the
     fit's value and gradient norm stay pending until read (``FitResult``)."""
     beta_mle = mle.theta_hat.beta
-    theta = Theta(beta=beta_mle + stage.beta, sigma=math.exp(stage.s))
+    theta = Theta(beta=beta_mle + unit * stage.beta, sigma=unit * math.exp(stage.s))
     fields = dict(
         theta_hat=theta,
         alpha=a,
@@ -563,12 +565,9 @@ def _package_fit(data, a, stage, mle):
         sigma_n=_sigma_n(data.xtx_over_n_inverse, theta.sigma, a),
     )
     if stage.value is None:
-        return FitResult._pending((data, beta_mle, stage), **fields)
-    return FitResult(
-        **fields,
-        gradient_norm=_scaled_gradient_norm(stage.gradient, stage.s),
-        objective_value=stage.value,
-    )
+        return FitResult._pending((data, mle, stage), **fields)
+    value, gnorm = _response_values(stage, a, unit)
+    return FitResult(**fields, gradient_norm=gnorm, objective_value=value)
 
 
 def _replaces(converged, value, current_converged, current_value) -> bool:
@@ -586,8 +585,8 @@ def _replaces(converged, value, current_converged, current_value) -> bool:
 def _multistart_refine(x, y, a, stage, opts, floor, xtx):
     """Probe other basins from subsample starting points; keep the best
     stationary point by ``_replaces``, ``stage`` included.  ``x`` and ``y``
-    are the path's ``_centred_problem``, so restarts start and end in its
-    coordinates too."""
+    are the path's ``_centred_problem``, and ``floor`` is in its units, so
+    restarts start and end in its coordinates too."""
     n, p = x.shape
     best = stage
     stream = numerics.RngStream(opts.multistart_seed, stream_id=0)
@@ -632,17 +631,16 @@ def fit_rp(
     """
     if alpha == 0.0:
         return fit_mle(data)
-    # the path's alpha = 0 fit centres the init run and sets its collapse floor
+    # the path's alpha = 0 fit sets the init run's problem
     fits = fit_rp_path(data, [0.0, alpha], options)
     result = fits[alpha]
     if init is not None:
         mle = fits[0.0]
-        x, y = _centred_problem(data, mle.theta_hat.beta)
-        start = init.beta - mle.theta_hat.beta
-        stage = _newton_stage(
-            x, y, start, math.log(init.sigma), alpha, _collapse_floor(mle), data.xtx_over_n
-        )
-        stage = _close(x, y, alpha, stage)
-        if _replaces(stage.converged, stage.value, result.converged, result.objective_value):
-            result = _package_fit(data, alpha, stage, mle)
+        x, y, unit, floor = _centred_problem(data, mle)
+        beta0, s0 = (init.beta - mle.theta_hat.beta) / unit, math.log(init.sigma / unit)
+        stage = _continue(x, y, data.xtx_over_n, beta0, s0, alpha, alpha, floor, unit)
+        # compared in the response's units, as the path's fit is
+        fit = _package_fit(data, alpha, _close(x, y, alpha, stage), mle, unit)
+        if _replaces(fit.converged, fit.objective_value, result.converged, result.objective_value):
+            result = fit
     return result

@@ -179,11 +179,19 @@ class TestFit:
         assert len(lines) == 1 and lines[0].startswith("error: scale collapsed"), proc.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_scale_collapse_reports_floor_in_response_units(self, tmp_path, capsys):
+        # the floor is 1e-10 of first_word's maximum-likelihood scale, 10.48,
+        # although the stages run on the response divided by 8
+        argv = ["fit", "--data", "first_word", "--alphas", "1.2", "--output", str(tmp_path)]
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: scale collapsed below 1.048e-09 during fitting\n"
+
     @pytest.mark.parametrize(
         "scale,code,err",
-        # 1e150: numpy refuses the saddle-free metric, and the fit at 0.5
-        # ends unconverged; 1e155: the residuals' sum of squares overflows
-        [(1e150, EXIT_NONCONVERGED, ""),
+        # 1e150: the stages run at unit response scale, and the fit at 0.5
+        # converges as at scale 1; 1e155: the residuals' sum of squares
+        # overflows
+        [(1e150, EXIT_OK, ""),
          (1e155, EXIT_ERROR, "error: the response is too large: its sum of squares overflows\n")],
     )
     def test_extreme_response_scale(self, tmp_path, capsys, scale, code, err):
@@ -198,6 +206,11 @@ class TestFit:
                 "--alphas", "0,0.5", "--output", str(tmp_path / "out")]
         assert main(argv) == code
         assert capsys.readouterr().err == err
+        if code == EXIT_OK:
+            rows = read_csv(tmp_path / "out" / "fit.csv")
+            assert [(row["alpha"], row["converged"]) for row in rows] == [
+                ("0.0", "True"), ("0.5", "True")
+            ]
 
     def test_negative_multistart_is_an_error(self, tmp_path, capsys):
         code = main(

@@ -53,6 +53,18 @@ class TestLoadCsv:
             load_csv(path, response_column="y", covariate_columns=["x"])
         assert "row 2" in str(err.value)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+    @pytest.mark.parametrize("column", ["y", "x"])
+    def test_non_finite_cell_reports_location(self, tmp_path, cell, column):
+        # refused where it is read, not later as a non-finite response or design
+        rows = [["1.0", "2.0"], ["2.0", "3.0"], ["3.0", "4.0"]]
+        rows[1][column == "x"] = cell
+        path = tmp_path / "toy.csv"
+        path.write_text("y,x\n" + "".join(",".join(row) + "\n" for row in rows))
+        at = f"non-finite value {cell!r} at row 2, column {int(column == 'x')}"
+        with pytest.raises(DomainError, match=at):
+            load_csv(path, response_column="y", covariate_columns=["x"])
+
     def test_missing_value_rejected(self, tmp_path):
         path = tmp_path / "toy.csv"
         path.write_text("y,x\n1.0,2.0\n2.0,\n3.0,4.0\n")
@@ -122,6 +134,14 @@ class TestBundled:
             exclude_rows(ds.data, [0])
         with pytest.raises(DomainError):
             exclude_rows(ds.data, [29])
+
+    @pytest.mark.parametrize("rows", [[1.7], [True], [2, 1.0], ["1"]])
+    def test_exclude_rows_refuses_non_integer_rows(self, rows):
+        # int() would have dropped row 1 for 1.7 and True
+        ds = load_dataset("brain_weight")
+        with pytest.raises(DomainError, match="row indices must be integers in 1..28"):
+            exclude_rows(ds.data, rows)
+        assert exclude_rows(ds.data, [np.int64(1), 1]).n_obs == 27
 
 
 class TestWriters:

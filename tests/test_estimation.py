@@ -30,6 +30,12 @@ from renyireg.numerics import RngStream
 from renyireg.simulation import DesignSpec, StudyConfig, generate_data, make_design, run_study
 
 
+def stage_unit(data):
+    """The unit of the response that Newton stages run on.  A stage's value
+    times ``unit ** (-a / (1 + a))`` is the fit's, in the response's units."""
+    return estimation._centred_problem(data, fit_mle(data))[2]
+
+
 def random_instance(rng, n=30, p=2, sigma=1.0):
     x = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
     beta = rng.normal(size=p)
@@ -425,6 +431,13 @@ class TestSolverKernel:
     def test_derivatives_match_central_differences(self, outliers, alpha):
         assert_kernel_matches_central_differences(*self.instance(outliers), alpha)
 
+    def test_saddle_free_direction_without_a_metric(self):
+        # X'X / n of a zero column makes the metric singular, and numpy
+        # refuses its Cholesky: there is no direction
+        neg = np.diag([1.0, -1.0])
+        direction = estimation._saddle_free_direction(np.zeros((1, 1)), 0.0, 1.0, neg, np.ones(2))
+        assert direction is None
+
     @pytest.mark.parametrize("alpha", [0.1, 1.0])
     def test_non_finite_value_is_minus_inf(self, alpha):
         # the line search rejects such a trial point by its value alone
@@ -502,7 +515,8 @@ class TestSolverKernel:
         # a step of at most _MIN_ALPHA_STEP runs one stage and keeps it
         fit = fit_rp_path(data, [0.01])[0.01]
         assert (fit.converged, fit.iterations) == (False, iterations)
-        assert fit.objective_value == iterations + 1.0
+        # the scripted values are the stage's, at unit response scale
+        assert fit.objective_value == (iterations + 1.0) * stage_unit(data) ** (-0.01 / 1.01)
 
 
 def assert_closing_point_has_the_same_bits(x, y, beta, s, alpha):
@@ -591,7 +605,7 @@ class TestCentredProblemLayout:
         elif layout == "strided":
             x, y = x[::2], y[::2]
         data = ModelData(design=x, response=y)
-        xc, yc = estimation._centred_problem(data, fit_mle(data).theta_hat.beta)
+        xc, yc, *_ = estimation._centred_problem(data, fit_mle(data))
         assert xc.shape == (n, 3) and xc.flags.f_contiguous
         assert yc.shape == (n,) and yc.flags.c_contiguous
 
@@ -692,20 +706,24 @@ class TestMultistartTies:
         monkeypatch.setattr(estimation, "_multistart_refine", recording_refine)
         monkeypatch.setattr(estimation, "_newton_stage", recording_stage)
         multi = fit_rp_path(data, alphas, SolverOptions(multistart=2))
-        # stages run on y - X beta_MLE, their coefficients offsets from it
-        beta_mle = fit_mle(data).theta_hat.beta
+        # stages run on (y - X beta_MLE) / unit, their coefficients offsets
+        # from beta_MLE in that unit
+        beta_mle, unit = fit_mle(data).theta_hat.beta, stage_unit(data)
 
         ties = 0
         for a in alphas:
             ref = plain[a].theta_hat.to_array()
 
             def at_continuation(st):
-                point = np.append(beta_mle + st.beta, math.exp(st.s))
+                point = np.append(beta_mle + unit * st.beta, unit * math.exp(st.s))
                 return np.max(np.abs(point - ref) / np.abs(ref)) <= 1e-6
+
+            def below_continuation(st):
+                return st.value * unit ** (-a / (1 + a)) < plain[a].objective_value
 
             converged = [st for st in restarts[a] if st.converged]
             if any(at_continuation(st) for st in converged) and all(
-                at_continuation(st) or st.value < plain[a].objective_value for st in converged
+                at_continuation(st) or below_continuation(st) for st in converged
             ):
                 ties += 1
                 assert multi[a].iterations == plain[a].iterations
@@ -930,7 +948,8 @@ class TestPendingClosingPoint:
     @staticmethod
     def eager_closing(monkeypatch):
         """Record, per alpha, the closing value and scaled gradient norm of
-        the last converged stage, evaluated as the stage ends."""
+        the last converged stage, evaluated as the stage ends, at unit
+        response scale."""
         closing = {}
         stage = estimation._newton_stage
 
@@ -977,9 +996,13 @@ class TestPendingClosingPoint:
         closing = self.eager_closing(monkeypatch)
         fits = fit_rp_path(data, alphas)
         assert all(fit.converged for fit in fits.values())
-        # the maximum-likelihood fit has no stage
+        # the maximum-likelihood fit has no stage; the stage's values are
+        # mapped to the response's units as the fit maps them
+        unit = stage_unit(data)
         for a in set(alphas) - {0.0}:
-            assert self.bits(fits[a]) == tuple(v.hex() for v in closing[a])
+            factor = unit ** (-a / (1 + a))
+            value, gnorm = closing[a]
+            assert self.bits(fits[a]) == ((value * factor).hex(), (gnorm * factor / unit).hex())
 
     def test_kernel_calls(self, monkeypatch):
         flags = self.kernel_flags(monkeypatch)
@@ -1170,9 +1193,10 @@ class TestUnitFreeConvergence:
 
 class TestExtremeResponseScales:
     """40 rows, five of them shifted by 5, at response scales where the
-    kernel's numbers leave the range of a double.  The fit is not unit-free
-    there, but it ends with a flag or a DomainError, never with numpy's
-    exception or a warning."""
+    kernel's numbers in the response's units would leave the range of a
+    double.  The stages run at unit response scale, so a path ends there as
+    it does at scale 1, with no warning; a response whose sum of squares
+    overflows is refused with a DomainError."""
 
     @staticmethod
     def rows():
@@ -1182,20 +1206,44 @@ class TestExtremeResponseScales:
         y[:5] += 5.0
         return x, y
 
-    @pytest.mark.parametrize("alpha", [0.5, 1e4])
-    def test_refused_metric_ends_the_path_unconverged(self, alpha, monkeypatch):
-        # at 1e150 the path converges to about alpha 0.15; beyond it every
-        # Newton matrix underflows, and so does the saddle-free metric, whose
-        # Cholesky numpy refuses.  A stage at the shortest step that ends
-        # where it began sends one last stage to the target, where a crawl
-        # in the shortest steps would take 25 of them to 0.5 and 8e5 to 1e4
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_path_ends_as_at_unit_scale(self, scale):
         x, y = self.rows()
-        stages = TestStepControl.record_stages(monkeypatch)
-        fit = fit_rp_path(ModelData(design=x, response=1e150 * y), [alpha])[alpha]
-        assert not fit.converged
-        assert fit.iterations == 0
-        assert stages[-1] == (alpha, True)
-        assert sum(saddle_free for _, saddle_free in stages) < 5
+        ref = fit_rp_path(ModelData(design=x, response=y), (0.5, 1.0))
+        fits = fit_rp_path(ModelData(design=x, response=scale * y), (0.5, 1.0))
+        assert [ref[a].iterations for a in (0.5, 1.0)] == [5, 7]
+        for a in (0.5, 1.0):
+            assert fits[a].converged and ref[a].converged
+            assert fits[a].iterations == ref[a].iterations
+            np.testing.assert_allclose(
+                fits[a].theta_hat.to_array() / scale, ref[a].theta_hat.to_array(), rtol=1e-14
+            )
+            # the value scales as sigma^(-a/(1+a))
+            assert fits[a].objective_value * scale ** (a / (1 + a)) == pytest.approx(
+                ref[a].objective_value, rel=1e-14
+            )
+        # on to 1e4 the path collapses at scale 1, and below a floor scale
+        # times as high here
+        floors = []
+        for c in (1.0, scale):
+            with pytest.raises(DegenerateFitError, match="scale collapsed below") as err:
+                fit_rp_path(ModelData(design=x, response=c * y), (0.5, 1.0, 1e4))
+            floors.append(float(str(err.value).split()[3]) / c)
+        assert floors[1] == pytest.approx(floors[0], rel=1e-3)
+
+    def test_line_search_slack_has_no_units(self):
+        # the slack 1e-14 (1 + |V|) is taken on the unit-scale V; on the
+        # response's V it exceeded V at large scales and let poor steps in
+        gen = np.random.default_rng(646)
+        y = gen.normal(size=12)
+        y[0] += 5.0
+        fit = fit_rp_path(ModelData(design=np.ones((12, 1)), response=y), [1.3125])[1.3125]
+        assert (fit.converged, fit.iterations) == (True, 3)
+        for exponent in range(-160, 141, 20):
+            c = 10.0**exponent
+            moved = fit_rp_path(ModelData(design=np.ones((12, 1)), response=c * y), [1.3125])
+            assert (moved[1.3125].converged, moved[1.3125].iterations) == (True, 3)
+            assert moved[1.3125].theta_hat.sigma / c == pytest.approx(fit.theta_hat.sigma, rel=1e-13)
 
     @pytest.mark.parametrize(
         "response",
