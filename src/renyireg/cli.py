@@ -29,7 +29,8 @@ import numpy as np
 from . import __version__
 from .data import BUNDLED_DATASETS, exclude_rows, load_csv, load_dataset, write_csv, write_json
 from .estimation import SolverOptions, fit_rp_path
-from .exceptions import DecompositionError, DegenerateFitError, DomainError, is_index
+from .exceptions import DecompositionError, DegenerateFitError, DomainError, check_probability
+from .exceptions import is_index
 from .inference import LinearHypothesis, wald_composite
 from .model import ModelData
 from .robustness import IFRequest, are, gross_error_sensitivity, if2_simple
@@ -191,6 +192,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_test(args) -> int:
+    check_probability(args.level, "--level")
     data, inputs = _resolve_data(args)
     if args.exclude:
         data = exclude_rows(data, args.exclude)
@@ -212,12 +214,14 @@ def cmd_influence(args) -> int:
     *bounds, count = args.t_grid
     if len(bounds) != 2 or not (count >= 1 and float(count).is_integer()):
         raise DomainError("--t-grid expects lo,hi,count with an integer count >= 1")
-    if args.direction < -1:
-        raise DomainError(f"--direction must be an observation index or -1, got {args.direction}")
     grid = np.linspace(*bounds, int(count))
     data, inputs = _resolve_data(args)
     if args.exclude:
         data = exclude_rows(data, args.exclude)
+    if not (args.direction == -1 or is_index(args.direction, data.n_obs)):
+        raise DomainError(
+            f"--direction must be an index in 0..{data.n_obs - 1} or -1, got {args.direction}"
+        )
     fits = _fit_block(data, args)
     rows = []
     summary = {}
@@ -424,6 +428,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # every subcommand's --alphas, before any work; simulate's config
+        # alphas are refused by StudyConfig
+        for k, a in enumerate(getattr(args, "alphas", ())):
+            if a in args.alphas[:k]:
+                raise DomainError(f"repeated tuning value {a!r} in --alphas")
         return args.func(args)
     except (DomainError, DecompositionError, DegenerateFitError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

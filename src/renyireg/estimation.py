@@ -67,9 +67,8 @@ class FitResult:
     @classmethod
     def _pending(cls, closing, **fields):
         """A fit without its two values, which its closing point ``(data,
-        mle, stage)`` gives where first read.  Its attributes are set
-        as ``__init__`` sets them, so that no instance dictionary is built
-        for them."""
+        mle, stage)`` gives where first read.  Its fields and ``_closing``
+        are entries of its instance dictionary, as any fit's fields are."""
         fit = object.__new__(cls)
         for name, value in fields.items():
             object.__setattr__(fit, name, value)
@@ -234,7 +233,7 @@ def _sigma_n(xtx_over_n_inverse: np.ndarray, sigma: float, a: float) -> np.ndarr
 # vectorized objective internals (beta, s = log sigma parameterization)
 # ---------------------------------------------------------------------------
 
-def _objective_grad_hess(x, y, beta, s, a, hessian=True):
+def _objective_grad_hess(x, y, beta, s, a):
     """Objective value, gradient and Hessian at ``(beta, s)``.
 
     With ``r = (y - x beta) / sigma`` and ``v = exp(-a r^2 / 2)``, every entry
@@ -244,9 +243,7 @@ def _objective_grad_hess(x, y, beta, s, a, hessian=True):
     block is ``_centred_problem``'s contiguous column-major array, whose
     products ``ndarray.dot`` hands to BLAS past matmul's dispatch; the blocks
     of a larger design are strided views, which ``ndarray.dot`` would copy
-    first, so they keep matmul (docs/MATH.md).  With ``hessian``
-    false the Hessian's moment and products are skipped and ``None`` is
-    returned in its place; the value and gradient are the same bits.
+    first, so they keep matmul (docs/MATH.md).
 
     A non-finite value is returned as ``-inf``, so a line search rejects the
     point; the derivatives are then meaningless.  Weights that underflow to
@@ -266,15 +263,16 @@ def _objective_grad_hess(x, y, beta, s, a, hessian=True):
         v = np.exp(-0.5 * a * r2)
         vr = v * r
         vr2 = vr * r
-        block = [float(np.add.reduce(v)), float(np.add.reduce(vr2)), dot(vr, xb)]
-        if hessian:
-            block += [
-                float(dot(vr2, r2)),
-                dot(vr * (a * r2 - (a * k + 2.0)), xb),
-                dot(xb.T, xb * (a * vr2 - v)[:, None]),
-            ]
+        block = [
+            float(np.add.reduce(v)),
+            float(np.add.reduce(vr2)),
+            dot(vr, xb),
+            float(dot(vr2, r2)),
+            dot(vr * (a * r2 - (a * k + 2.0)), xb),
+            dot(xb.T, xb * (a * vr2 - v)[:, None]),
+        ]
         sums = block if sums is None else [total + part for total, part in zip(sums, block)]
-    m0, m2, g = sums[:3]
+    m0, m2, g, m4, cross, h = sums
     c = ((1 + a) / (2 * math.pi)) ** (a / (2 * (1 + a))) * sig ** (-a / (1 + a))
     val = c * m0 / n
     if not math.isfinite(val):
@@ -282,9 +280,6 @@ def _objective_grad_hess(x, y, beta, s, a, hessian=True):
     grad = np.empty(p + 1)
     grad[:p] = a * c / (n * sig) * g
     grad[p] = a * c / n * (m2 - k * m0)
-    if not hessian:
-        return val, grad, None
-    m4, cross, h = sums[3:]
     hess = np.empty((p + 1, p + 1))
     hess[:p, :p] = a * c / (n * sig**2) * h
     cross *= a * c / (n * sig)
@@ -424,13 +419,12 @@ def _newton_stage(x, y, beta, s, a, scale_floor, xtx, saddle_free=True) -> _Stag
 
 def _close(x, y, a, stage) -> _Stage:
     """Fill in the value and gradient at a converged stage's closing point,
-    once: the kernel without the Hessian, on the ``x`` and ``y`` the stage
-    ran on and under its error state.  Returns ``stage``."""
+    once: the kernel as the stage calls it, on the ``x`` and ``y`` the stage
+    ran on and under its error state, with the Hessian dropped.  Returns
+    ``stage``."""
     if stage.value is None:
         with np.errstate(under="ignore"):
-            stage.value, stage.gradient, _ = _objective_grad_hess(
-                x, y, stage.beta, stage.s, a, hessian=False
-            )
+            stage.value, stage.gradient, _ = _objective_grad_hess(x, y, stage.beta, stage.s, a)
     return stage
 
 
@@ -629,13 +623,13 @@ def fit_rp(
     replaces the path's fit by the rule of ``_replaces``.  A non-converged
     run is returned flagged, never silently.
     """
+    alpha = check_alpha(alpha)
     if alpha == 0.0:
         return fit_mle(data)
     # the path's alpha = 0 fit sets the init run's problem
     fits = fit_rp_path(data, [0.0, alpha], options)
-    result = fits[alpha]
+    mle, result = fits[0.0], fits[alpha]
     if init is not None:
-        mle = fits[0.0]
         x, y, unit, floor = _centred_problem(data, mle)
         beta0, s0 = (init.beta - mle.theta_hat.beta) / unit, math.log(init.sigma / unit)
         stage = _continue(x, y, data.xtx_over_n, beta0, s0, alpha, alpha, floor, unit)

@@ -121,6 +121,7 @@ def wald_simple(data: ModelData, fit: FitResult, theta0: Theta) -> WaldOutcome:
     The weighting covariance is evaluated at the null point; degrees of
     freedom equal dim(theta) = p + 1.
     """
+    _check_dimension("theta0", theta0.dim, data.n_params + 1)
     sigma0 = _sigma_n(data.xtx_over_n_inverse, theta0.sigma, fit.alpha)
     diff = fit.theta_hat.to_array() - theta0.to_array()
     stat = wald_statistic(diff, sigma0, data.n_obs)
@@ -131,12 +132,18 @@ def wald_composite(data: ModelData, fit: FitResult, hyp: LinearHypothesis) -> Wa
     """Test M' theta = m with the covariance plugged in at the estimate
     (``fit.sigma_n``, which the fit evaluated on ``data``)."""
     theta = fit.theta_hat
-    if hyp.m_matrix.shape[0] != theta.dim:
-        raise DomainError("restriction matrix does not match parameter dimension")
     m = hyp.m_matrix
+    _check_dimension("restriction matrix", m.shape[0], theta.dim)
     diff = m.T @ theta.to_array() - hyp.m_vector
     stat = wald_statistic(diff, m.T @ fit.sigma_n @ m, data.n_obs)
     return _outcome(stat, hyp.n_restrictions)
+
+
+def _check_dimension(what: str, size: int, dim: int, of: str = "parameter") -> None:
+    """Refuse ``what`` of dimension ``size`` where the ``of`` dimension is
+    ``dim``."""
+    if size != dim:
+        raise DomainError(f"{what} does not match {of} dimension: {size} against {dim}")
 
 
 def _coordinate_p_value(fit: FitResult, index: int, value: float, n: int) -> float:
@@ -166,6 +173,7 @@ def _coordinate_p_value(fit: FitResult, index: int, value: float, n: int) -> flo
 
 def _power_terms(theta_star: Theta, theta0: Theta, sigma_provider) -> tuple:
     """``(ell, sigma_w)`` of the power expansion; ``(0, 0)`` when theta* = theta0."""
+    _check_dimension("theta_star", theta_star.dim, theta0.dim, "theta0's")
     diff = theta_star.to_array() - theta0.to_array()
     if not np.any(diff != 0.0):
         return 0.0, 0.0
@@ -250,10 +258,12 @@ def contiguous_power(
     check_probability(level, "level")
     d = np.atleast_1d(np.asarray(d, dtype=float))
     m = hyp.m_matrix
-    if m.shape[0] != d.size:
-        raise DomainError("shift vector does not match parameter dimension")
+    sigma_n = np.atleast_2d(sigma_n)
+    _check_dimension("shift vector", d.size, m.shape[0])
+    for side in sigma_n.shape:
+        _check_dimension("sigma_n", side, m.shape[0])
     d_star = m.T @ d
-    inner = m.T @ np.atleast_2d(sigma_n) @ m
+    inner = m.T @ sigma_n @ m
     delta = float(d_star @ numerics.solve_spd(inner, d_star))
     r = hyp.n_restrictions
     crit = numerics.chisq_quantile(r, level)

@@ -29,7 +29,7 @@ import numpy as np
 from . import numerics
 from .estimation import _normal_factors, _sigma_n
 from .exceptions import DecompositionError, DomainError, check_alpha, is_index
-from .inference import LinearHypothesis
+from .inference import LinearHypothesis, _check_dimension
 from .model import DensityFamily, ModelData, Theta, _power_mass
 
 __all__ = [
@@ -120,6 +120,7 @@ def if_general(family: DensityFamily, data: ModelData, req: IFRequest) -> IFRepo
     if n != data.n_obs:
         raise DomainError(f"family has {n} directions but the data {data.n_obs} observations")
     theta, alpha = req.theta, req.alpha
+    _check_dimension("theta", theta.dim, family.param_dim)
     c = alpha + 1.0
     pts = req.contamination_points
     hit = np.zeros(n, dtype=bool)
@@ -191,6 +192,7 @@ def if_mlrm_closed(data: ModelData, req: IFRequest) -> IFReport:
     scores are the factors' scale: an underflowed score gives 0, and an
     influence beyond the double range inf, without a warning.
     """
+    _check_dimension("theta", req.theta.dim, data.n_params + 1)
     with np.errstate(over="ignore"):
         scores = _stacked_scores(data, req) * req.theta.sigma
         scores[:, :-1] = scores[:, :-1] @ data.xtx_over_n_inverse
@@ -230,6 +232,7 @@ def if2_simple(data: ModelData, req: IFRequest) -> IFReport:
 def if2_composite(data: ModelData, req: IFRequest, hyp: LinearHypothesis) -> IFReport:
     """Second-order influence of the composite-null Wald functional:
     ``2 [psi_n^{-1} psi]' M (M' sigma_n M)^{-1} M' [psi_n^{-1} psi]``."""
+    _check_dimension("restriction matrix", hyp.m_matrix.shape[0], data.n_params + 1)
     base, second = _second_order(data, req, hyp.m_matrix)
     return replace(base, second_order_composite=second)
 

@@ -354,6 +354,54 @@ class TestInfluence:
         assert calls == []
 
 
+class TestRefusedBeforeAnyFit:
+    """Arguments that no fit can use exit 1 with one error line, before any
+    fit runs and before the output directory is made."""
+
+    @staticmethod
+    def refused(monkeypatch, capsys, tmp_path, argv):
+        calls = []
+        monkeypatch.setattr(cli, "fit_rp_path", lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(cli, "contiguous_table", lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / "out"
+        assert main([*argv, "--output", str(out)]) == EXIT_ERROR
+        assert calls == [] and not out.exists()
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--data", "first_word"],
+            ["test", "--data", "first_word", "--null", "beta1=0"],
+            ["influence", "--data", "first_word"],
+            ["are"],
+            ["power"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("alphas", ["0.5,0.5", "0,0.50,1,0.5", "0,0.0"])
+    def test_repeated_tuning_value(self, monkeypatch, capsys, tmp_path, argv, alphas):
+        err = self.refused(monkeypatch, capsys, tmp_path, [*argv, "--alphas", alphas])
+        value = "0.0" if alphas == "0,0.0" else "0.5"
+        assert err == f"error: repeated tuning value {value} in --alphas\n"
+
+    @pytest.mark.parametrize("level", ["1.5", "0", "nan"])
+    def test_level_outside_unit_interval(self, monkeypatch, capsys, tmp_path, level):
+        argv = ["test", "--data", "first_word", "--null", "beta1=0", "--level", level]
+        err = self.refused(monkeypatch, capsys, tmp_path, argv)
+        assert err == f"error: --level must lie in (0, 1), got {float(level)}\n"
+
+    @pytest.mark.parametrize(
+        "direction, exclude, last", [(21, [], 20), (20, ["--exclude", "18"], 19), (-2, [], 20)]
+    )
+    def test_direction_outside_the_rows(
+        self, monkeypatch, capsys, tmp_path, direction, exclude, last
+    ):
+        argv = ["influence", "--data", "first_word", "--direction", str(direction), *exclude]
+        err = self.refused(monkeypatch, capsys, tmp_path, argv)
+        assert err == f"error: --direction must be an index in 0..{last} or -1, got {direction}\n"
+
+
 class TestPower:
     def test_table_cells(self, tmp_path):
         code = main(

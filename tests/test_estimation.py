@@ -165,6 +165,16 @@ class TestFitRp:
         data = random_instance(rng)
         assert fit_rp(data, 0.0).theta_hat.sigma == fit_mle(data).theta_hat.sigma
 
+    @pytest.mark.parametrize("alpha", ["0.5", "0", np.float64(0.5)])
+    def test_alpha_is_read_as_fit_rp_path_reads_it(self, alpha):
+        # the fit is looked up by the checked tuning value, as the path keys it
+        data = load_dataset("first_word").data
+        want = fit_rp_path(data, [alpha])[float(alpha)]
+        for init in (None, want.theta_hat):
+            fit = fit_rp(data, alpha, init=init)
+            assert fit.alpha == float(alpha) and type(fit.alpha) is float
+            np.testing.assert_array_equal(fit.theta_hat.to_array(), want.theta_hat.to_array())
+
     def test_brain_alpha_one(self):
         data = load_dataset("brain_weight").data
         fit = fit_rp(data, 1.0)
@@ -457,16 +467,6 @@ class TestSolverKernel:
         )
         assert (stage.converged, stage.iterations, stage.value) == (False, 0, 0.0)
 
-    @pytest.mark.parametrize("name", ["brain_weight", "first_word"])
-    def test_closing_point_has_the_same_bits(self, name):
-        # a converged stage evaluates its closing point without the Hessian
-        data = load_dataset(name).data
-        x = np.asfortranarray(data.design)
-        for a, fit in fit_rp_path(data, (0.2, 0.6, 1.0)).items():
-            beta, s = fit.theta_hat.beta, math.log(fit.theta_hat.sigma)
-            assert_closing_point_has_the_same_bits(x, data.response, beta, s, a)
-            assert_closing_point_has_the_same_bits(x, data.response, 1.1 * beta, s - 0.2, a)
-
     # per unconverged exit of a stage: the kernel's values, the stage's
     # iterations and its kernel calls.  Three steps are accepted and then
     # no trial point, or every step is accepted and the decrement never falls
@@ -483,20 +483,20 @@ class TestSolverKernel:
     def scripted_kernel(monkeypatch, values):
         """Replace the kernel by one whose gradient (1, 1, 0) and Hessian -I
         give the Newton step (1, 1, 0), with a decrement of 2, everywhere;
-        ``values`` gives the value at each call."""
-        hessians = []
+        ``values`` gives the value at each call.  Returns the list of calls."""
+        calls = []
 
-        def kernel(x, y, beta, s, a, hessian=True):
-            hessians.append(hessian)
-            return next(values), np.array([1.0, 1.0, 0.0]), -np.eye(3) if hessian else None
+        def kernel(x, y, beta, s, a):
+            calls.append(a)
+            return next(values), np.array([1.0, 1.0, 0.0]), -np.eye(3)
 
         monkeypatch.setattr(estimation, "_objective_grad_hess", kernel)
-        return hessians
+        return calls
 
     @pytest.mark.parametrize("exit", STAGE_EXITS)
     def test_unconverged_stage_exits(self, exit, monkeypatch):
         values, iterations, calls = self.STAGE_EXITS[exit]
-        hessians = self.scripted_kernel(monkeypatch, values())
+        kernel_calls = self.scripted_kernel(monkeypatch, values())
         x = np.asfortranarray(np.column_stack([np.ones(6), np.arange(6.0)]))
         stage = estimation._newton_stage(
             x, np.arange(6.0), np.zeros(2), 0.0, 0.5, 1e-12, x.T @ x / 6
@@ -505,7 +505,7 @@ class TestSolverKernel:
         assert (stage.converged, stage.iterations) == (False, iterations)
         assert stage.value == iterations + 1.0
         np.testing.assert_array_equal(stage.beta, [iterations, iterations])
-        assert len(hessians) == calls and all(hessians)
+        assert len(kernel_calls) == calls
 
     @pytest.mark.parametrize("exit", STAGE_EXITS)
     def test_path_reports_unconverged_stage(self, exit, monkeypatch):
@@ -517,16 +517,6 @@ class TestSolverKernel:
         assert (fit.converged, fit.iterations) == (False, iterations)
         # the scripted values are the stage's, at unit response scale
         assert fit.objective_value == (iterations + 1.0) * stage_unit(data) ** (-0.01 / 1.01)
-
-
-def assert_closing_point_has_the_same_bits(x, y, beta, s, alpha):
-    """The kernel without the Hessian returns the value and gradient of the
-    full call, bit for bit, and no Hessian."""
-    val, grad, _ = _objective_grad_hess(x, y, beta, s, alpha)
-    closing = _objective_grad_hess(x, y, beta, s, alpha, hessian=False)
-    assert closing[0] == val
-    np.testing.assert_array_equal(closing[1], grad)
-    assert closing[2] is None
 
 
 class TestBlockedKernel:
@@ -559,11 +549,6 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0])
     def test_derivatives_match_central_differences(self, alpha):
         assert_kernel_matches_central_differences(*self.instance(), alpha)
-
-    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0])
-    def test_closing_point_has_the_same_bits(self, alpha):
-        x, y, point = self.instance()
-        assert_closing_point_has_the_same_bits(x, y, point[:-1], point[-1], alpha)
 
     def test_non_finite_row_in_last_block_is_minus_inf(self):
         x, y, point = self.instance()
@@ -790,55 +775,57 @@ class TestSolverEvaluations:
         return ModelData(design=x, response=y)
 
     @staticmethod
-    def record_points(monkeypatch):
-        points = []
-        kernel = estimation._objective_grad_hess
+    def record_calls(monkeypatch):
+        """Record each kernel call as ``(inside, point)``, where ``point`` is
+        ``(beta bytes, s, a)`` and ``inside`` whether a Newton stage made the
+        call; each stage's ``converged`` flag; and the closing points of the
+        converged stages."""
+        rec = SimpleNamespace(calls=[], outcomes=[], closing=set())
+        depth = []
+        kernel, stage = estimation._objective_grad_hess, estimation._newton_stage
 
-        def recording(x, y, beta, s, a, hessian=True):
-            points.append((beta.tobytes(), s, a))
-            return kernel(x, y, beta, s, a, hessian)
+        def recording_kernel(x, y, beta, s, a):
+            rec.calls.append((bool(depth), (beta.tobytes(), s, a)))
+            return kernel(x, y, beta, s, a)
 
-        monkeypatch.setattr(estimation, "_objective_grad_hess", recording)
-        return points
+        def recording_stage(x, y, beta, s, a, *args):
+            depth.append(None)
+            try:
+                out = stage(x, y, beta, s, a, *args)
+            finally:
+                depth.pop()
+            rec.outcomes.append(out.converged)
+            if out.converged:
+                rec.closing.add((out.beta.tobytes(), out.s, a))
+            return out
+
+        monkeypatch.setattr(estimation, "_objective_grad_hess", recording_kernel)
+        monkeypatch.setattr(estimation, "_newton_stage", recording_stage)
+        return rec
 
     def test_path_evaluates_no_point_twice(self, monkeypatch):
         data = self.contaminated()
-        points = self.record_points(monkeypatch)
+        rec = self.record_calls(monkeypatch)
         fits = fit_rp_path(data, self.ALPHAS)
         assert all(f.converged for f in fits.values())
+        points = [point for _, point in rec.calls]
         assert len(points) > len(self.ALPHAS)
         assert len(set(points)) == len(points)
 
     def test_multistart_evaluates_no_point_twice(self, monkeypatch):
         data = self.contaminated()
-        points = self.record_points(monkeypatch)
+        rec = self.record_calls(monkeypatch)
         fit = fit_rp(data, 0.7, options=SolverOptions(multistart=2))
         assert fit.converged
+        points = [point for _, point in rec.calls]
         assert len(set(points)) == len(points)
 
-    def test_closing_point_has_no_hessian(self, monkeypatch):
-        # every kernel call inside a stage carries the Hessian: a converged
-        # stage ends at its closing point without evaluating it.  Only the
-        # multistart comparison, outside the stages, evaluates closing
-        # points, and without the Hessian
-        calls, outcomes, depth = [], [], []
-        kernel, stage = estimation._objective_grad_hess, estimation._newton_stage
-
-        def recording_kernel(x, y, beta, s, a, hessian=True):
-            calls.append((bool(depth), hessian))
-            return kernel(x, y, beta, s, a, hessian)
-
-        def recording_stage(*args):
-            depth.append(None)
-            try:
-                result = stage(*args)
-            finally:
-                depth.pop()
-            outcomes.append(result.converged)
-            return result
-
-        monkeypatch.setattr(estimation, "_objective_grad_hess", recording_kernel)
-        monkeypatch.setattr(estimation, "_newton_stage", recording_stage)
+    def test_closing_points_only_outside_stages(self, monkeypatch):
+        # every kernel call inside a stage evaluates a new point: a converged
+        # stage ends at its closing point without evaluating it.  A path
+        # evaluates no closing point; only the multistart comparison, outside
+        # the stages, evaluates closing points
+        rec = self.record_calls(monkeypatch)
         data = self.contaminated()
         fit_rp_path(data, self.ALPHAS)
         # the path to alpha 1 halves its first step here (TestUnitFreeConvergence)
@@ -847,12 +834,18 @@ class TestSolverEvaluations:
         y = x @ np.array([1.0, 2.0, -1.0]) + gen.normal(size=60)
         y[:6] += 6.0
         fit_rp_path(ModelData(design=x, response=y), [1.0])
-        assert True in outcomes and False in outcomes
-        assert calls and all(inside and hessian for inside, hessian in calls)
-        del calls[:]
+        assert True in rec.outcomes and False in rec.outcomes
+        assert rec.calls and all(inside for inside, _ in rec.calls)
+        points = [point for _, point in rec.calls]
+        assert len(set(points)) == len(points)
+        assert not rec.closing.intersection(points)
+        del rec.calls[:]
         fit_rp(data, 0.7, options=SolverOptions(multistart=2))
-        assert all(inside is hessian for inside, hessian in calls)
-        assert (False, False) in calls
+        inside = [point for within, point in rec.calls if within]
+        outside = [point for within, point in rec.calls if not within]
+        assert len(set(inside)) == len(inside)
+        assert not rec.closing.intersection(inside)
+        assert outside and rec.closing.issuperset(outside)
 
     def test_fit_inside_caller_error_state(self):
         # rows 100 sigma out have weights that underflow to 0; each stage
@@ -957,24 +950,12 @@ class TestPendingClosingPoint:
             out = stage(x, y, beta, s, a, *args)
             if out.converged:
                 with np.errstate(under="ignore"):
-                    val, grad, _ = _objective_grad_hess(x, y, out.beta, out.s, a, hessian=False)
+                    val, grad, _ = _objective_grad_hess(x, y, out.beta, out.s, a)
                 closing[a] = (val, estimation._scaled_gradient_norm(grad, out.s))
             return out
 
         monkeypatch.setattr(estimation, "_newton_stage", recording)
         return closing
-
-    @staticmethod
-    def kernel_flags(monkeypatch):
-        flags = []
-        kernel = estimation._objective_grad_hess
-
-        def recording(x, y, beta, s, a, hessian=True):
-            flags.append(hessian)
-            return kernel(x, y, beta, s, a, hessian)
-
-        monkeypatch.setattr(estimation, "_objective_grad_hess", recording)
-        return flags
 
     @staticmethod
     def bits(fit):
@@ -1005,30 +986,36 @@ class TestPendingClosingPoint:
             assert self.bits(fits[a]) == ((value * factor).hex(), (gnorm * factor / unit).hex())
 
     def test_kernel_calls(self, monkeypatch):
-        flags = self.kernel_flags(monkeypatch)
+        rec = TestSolverEvaluations.record_calls(monkeypatch)
+
+        def outside():
+            return [point for inside, point in rec.calls if not inside]
+
         data = TestSolverEvaluations.contaminated()
         fits = fit_rp_path(data, TestSolverEvaluations.ALPHAS)
-        assert flags and all(flags)
+        assert rec.calls and not outside()
         converged = [fit for a, fit in fits.items() if a > 0 and fit.converged]
         assert len(converged) == 3
         for k, fit in enumerate(converged, 1):
+            # the first read evaluates the closing point, once
             fit.gradient_norm
-            assert flags.count(False) == k
+            assert len(outside()) == k and outside()[-1] in rec.closing
             fit.objective_value
             fit.gradient_norm
-            assert flags.count(False) == k
+            assert len(outside()) == k
         # the maximum-likelihood fit carries its values
         fits[0.0].objective_value
-        assert flags.count(False) == 3
+        assert len(outside()) == 3
 
     def test_study_evaluates_no_closing_point(self, monkeypatch):
-        flags = self.kernel_flags(monkeypatch)
+        rec = TestSolverEvaluations.record_calls(monkeypatch)
         config = StudyConfig(
             design=DesignSpec(kind="two_point", n=200, a=1.0, b=5.0), replications=3, seed=11
         )
         result = run_study(config)
         assert result.non_convergence_count == 0
-        assert flags and all(flags)
+        assert rec.calls and all(inside for inside, _ in rec.calls)
+        assert not rec.closing.intersection(point for _, point in rec.calls)
 
     def test_copies_carry_the_values(self):
         data = load_dataset("first_word").data

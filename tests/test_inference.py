@@ -392,13 +392,35 @@ REFUSALS = {
         lambda: wald_composite(
             _SMALL, fit_mle(_SMALL), LinearHypothesis.coordinates([1], [1.0], 4)
         ),
-        "does not match parameter dimension",
+        "restriction matrix does not match parameter dimension: 4 against 3",
     ),
     "contiguous_power": (
         lambda: contiguous_power(
             LinearHypothesis.coordinates([1], [1.0], 3), np.ones(4), 0.05, np.eye(3)
         ),
-        "shift vector does not match",
+        "shift vector does not match parameter dimension: 4 against 3",
+    ),
+    "contiguous_power sigma_n": (
+        lambda: contiguous_power(
+            LinearHypothesis.coordinates([1], [1.0], 3), np.ones(3), 0.05, np.eye(4)
+        ),
+        "sigma_n does not match parameter dimension: 4 against 3",
+    ),
+    "wald_simple": (
+        lambda: wald_simple(_SMALL, fit_mle(_SMALL), Theta(beta=np.zeros(3), sigma=1.0)),
+        "theta0 does not match parameter dimension: 4 against 3",
+    ),
+    "approx_power dimensions": (
+        lambda: approx_power(
+            Theta(beta=np.zeros(2), sigma=1.0), _NULL, 0.3, 100, 0.05, _zero_at_alternative
+        ),
+        "theta_star does not match theta0's dimension: 3 against 2",
+    ),
+    "required_sample_size dimensions": (
+        lambda: required_sample_size(
+            _ALTERNATIVE, Theta(beta=np.zeros(2), sigma=1.0), 0.3, 0.9, 0.05, _zero_at_alternative
+        ),
+        "theta_star does not match theta0's dimension: 2 against 3",
     ),
     "approx_power zero variance": (
         lambda: approx_power(_ALTERNATIVE, _NULL, 0.3, 100, 0.05, _zero_at_alternative),

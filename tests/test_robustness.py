@@ -342,6 +342,27 @@ class TestRequestValidation:
         with pytest.raises(DomainError):
             if_mlrm_closed(data, req)
 
+    @pytest.mark.parametrize("function", ["if_mlrm_closed", "if2_simple", "if_general"])
+    def test_theta_of_another_dimension(self, rng, function):
+        data = small_data(rng)
+        theta = Theta(beta=np.zeros(3), sigma=1.0)
+        req = IFRequest(contamination_points=[0.0], theta=theta, alpha=0.3, direction=0)
+        call = {
+            "if_mlrm_closed": lambda: if_mlrm_closed(data, req),
+            "if2_simple": lambda: if2_simple(data, req),
+            "if_general": lambda: if_general(NormalLinearFamily(data.design), data, req),
+        }[function]
+        with pytest.raises(DomainError, match="theta does not match parameter dimension: 4 against"):
+            call()
+
+    def test_composite_hypothesis_of_another_dimension(self, rng):
+        data = small_data(rng)
+        req = IFRequest([0.0], Theta(beta=np.zeros(2), sigma=1.0), 0.3, 0)
+        hyp = LinearHypothesis.coordinates([1], [0.0], 4)
+        named = "restriction matrix does not match parameter dimension: 4 against 3"
+        with pytest.raises(DomainError, match=named):
+            if2_composite(data, req, hyp)
+
     def test_needs_points(self):
         with pytest.raises(DomainError):
             IFRequest(
