@@ -20,7 +20,7 @@ import numpy as np
 
 from . import numerics
 from .exceptions import DecompositionError, DegenerateFitError, DomainError, check_alpha
-from .exceptions import check_seed, is_index
+from .exceptions import _check_dimension, check_seed, is_index
 from .model import ModelData, Theta
 
 __all__ = [
@@ -233,6 +233,26 @@ def _sigma_n(xtx_over_n_inverse: np.ndarray, sigma: float, a: float) -> np.ndarr
 # vectorized objective internals (beta, s = log sigma parameterization)
 # ---------------------------------------------------------------------------
 
+def _block_sums(x, y, beta, sig, a, k, dot):
+    """The kernel's six sums over the rows of ``x`` and ``y``: ``m_0``,
+    ``m_2``, the gradient product, ``m_4``, the cross column and ``X'(X
+    w)``, with ``dot`` for the products."""
+    r = y - dot(x, beta)
+    r /= sig
+    r2 = r * r
+    v = np.exp(-0.5 * a * r2)
+    vr = v * r
+    vr2 = vr * r
+    return [
+        float(np.add.reduce(v)),
+        float(np.add.reduce(vr2)),
+        dot(vr, x),
+        float(dot(vr2, r2)),
+        dot(vr * (a * r2 - (a * k + 2.0)), x),
+        dot(x.T, x * (a * vr2 - v)[:, None]),
+    ]
+
+
 def _objective_grad_hess(x, y, beta, s, a):
     """Objective value, gradient and Hessian at ``(beta, s)``.
 
@@ -240,10 +260,14 @@ def _objective_grad_hess(x, y, beta, s, a):
     is a constant times one of three moments ``sum v r^{0,2,4}`` or one of
     three weighted design products.  They are summed over blocks of ``_ROWS``
     rows, so that each block's temporaries stay in cache.  A design of one
-    block is ``_centred_problem``'s contiguous column-major array, whose
-    products ``ndarray.dot`` hands to BLAS past matmul's dispatch; the blocks
-    of a larger design are strided views, which ``ndarray.dot`` would copy
-    first, so they keep matmul (docs/MATH.md).
+    block is ``_centred_problem``'s contiguous column-major array: one
+    ``_block_sums`` call forms its sums, with products through
+    ``ndarray.dot``, which hands them to BLAS past matmul's dispatch.  The
+    blocks of a larger design are strided views, which ``ndarray.dot`` would
+    copy first, so they keep matmul (docs/MATH.md).  The gradient and
+    Hessian are assembled from the sums entry by entry in Python floats,
+    with the array assembly's operations in its order, so with its bits,
+    and returned as arrays.
 
     A non-finite value is returned as ``-inf``, so a line search rejects the
     point; the derivatives are then meaningless.  Weights that underflow to
@@ -253,40 +277,36 @@ def _objective_grad_hess(x, y, beta, s, a):
     n, p = x.shape
     sig = math.exp(s)
     k = 1.0 / (1 + a)
-    dot = np.ndarray.dot if n <= _ROWS else np.matmul
-    sums = None
-    for start in range(0, n, _ROWS):
-        xb = x[start : start + _ROWS]
-        r = y[start : start + _ROWS] - dot(xb, beta)
-        r /= sig
-        r2 = r * r
-        v = np.exp(-0.5 * a * r2)
-        vr = v * r
-        vr2 = vr * r
-        block = [
-            float(np.add.reduce(v)),
-            float(np.add.reduce(vr2)),
-            dot(vr, xb),
-            float(dot(vr2, r2)),
-            dot(vr * (a * r2 - (a * k + 2.0)), xb),
-            dot(xb.T, xb * (a * vr2 - v)[:, None]),
-        ]
-        sums = block if sums is None else [total + part for total, part in zip(sums, block)]
+    if n <= _ROWS:
+        sums = _block_sums(x, y, beta, sig, a, k, np.ndarray.dot)
+    else:
+        sums = None
+        for start in range(0, n, _ROWS):
+            block = _block_sums(
+                x[start : start + _ROWS], y[start : start + _ROWS], beta, sig, a, k, np.matmul
+            )
+            sums = block if sums is None else [total + part for total, part in zip(sums, block)]
     m0, m2, g, m4, cross, h = sums
     c = ((1 + a) / (2 * math.pi)) ** (a / (2 * (1 + a))) * sig ** (-a / (1 + a))
     val = c * m0 / n
     if not math.isfinite(val):
         val = -math.inf
-    grad = np.empty(p + 1)
-    grad[:p] = a * c / (n * sig) * g
-    grad[p] = a * c / n * (m2 - k * m0)
-    hess = np.empty((p + 1, p + 1))
-    hess[:p, :p] = a * c / (n * sig**2) * h
-    cross *= a * c / (n * sig)
-    hess[:p, p] = cross
-    hess[p, :p] = cross
-    hess[p, p] = a * c / n * (a * (m4 - 2.0 * k * m2 + k * k * m0) - 2.0 * m2)
-    return val, grad, 0.5 * (hess + hess.T)
+    f_beta, f_beta2, f_s = a * c / (n * sig), a * c / (n * sig**2), a * c / n
+    grad = [f_beta * v for v in g.tolist()]
+    grad.append(f_s * (m2 - k * m0))
+    # the entries of 0.5 (H + H') in row order; H's last row and column are
+    # the scaled cross column
+    side = [0.5 * (v * f_beta + v * f_beta) for v in cross.tolist()]
+    corner = f_s * (a * (m4 - 2.0 * k * m2 + k * k * m0) - 2.0 * m2)
+    h = h.tolist()
+    hess = []
+    for i, row in enumerate(h):
+        for j, u in enumerate(row):
+            hess.append(0.5 * (f_beta2 * u + f_beta2 * h[j][i]))
+        hess.append(side[i])
+    hess += side
+    hess.append(0.5 * (corner + corner))
+    return val, np.array(grad), np.array(hess).reshape(p + 1, p + 1)
 
 
 def _scaled_gradient_norm(grad, s):
@@ -335,6 +355,17 @@ def _saddle_free_direction(xtx, s, val, neg, grad):
     return root_inv.T @ (vectors @ ((vectors.T @ (root_inv @ grad)) / curvature))
 
 
+def _newton_direction(hess, grad, small):
+    """``numerics.solve_spd(-hess, grad)``.  Where ``small`` is the
+    straight-line solve of the system's order, it is called as ``solve_spd``
+    calls it once its checks pass, which the kernel's outputs always do: on
+    the rows of ``-hess``, negated in Python floats, and ``grad`` as lists."""
+    if small is None:
+        return numerics.solve_spd(-hess, grad)
+    neg = [[-v for v in row] for row in hess.tolist()]
+    return np.array(small(neg, [grad.tolist()])[0])
+
+
 @dataclass(slots=True)
 class _Stage:
     """Where a Newton stage ended, with the kernel's value and gradient there;
@@ -364,25 +395,27 @@ def _newton_stage(x, y, beta, s, a, scale_floor, xtx, saddle_free=True) -> _Stag
     started; ``_close`` evaluates the value and gradient there where they
     are read.  Where the Newton matrix is not positive definite the stage
     takes a saddle-free step (``xtx`` is X'X / n), or with ``saddle_free``
-    false ends there unconverged.  The kernel's weights may underflow, so
-    the stage runs under ``np.errstate(under="ignore")``, set once for all
-    its points.
+    false ends there unconverged.  Up to order ``numerics._SMALL_ORDER`` a
+    Newton system goes straight to that order's solve (``_newton_direction``).
+    The kernel's weights may underflow, so the stage runs under
+    ``np.errstate(under="ignore")``, set once for all its points.
     """
     beta = beta.copy()
     s = float(s)
+    order = x.shape[1] + 1
+    small = numerics._SMALL_SOLVES[order - 1] if order <= numerics._SMALL_ORDER else None
     with np.errstate(under="ignore"):
         val, grad, hess = _objective_grad_hess(x, y, beta, s, a)
         for it in range(MAX_ITER):
             if math.exp(s) < scale_floor:
                 # _continue reports the floor in the response's units
                 raise DegenerateFitError
-            neg = -hess
             try:
-                direction = numerics.solve_spd(neg, grad)
+                direction = _newton_direction(hess, grad, small)
             except DecompositionError:
                 if not saddle_free:
                     return _Stage(beta, s, False, it, val, grad)
-                direction = _saddle_free_direction(xtx, s, val, neg, grad)
+                direction = _saddle_free_direction(xtx, s, val, -hess, grad)
                 if direction is None:
                     return _Stage(beta, s, False, it, val, grad)
                 slope = float(grad.dot(direction))
@@ -624,6 +657,8 @@ def fit_rp(
     run is returned flagged, never silently.
     """
     alpha = check_alpha(alpha)
+    if init is not None:
+        _check_dimension("init", init.dim, data.n_params + 1)
     if alpha == 0.0:
         return fit_mle(data)
     # the path's alpha = 0 fit sets the init run's problem

@@ -1,5 +1,5 @@
 """Exception types, and one rule per argument kind: tuning value, probability,
-index, seed."""
+index, seed, parameter dimension."""
 
 import numpy as np
 
@@ -35,6 +35,13 @@ def check_seed(seed, what: str) -> None:
     below 2^64, the range numpy seeds from."""
     if not is_index(seed, 2**64):
         raise DomainError(f"{what} must be an integer in [0, 2^64), got {seed!r}")
+
+
+def _check_dimension(what: str, size: int, dim: int, of: str = "parameter") -> None:
+    """Refuse ``what`` of dimension ``size`` where the ``of`` dimension is
+    ``dim``."""
+    if size != dim:
+        raise DomainError(f"{what} does not match {of} dimension: {size} against {dim}")
 
 
 class DecompositionError(ArithmeticError):

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import numerics
 from .estimation import FitResult, _sigma_n
-from .exceptions import DecompositionError, DomainError, check_probability, is_index
+from .exceptions import DecompositionError, DomainError, _check_dimension, check_probability
+from .exceptions import is_index
 from .model import ModelData, Theta
 
 __all__ = [
@@ -96,12 +97,20 @@ class PowerReport:
     n_used: int
 
 
+def _check_sample_size(n) -> None:
+    """Refuse a sample size ``n`` that is not an integer >= 1."""
+    if not is_index(n) or n < 1:
+        raise DomainError(f"n must be an integer >= 1, got {n!r}")
+
+
 def wald_statistic(diff: np.ndarray, covariance: np.ndarray, n: int) -> float:
-    """Quadratic form ``n * diff' covariance^{-1} diff``.
+    """Quadratic form ``n * diff' covariance^{-1} diff``, for a sample size
+    ``n >= 1``.
 
     Invariant under any joint invertible linear reparameterization of the
     difference and its covariance.
     """
+    _check_sample_size(n)
     diff = np.atleast_1d(np.asarray(diff, dtype=float))
     cov = np.atleast_2d(np.asarray(covariance, dtype=float))
     try:
@@ -139,13 +148,6 @@ def wald_composite(data: ModelData, fit: FitResult, hyp: LinearHypothesis) -> Wa
     return _outcome(stat, hyp.n_restrictions)
 
 
-def _check_dimension(what: str, size: int, dim: int, of: str = "parameter") -> None:
-    """Refuse ``what`` of dimension ``size`` where the ``of`` dimension is
-    ``dim``."""
-    if size != dim:
-        raise DomainError(f"{what} does not match {of} dimension: {size} against {dim}")
-
-
 def _coordinate_p_value(fit: FitResult, index: int, value: float, n: int) -> float:
     """P-value of the Wald test of ``theta[index] = value``, index in 0..p,
     on ``fit`` from ``n`` observations: the p-value of ``wald_composite``
@@ -168,7 +170,7 @@ def _coordinate_p_value(fit: FitResult, index: int, value: float, n: int) -> flo
     estimate = theta.sigma if index == theta.beta.size else theta.beta[index]
     d = float(estimate) - float(value)
     r = math.sqrt(var)
-    return numerics.chisq_sf((n * d) * ((d / r) / r), 1)
+    return numerics._chisq_sf_scalar((n * d) * ((d / r) / r), 1)
 
 
 def _power_terms(theta_star: Theta, theta0: Theta, sigma_provider) -> tuple:
@@ -198,8 +200,10 @@ def approx_power(
     ``sigma_provider(theta)`` must return the asymptotic covariance matrix at
     a parameter point.  With ``ell = (theta*-theta0)' Sigma(theta0)^{-1}
     (theta*-theta0)`` and the delta-method standard deviation ``sigma_w``,
-    the approximation is ``1 - Phi(sqrt(n)/sigma_w * (chi2_quantile/n - ell))``.
+    the approximation is ``1 - Phi(sqrt(n)/sigma_w * (chi2_quantile/n - ell))``,
+    for a sample size ``n >= 1``.
     """
+    _check_sample_size(n)
     check_probability(level, "level")
     ell, sigma_w = _power_terms(theta_star, theta0, sigma_provider)
     if sigma_w == 0.0:

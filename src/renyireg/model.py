@@ -135,7 +135,10 @@ class ModelData:
 
     def __post_init__(self):
         shared = self.design if isinstance(self.design, Design) else Design(self.design)
-        y = np.asarray(self.response, dtype=float).ravel()
+        y = np.asarray(self.response, dtype=float)
+        if y.ndim > 2 or (y.ndim == 2 and y.shape[1] != 1):
+            raise DomainError(f"response must be one column, got shape {y.shape}")
+        y = y.ravel()
         object.__setattr__(self, "fixed_design", shared)
         object.__setattr__(self, "design", shared.matrix)
         object.__setattr__(self, "response", y)

@@ -28,8 +28,8 @@ import numpy as np
 
 from . import numerics
 from .estimation import _normal_factors, _sigma_n
-from .exceptions import DecompositionError, DomainError, check_alpha, is_index
-from .inference import LinearHypothesis, _check_dimension
+from .exceptions import DecompositionError, DomainError, _check_dimension, check_alpha, is_index
+from .inference import LinearHypothesis
 from .model import DensityFamily, ModelData, Theta, _power_mass
 
 __all__ = [

@@ -122,6 +122,10 @@ class StudyConfig:
         if not is_index(self.replications) or self.replications < 1:
             raise DomainError(f"need at least one replication, got {self.replications!r}")
         check_seed(self.seed, "seed")
+        # a string would be read character by character
+        for name, value in (("alphas", self.alphas), ("sample_sizes", self.sample_sizes)):
+            if isinstance(value, (str, bytes)):
+                raise DomainError(f"{name} must be a sequence of numbers, got {value!r}")
         if not self.alphas or not self.hypotheses:
             raise DomainError("need at least one alpha and one hypothesis")
         for a in self.alphas:

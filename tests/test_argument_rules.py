@@ -399,3 +399,37 @@ def test_cli_refuses_bad_argument(argv, named, tmp_path):
     error = proc.stderr.strip().splitlines()[-1]
     assert error.startswith("error: ") and named in error, error
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n", [-5, 0, 2.5])
+def test_wald_statistic_refuses_non_sizes(n):
+    from renyireg.inference import wald_statistic
+
+    with pytest.raises(DomainError, match="^n must"):
+        wald_statistic(np.ones(2), np.eye(2), n)
+
+
+def test_approx_power_refuses_zero_size():
+    with pytest.raises(DomainError, match="^n must"):
+        approx_power(THETA_STAR, THETA, 0.5, 0, 0.05, lambda t: np.eye(3))
+
+
+def test_fit_init_of_wrong_dimension():
+    with pytest.raises(DomainError, match="^init does not match"):
+        fit_rp(DATA, 0.5, init=Theta(beta=[0.0, 0.0, 0.0], sigma=1.0))
+
+
+@pytest.mark.parametrize(
+    "field,value", [("alphas", "05"), ("alphas", "0.5"), ("sample_sizes", "200")]
+)
+def test_study_config_refuses_strings(field, value):
+    with pytest.raises(DomainError, match=f"^{field} must"):
+        StudyConfig(**{field: value})
+
+
+def test_response_is_one_column():
+    x = DATA.design
+    with pytest.raises(DomainError, match="^response must be one column"):
+        ModelData(x, np.column_stack([DATA.response, DATA.response]))
+    column = ModelData(x, DATA.response[:, None])
+    assert np.array_equal(column.response, DATA.response)
