@@ -355,17 +355,6 @@ def _saddle_free_direction(xtx, s, val, neg, grad):
     return root_inv.T @ (vectors @ ((vectors.T @ (root_inv @ grad)) / curvature))
 
 
-def _newton_direction(hess, grad, small):
-    """``numerics.solve_spd(-hess, grad)``.  Where ``small`` is the
-    straight-line solve of the system's order, it is called as ``solve_spd``
-    calls it once its checks pass, which the kernel's outputs always do: on
-    the rows of ``-hess``, negated in Python floats, and ``grad`` as lists."""
-    if small is None:
-        return numerics.solve_spd(-hess, grad)
-    neg = [[-v for v in row] for row in hess.tolist()]
-    return np.array(small(neg, [grad.tolist()])[0])
-
-
 @dataclass(slots=True)
 class _Stage:
     """Where a Newton stage ended, with the kernel's value and gradient there;
@@ -395,27 +384,25 @@ def _newton_stage(x, y, beta, s, a, scale_floor, xtx, saddle_free=True) -> _Stag
     started; ``_close`` evaluates the value and gradient there where they
     are read.  Where the Newton matrix is not positive definite the stage
     takes a saddle-free step (``xtx`` is X'X / n), or with ``saddle_free``
-    false ends there unconverged.  Up to order ``numerics._SMALL_ORDER`` a
-    Newton system goes straight to that order's solve (``_newton_direction``).
-    The kernel's weights may underflow, so the stage runs under
-    ``np.errstate(under="ignore")``, set once for all its points.
+    false ends there unconverged.  The kernel's weights may underflow, so
+    the stage runs under ``np.errstate(under="ignore")``, set once for all
+    its points.
     """
     beta = beta.copy()
     s = float(s)
-    order = x.shape[1] + 1
-    small = numerics._SMALL_SOLVES[order - 1] if order <= numerics._SMALL_ORDER else None
     with np.errstate(under="ignore"):
         val, grad, hess = _objective_grad_hess(x, y, beta, s, a)
         for it in range(MAX_ITER):
             if math.exp(s) < scale_floor:
                 # _continue reports the floor in the response's units
                 raise DegenerateFitError
+            neg = -hess
             try:
-                direction = _newton_direction(hess, grad, small)
+                direction = numerics.solve_spd(neg, grad)
             except DecompositionError:
                 if not saddle_free:
                     return _Stage(beta, s, False, it, val, grad)
-                direction = _saddle_free_direction(xtx, s, val, -hess, grad)
+                direction = _saddle_free_direction(xtx, s, val, neg, grad)
                 if direction is None:
                     return _Stage(beta, s, False, it, val, grad)
                 slope = float(grad.dot(direction))

@@ -1,5 +1,5 @@
 """Exception types, and one rule per argument kind: tuning value, probability,
-index, seed, parameter dimension."""
+index, count, seed, parameter dimension."""
 
 import numpy as np
 
@@ -28,6 +28,14 @@ def is_index(value, size=None) -> bool:
     """Whether ``value`` is an int, not a bool, in 0..size-1 if ``size`` is given."""
     integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
     return integer and (size is None or 0 <= value < size)
+
+
+def check_count(value, what: str) -> int:
+    """``value``, named ``what`` in the message, as an int, if it is an index
+    >= 1."""
+    if not is_index(value) or value < 1:
+        raise DomainError(f"{what} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def check_seed(seed, what: str) -> None:

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import numerics
 from .estimation import FitResult, _sigma_n
-from .exceptions import DecompositionError, DomainError, _check_dimension, check_probability
-from .exceptions import is_index
+from .exceptions import DecompositionError, DomainError, _check_dimension, check_count
+from .exceptions import check_probability, is_index
 from .model import ModelData, Theta
 
 __all__ = [
@@ -97,12 +97,6 @@ class PowerReport:
     n_used: int
 
 
-def _check_sample_size(n) -> None:
-    """Refuse a sample size ``n`` that is not an integer >= 1."""
-    if not is_index(n) or n < 1:
-        raise DomainError(f"n must be an integer >= 1, got {n!r}")
-
-
 def wald_statistic(diff: np.ndarray, covariance: np.ndarray, n: int) -> float:
     """Quadratic form ``n * diff' covariance^{-1} diff``, for a sample size
     ``n >= 1``.
@@ -110,7 +104,7 @@ def wald_statistic(diff: np.ndarray, covariance: np.ndarray, n: int) -> float:
     Invariant under any joint invertible linear reparameterization of the
     difference and its covariance.
     """
-    _check_sample_size(n)
+    check_count(n, "n")
     diff = np.atleast_1d(np.asarray(diff, dtype=float))
     cov = np.atleast_2d(np.asarray(covariance, dtype=float))
     try:
@@ -170,7 +164,7 @@ def _coordinate_p_value(fit: FitResult, index: int, value: float, n: int) -> flo
     estimate = theta.sigma if index == theta.beta.size else theta.beta[index]
     d = float(estimate) - float(value)
     r = math.sqrt(var)
-    return numerics._chisq_sf_scalar((n * d) * ((d / r) / r), 1)
+    return numerics.chisq_sf((n * d) * ((d / r) / r), 1)
 
 
 def _power_terms(theta_star: Theta, theta0: Theta, sigma_provider) -> tuple:
@@ -203,7 +197,7 @@ def approx_power(
     the approximation is ``1 - Phi(sqrt(n)/sigma_w * (chi2_quantile/n - ell))``,
     for a sample size ``n >= 1``.
     """
-    _check_sample_size(n)
+    check_count(n, "n")
     check_probability(level, "level")
     ell, sigma_w = _power_terms(theta_star, theta0, sigma_provider)
     if sigma_w == 0.0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DecompositionError, DomainError, NonFiniteIntegrandError
-from .exceptions import check_probability, check_seed, is_index
+from .exceptions import check_count, check_probability, check_seed
 
 __all__ = [
     "RngStream",
@@ -97,14 +97,6 @@ def normal_quantile(p):
     return _entrywise(_normal_quantile_scalar, p)
 
 
-def _integer_df(df) -> int:
-    """``df`` as an int; the chi-square functions take integer degrees of
-    freedom only, so that ``chisq_sf`` can use its finite sum."""
-    if not is_index(df) or df < 1:
-        raise DomainError(f"df must be an integer >= 1, got {df!r}")
-    return int(df)
-
-
 def _log_gamma_term(s: float, h: float) -> float:
     """``log(h^s e^{-h} / Gamma(s + 1))``, finite where e^{-h} underflows."""
     return s * math.log(h) - h - math.lgamma(s + 1.0)
@@ -138,7 +130,7 @@ def chisq_sf(x, df):
     DomainError
         If ``df`` is not an integer >= 1.
     """
-    df = _integer_df(df)
+    df = check_count(df, "df")
     return _entrywise(lambda v: _chisq_sf_scalar(v, df), x)
 
 
@@ -171,7 +163,7 @@ def chisq_quantile(df, upper_tail):
     the root.  At or below 1/2 it is a squared normal quantile at one df,
     else Newton steps on ``log chisq_sf`` from the Wilson-Hilferty point.
     """
-    df = _integer_df(df)
+    df = check_count(df, "df")
     check_probability(upper_tail, "upper-tail probability")
     a = 0.5 * df
     if upper_tail > 0.5:
@@ -210,7 +202,7 @@ def noncentral_chisq_sf(x, df, delta):
     the sum holds where ``e^{-delta/2}`` underflows.  A negative or NaN
     ``x``, or a negative or infinite ``delta``, raises :class:`DomainError`.
     """
-    df = _integer_df(df)
+    df = check_count(df, "df")
     if not (x >= 0.0 and 0.0 <= delta < math.inf):
         raise DomainError(f"need x >= 0 and finite delta >= 0, got x={x}, delta={delta}")
     lam, h = 0.5 * delta, 0.5 * x

@@ -188,16 +188,15 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=N
 @contextmanager
 def tail_statistics():
     """The statistics of the chi-square tails evaluated inside, in order.  A
-    patch of the scalar tail, which ``chisq_sf`` reaches and a study's
-    p-value calls, so that it can enter and leave within one ``hypothesis``
-    example."""
+    patch of the module attribute, which inference calls, so that it can
+    enter and leave within one ``hypothesis`` example."""
     seen = []
-    sf = numerics._chisq_sf_scalar
-    numerics._chisq_sf_scalar = lambda x, df: seen.append(x) or sf(x, df)
+    sf = numerics.chisq_sf
+    numerics.chisq_sf = lambda x, df: seen.append(x) or sf(x, df)
     try:
         yield seen
     finally:
-        numerics._chisq_sf_scalar = sf
+        numerics.chisq_sf = sf
 
 
 class TestCoordinatePValue:

@@ -1,7 +1,8 @@
 """The Newton point in Python floats: the kernel's assembly of ``V``, ``g``
-and ``K`` from its six sums against the array assembly it replaces, and a
-stage's direct straight-line solve against ``numerics.solve_spd``, both bit
-for bit (``float.hex``)."""
+and ``K`` from its six sums against the array assembly it replaces, bit for
+bit (``float.hex``); and the stage's solves and a study's tails still made
+through ``numerics.solve_spd`` and ``numerics.chisq_sf``, where a trace
+counts them."""
 
 import math
 
@@ -9,7 +10,6 @@ import numpy as np
 import pytest
 
 from renyireg import estimation, numerics
-from renyireg.exceptions import DecompositionError
 from renyireg.simulation import DesignSpec, StudyConfig, run_study
 
 
@@ -66,46 +66,37 @@ def test_kernel_matches_array_assembly(p, n_rows):
         assert [bits(v) for v in got] == [bits(v) for v in want]
 
 
-def newton_matrices(order):
-    """Newton matrices ``K`` of one order with a gradient: ``-K`` positive
-    definite, not positive definite, and with a non-finite entry in each
-    position."""
-    gen = np.random.default_rng(order)
-    for shift in (1.0, -1.0):
-        for _ in range(10):
-            f = gen.standard_normal((order, order))
-            yield -(f @ f.T + shift * np.eye(order)), gen.standard_normal(order)
-    for i in range(order):
-        for j in range(order):
-            for bad in (math.nan, math.inf, -math.inf):
-                f = gen.standard_normal((order, order))
-                hess = -(f @ f.T + np.eye(order))
-                hess[i, j] = bad
-                yield hess, gen.standard_normal(order)
+def counting(monkeypatch, name):
+    """Calls of ``numerics.<name>`` from here on, counted in a one-entry list."""
+    calls, fn = [0], getattr(numerics, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(numerics, name, counted)
+    return calls
 
 
-def outcome(solve):
-    try:
-        return bits(solve())
-    except DecompositionError as err:
-        return (str(err), err.pivot)
+@pytest.mark.parametrize("p", [1, 2, 3, 5])
+def test_each_newton_step_is_one_solve_spd_call(monkeypatch, p):
+    """A converged stage solves once per accepted step and once for its
+    closing step, each through ``solve_spd``: orders 2 to 4 take the
+    straight-line solve, order 6 LAPACK."""
+    n = 200
+    gen = np.random.default_rng(p)
+    x = np.asfortranarray(np.column_stack([np.ones(n), gen.standard_normal((n, p - 1))]))
+    y = gen.standard_normal(n)
+    y[:20] += 6.0
+    solves = counting(monkeypatch, "solve_spd")
+    stage = estimation._newton_stage(x, y, np.zeros(p), 0.0, 0.5, 1e-10, x.T @ x / n)
+    assert stage.converged and stage.iterations > 0
+    assert solves[0] == stage.iterations + 1
 
 
-@pytest.mark.parametrize("order", range(1, numerics._SMALL_ORDER + 1))
-def test_direct_solve_matches_solve_spd(order):
-    small = numerics._SMALL_SOLVES[order - 1]
-    refused = 0
-    for hess, grad in newton_matrices(order):
-        direct = outcome(lambda: estimation._newton_direction(hess, grad, small))
-        assert direct == outcome(lambda: numerics.solve_spd(-hess, grad))
-        refused += isinstance(direct, tuple)
-    assert 0 < refused < len(list(newton_matrices(order)))
-
-
-def test_study_through_solve_spd_is_unchanged(monkeypatch):
-    config = StudyConfig(design=DesignSpec(n=200), replications=16, seed=5)
-    direct = run_study(config)
-    monkeypatch.setattr(
-        estimation, "_newton_direction", lambda hess, grad, small: numerics.solve_spd(-hess, grad)
-    )
-    assert run_study(config).cells == direct.cells
+def test_study_p_values_are_chisq_sf_calls(monkeypatch):
+    """One ``chisq_sf`` call per study decision: 2 replications of 4 alphas
+    and two hypotheses, each at its null and its alternative."""
+    tails = counting(monkeypatch, "chisq_sf")
+    run_study(StudyConfig(design=DesignSpec(n=200), replications=2, seed=5))
+    assert tails[0] == 2 * 4 * 2 * 2
