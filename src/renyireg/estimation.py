@@ -20,7 +20,7 @@ import numpy as np
 
 from . import numerics
 from .exceptions import DecompositionError, DegenerateFitError, DomainError, check_alpha
-from .exceptions import _check_dimension, check_seed, is_index
+from .exceptions import _check_dimension, _check_numbers, check_seed, is_index
 from .model import ModelData, Theta
 
 __all__ = [
@@ -48,13 +48,12 @@ _ROWS = 8192
 
 @dataclass(frozen=True)
 class FitResult:
-    """One fit.  The fit of a converged Newton stage evaluates its
-    ``objective_value`` and ``gradient_norm`` at the stage's closing point
-    when either is first read, with the bits an evaluation at fit time would
-    give (docs/MATH.md).  Until then it holds its ``ModelData``, whose
-    arrays must not change in between, the maximum-likelihood fit and that
-    point; pickling, copying, ``dataclasses.replace`` and ``==``
-    read both values first."""
+    """One fit.  A robust fit evaluates its ``objective_value`` and
+    ``gradient_norm`` where either is first read, at the end of its Newton
+    stage, with the bits an evaluation at fit time would give
+    (docs/MATH.md).  Until then it holds its ``ModelData``, whose response
+    is its own, the maximum-likelihood fit and that stage; pickling,
+    copying, ``dataclasses.replace`` and ``==`` read both values first."""
 
     theta_hat: Theta
     alpha: float
@@ -64,26 +63,19 @@ class FitResult:
     sigma_n: np.ndarray
     objective_value: float
 
-    @classmethod
-    def _pending(cls, closing, **fields):
-        """A fit without its two values, which its closing point ``(data,
-        mle, stage)`` gives where first read.  Its fields and ``_closing``
-        are entries of its instance dictionary, as any fit's fields are."""
-        fit = object.__new__(cls)
-        for name, value in fields.items():
-            object.__setattr__(fit, name, value)
-        object.__setattr__(fit, "_closing", closing)
-        return fit
-
     def __getattr__(self, name):
-        # reached only where ``name`` is not set: a pending fit's two values
+        # reached only where ``name`` is not set: a robust fit's two values
         if name not in ("objective_value", "gradient_norm"):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        # the stage's closing point, on the problem it ran on
+        # the stage's end, on the problem it ran on, in the response's units,
+        # where both scale as sigma^(-a/(1+a)) and the gradient norm by a
+        # further 1/sigma
         data, mle, stage = self._closing
         x, y, unit, _ = _centred_problem(data, mle)
         _close(x, y, self.alpha, stage)
-        value, gnorm = _response_values(stage, self.alpha, unit)
+        factor = unit ** (-self.alpha / (1 + self.alpha))
+        value = stage.value * factor
+        gnorm = _scaled_gradient_norm(stage.gradient, stage.s) * factor / unit
         object.__setattr__(self, "objective_value", value)
         object.__setattr__(self, "gradient_norm", gnorm)
         # two threads may both have read the pending state
@@ -523,6 +515,7 @@ def fit_rp_path(data: ModelData, alphas, options: SolverOptions | None = None):
     run from the maximum-likelihood solution; returns ``{alpha: FitResult}``.
     Raises DomainError unless every alpha is finite and >= 0.
     """
+    _check_numbers(alphas, "alphas")
     opts = options or SolverOptions()
     mle = fit_mle(data)
     x, y, unit, floor = _centred_problem(data, mle)
@@ -558,30 +551,22 @@ def _centred_problem(data: ModelData, mle: FitResult):
     return x, (data.response - x @ beta_mle) / unit, unit, DEGENERATE_SCALE_FACTOR * sigma / unit
 
 
-def _response_values(stage, a, unit):
-    """A closed stage's value and scaled gradient norm in the response's
-    units, where they scale as ``sigma^(-a/(1+a))`` and a further ``1/sigma``."""
-    factor = unit ** (-a / (1 + a))
-    return stage.value * factor, _scaled_gradient_norm(stage.gradient, stage.s) * factor / unit
-
-
 def _package_fit(data, a, stage, mle, unit):
     """The fit at ``a`` from a stage run on ``_centred_problem`` of ``data``
-    and ``mle``.  Where the stage has not evaluated its closing point, the
-    fit's value and gradient norm stay pending until read (``FitResult``)."""
-    beta_mle = mle.theta_hat.beta
-    theta = Theta(beta=beta_mle + unit * stage.beta, sigma=unit * math.exp(stage.s))
-    fields = dict(
+    and ``mle``, its value and gradient norm pending until read
+    (``FitResult``).  Its fields and ``_closing``, ``(data, mle, stage)``,
+    are entries of its instance dictionary, as any fit's fields are."""
+    theta = Theta(beta=mle.theta_hat.beta + unit * stage.beta, sigma=unit * math.exp(stage.s))
+    fit = object.__new__(FitResult)
+    vars(fit).update(
         theta_hat=theta,
         alpha=a,
         converged=stage.converged,
         iterations=stage.iterations,
         sigma_n=_sigma_n(data.xtx_over_n_inverse, theta.sigma, a),
+        _closing=(data, mle, stage),
     )
-    if stage.value is None:
-        return FitResult._pending((data, mle, stage), **fields)
-    value, gnorm = _response_values(stage, a, unit)
-    return FitResult(**fields, gradient_norm=gnorm, objective_value=value)
+    return fit
 
 
 def _replaces(converged, value, current_converged, current_value) -> bool:
@@ -656,7 +641,7 @@ def fit_rp(
         beta0, s0 = (init.beta - mle.theta_hat.beta) / unit, math.log(init.sigma / unit)
         stage = _continue(x, y, data.xtx_over_n, beta0, s0, alpha, alpha, floor, unit)
         # compared in the response's units, as the path's fit is
-        fit = _package_fit(data, alpha, _close(x, y, alpha, stage), mle, unit)
+        fit = _package_fit(data, alpha, stage, mle, unit)
         if _replaces(fit.converged, fit.objective_value, result.converged, result.objective_value):
             result = fit
     return result

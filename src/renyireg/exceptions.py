@@ -1,5 +1,5 @@
 """Exception types, and one rule per argument kind: tuning value, probability,
-index, count, seed, parameter dimension."""
+index, count, seed, parameter dimension, sequence of numbers."""
 
 import numpy as np
 
@@ -50,6 +50,13 @@ def _check_dimension(what: str, size: int, dim: int, of: str = "parameter") -> N
     ``dim``."""
     if size != dim:
         raise DomainError(f"{what} does not match {of} dimension: {size} against {dim}")
+
+
+def _check_numbers(value, what: str) -> None:
+    """Refuse ``value``, named ``what`` in the message, where it is a string,
+    which would be read character by character as a sequence of numbers."""
+    if isinstance(value, (str, bytes)):
+        raise DomainError(f"{what} must be a sequence of numbers, got {value!r}")
 
 
 class DecompositionError(ArithmeticError):

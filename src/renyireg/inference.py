@@ -50,6 +50,10 @@ class LinearHypothesis:
         vec = np.atleast_1d(np.asarray(self.m_vector, dtype=float))
         object.__setattr__(self, "m_matrix", mat)
         object.__setattr__(self, "m_vector", vec)
+        if mat.ndim != 2 or mat.shape[1] < 1:
+            raise DomainError(
+                f"m_matrix must be a matrix of one or more columns, got shape {mat.shape}"
+            )
         if mat.shape[1] != vec.size:
             raise DomainError("restriction matrix and value dimensions differ")
         if not (np.all(np.isfinite(mat)) and np.all(np.isfinite(vec))):
@@ -114,6 +118,15 @@ def wald_statistic(diff: np.ndarray, covariance: np.ndarray, n: int) -> float:
     return float(n * diff @ solved)
 
 
+def _indefinite_covariance() -> DecompositionError:
+    """``wald_statistic``'s refusal of ``M' sigma_n M`` where ``sigma_n`` has
+    a non-finite entry: every entry of that system is then NaN or inf, and
+    ``solve_spd`` refuses it at pivot 0."""
+    return DecompositionError(
+        "covariance not positive definite: matrix is not positive definite (pivot 0)"
+    )
+
+
 def _outcome(stat: float, df: int) -> WaldOutcome:
     return WaldOutcome(statistic=stat, df=df, p_value=float(numerics.chisq_sf(stat, df)))
 
@@ -137,6 +150,8 @@ def wald_composite(data: ModelData, fit: FitResult, hyp: LinearHypothesis) -> Wa
     theta = fit.theta_hat
     m = hyp.m_matrix
     _check_dimension("restriction matrix", m.shape[0], theta.dim)
+    if not np.isfinite(fit.sigma_n).all():
+        raise _indefinite_covariance()
     diff = m.T @ theta.to_array() - hyp.m_vector
     stat = wald_statistic(diff, m.T @ fit.sigma_n @ m, data.n_obs)
     return _outcome(stat, hyp.n_restrictions)
@@ -151,15 +166,12 @@ def _coordinate_p_value(fit: FitResult, index: int, value: float, n: int) -> flo
     repeats the operations of ``solve_spd`` on that test's 1 x 1 system
     ``M' sigma_n M`` (docs/MATH.md).  Raises ``wald_statistic``'s
     DecompositionError where that system is not positive definite: where the
-    variance is not positive, or where an entry of ``sigma_n`` is not finite,
-    which makes ``M' sigma_n M`` NaN or inf.
+    variance is not positive, or where an entry of ``sigma_n`` is not finite.
     """
     rows = fit.sigma_n.tolist()
     var = rows[index][index]
     if not (var > 0.0 and all(map(math.isfinite, itertools.chain.from_iterable(rows)))):
-        raise DecompositionError(
-            "covariance not positive definite: matrix is not positive definite (pivot 0)"
-        )
+        raise _indefinite_covariance()
     theta = fit.theta_hat
     estimate = theta.sigma if index == theta.beta.size else theta.beta[index]
     d = float(estimate) - float(value)

@@ -57,6 +57,8 @@ class Theta:
         object.__setattr__(self, "beta", beta)
         if not all(map(math.isfinite, beta.ravel().tolist())):
             raise DomainError("beta must be finite")
+        if beta.ndim != 1:
+            raise DomainError(f"beta must be a vector, got shape {beta.shape}")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise DomainError(f"sigma must be positive, got {self.sigma}")
 
@@ -88,6 +90,10 @@ class Design:
     def __post_init__(self):
         x = np.atleast_2d(np.asarray(self.matrix, dtype=float))
         object.__setattr__(self, "matrix", x)
+        if x.ndim != 2 or x.shape[1] < 1:
+            raise DomainError(
+                f"design must be a matrix of one or more columns, got shape {x.shape}"
+            )
         if not np.all(np.isfinite(x)):
             raise DomainError("design must be finite")
         if x.shape[0] < x.shape[1] + 1:
@@ -127,6 +133,7 @@ class ModelData:
     an array, which gets a ``Design`` of its own; either way ``design``
     reads as the float array afterwards and ``fixed_design`` holds the
     ``Design``, whose cached products the properties below return.
+    ``response`` is a read-only copy of the given array.
     """
 
     design: np.ndarray
@@ -138,7 +145,9 @@ class ModelData:
         y = np.asarray(self.response, dtype=float)
         if y.ndim > 2 or (y.ndim == 2 and y.shape[1] != 1):
             raise DomainError(f"response must be one column, got shape {y.shape}")
-        y = y.ravel()
+        # the data's own copy: a fit's value read later sees what was fitted
+        y = y.flatten()
+        y.setflags(write=False)
         object.__setattr__(self, "fixed_design", shared)
         object.__setattr__(self, "design", shared.matrix)
         object.__setattr__(self, "response", y)

@@ -209,9 +209,13 @@ def if_mlrm_closed(data: ModelData, req: IFRequest) -> IFReport:
 
 def _second_order(data: ModelData, req: IFRequest, m: np.ndarray):
     """The first-order report and ``2 IF' M (M' sigma_n M)^{-1} M' IF`` for
-    the restriction matrix ``M``."""
+    the restriction matrix ``M``.  A ``sigma_n`` with a non-finite entry is
+    refused as ``spd_inverse`` refuses the NaN or inf system it would give."""
     base = if_mlrm_closed(data, req)
-    inner = m.T @ _sigma_n(data.xtx_over_n_inverse, req.theta.sigma, req.alpha) @ m
+    sigma_n = _sigma_n(data.xtx_over_n_inverse, req.theta.sigma, req.alpha)
+    if not np.isfinite(sigma_n).all():
+        raise numerics._not_positive_definite(0)
+    inner = m.T @ sigma_n @ m
     projected = base.first_order @ m
     return base, 2.0 * np.einsum(
         "ki,ij,kj->k", projected, numerics.spd_inverse(inner), projected

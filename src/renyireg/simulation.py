@@ -26,7 +26,7 @@ import numpy as np
 from .data import write_csv, write_json
 from .estimation import fit_rp_path
 from .exceptions import DegenerateFitError, DomainError, check_alpha, check_probability
-from .exceptions import check_seed, is_index
+from .exceptions import _check_numbers, check_seed, is_index
 from .inference import _coordinate_p_value
 from .model import Design, ModelData, Theta
 from .numerics import RngStream, chisq_quantile, noncentral_chisq_sf
@@ -122,10 +122,8 @@ class StudyConfig:
         if not is_index(self.replications) or self.replications < 1:
             raise DomainError(f"need at least one replication, got {self.replications!r}")
         check_seed(self.seed, "seed")
-        # a string would be read character by character
-        for name, value in (("alphas", self.alphas), ("sample_sizes", self.sample_sizes)):
-            if isinstance(value, (str, bytes)):
-                raise DomainError(f"{name} must be a sequence of numbers, got {value!r}")
+        _check_numbers(self.alphas, "alphas")
+        _check_numbers(self.sample_sizes, "sample_sizes")
         if not self.alphas or not self.hypotheses:
             raise DomainError("need at least one alpha and one hypothesis")
         for a in self.alphas:
@@ -144,7 +142,13 @@ class StudyConfig:
                 raise DomainError(f"{name} must be finite, got {beta}")
         if not (math.isfinite(self.true_sigma) and self.true_sigma > 0):
             raise DomainError(f"true_sigma must be finite and positive, got {self.true_sigma}")
-        for name, index, null_value, alt_value in self.hypotheses:
+        for hypothesis in self.hypotheses:
+            if not isinstance(hypothesis, (tuple, list)) or len(hypothesis) != 4:
+                raise DomainError(
+                    "each hypotheses entry needs 4 values (name, index, null value, "
+                    f"alternative or None), got {hypothesis!r}"
+                )
+            name, index, null_value, alt_value = hypothesis
             if not is_index(index, 3):
                 raise DomainError(f"hypothesis {name}: parameter index {index} outside 0..2")
             values = (null_value,) if alt_value is None else (null_value, alt_value)

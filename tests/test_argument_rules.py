@@ -7,6 +7,7 @@ crashing or writing NaN."""
 
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -433,3 +434,33 @@ def test_response_is_one_column():
         ModelData(x, np.column_stack([DATA.response, DATA.response]))
     column = ModelData(x, DATA.response[:, None])
     assert np.array_equal(column.response, DATA.response)
+
+
+@pytest.mark.parametrize("alphas", ["05", "0.5", b"0.5"])
+def test_fit_path_refuses_strings(alphas):
+    with pytest.raises(DomainError, match="^alphas must be a sequence of numbers"):
+        fit_rp_path(DATA, alphas)
+
+
+def test_hypothesis_matrix_has_columns():
+    with pytest.raises(DomainError, match=r"^m_matrix .* shape \(3, 0\)"):
+        LinearHypothesis(np.zeros((3, 0)), np.zeros(0))
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 2), (3, 0)])
+def test_design_is_a_matrix_with_columns(shape):
+    named = r"^design must be a matrix .* got shape " + re.escape(str(shape))
+    with pytest.raises(DomainError, match=named):
+        ModelData(np.zeros(shape), np.zeros(3))
+
+
+def test_theta_beta_is_a_vector():
+    with pytest.raises(DomainError, match=r"^beta must be a vector, got shape \(2, 2\)"):
+        Theta(beta=np.zeros((2, 2)), sigma=1.0)
+
+
+@pytest.mark.parametrize("entry", [("x", 1, 1.0), ("x", 1, 1.0, None, 0.5), "beta"])
+def test_study_hypotheses_have_four_values(entry):
+    with pytest.raises(DomainError, match="^each hypotheses entry needs 4 values"):
+        StudyConfig(hypotheses=(entry,))
+

@@ -1047,6 +1047,32 @@ class TestPendingClosingPoint:
                 assert self.bits(fit) == self.bits(ref[a])
 
 
+class TestOwnResponse:
+    """A fit's data own their response, so a value first read after the
+    caller changes its array is the value at the data that were fitted."""
+
+    @staticmethod
+    def fitted():
+        gen = np.random.default_rng(0)
+        x = np.column_stack([np.ones(50), gen.standard_normal(50)])
+        y = x @ [1.0, 2.0] + gen.standard_normal(50)
+        return ModelData(x, y), y
+
+    @pytest.mark.parametrize("change", [False, True])
+    def test_value_ignores_the_callers_array(self, change):
+        data, y = self.fitted()
+        fit = fit_rp_path(data, [0.5])[0.5]
+        if change:
+            y[0] += 10.0
+        assert fit.objective_value == 0.6344810621642172
+
+    def test_response_is_read_only(self):
+        data, y = self.fitted()
+        assert not np.shares_memory(data.response, y)
+        with pytest.raises(ValueError, match="read-only"):
+            data.response[0] = 1.0
+
+
 class TestDegenerateCollapse:
     def test_near_interpolating_start_raises(self):
         # five of seven points exactly collinear; a start inside the

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import math
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -257,8 +258,10 @@ class TestCoordinatePValue:
         broken = dataclasses.replace(fit, sigma_n=sigma_n)
         value = fit.theta_hat.to_array()[index] + 0.1
         hyp = LinearHypothesis.coordinates([index], [value], 3)
-        # M' sigma_n M multiplies the non-finite entry by 0
-        with pytest.raises(DecompositionError) as want, np.errstate(invalid="ignore"):
+        # refused before M' sigma_n M, which would multiply the non-finite
+        # entry by 0 with a numpy warning
+        with pytest.raises(DecompositionError) as want, warnings.catch_warnings():
+            warnings.simplefilter("error")
             wald_composite(data, broken, hyp)
         with pytest.raises(DecompositionError) as got:
             _coordinate_p_value(broken, index, value, data.n_obs)

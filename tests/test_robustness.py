@@ -1,6 +1,7 @@
 """Influence functions, gross-error sensitivity, and relative efficiency."""
 
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -362,6 +363,25 @@ class TestRequestValidation:
         named = "restriction matrix does not match parameter dimension: 4 against 3"
         with pytest.raises(DomainError, match=named):
             if2_composite(data, req, hyp)
+
+    @pytest.mark.parametrize("composite", [False, True])
+    def test_non_finite_sigma_n_refused_before_the_product(self, composite):
+        # sigma^2 times the scale factor of sigma_n overflows at alpha 1e150;
+        # the refusal comes before M' sigma_n M, so no numpy warning first
+        data = small_data(np.random.default_rng(0))
+        theta = Theta(beta=np.zeros(2), sigma=1.0)
+        hyp = LinearHypothesis.coordinates([1], [0.0], 3)
+
+        def second_order(alpha):
+            req = IFRequest([0.0], theta, alpha, 0)
+            return if2_composite(data, req, hyp) if composite else if2_simple(data, req)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            refusal = r"^matrix is not positive definite \(pivot 0\)$"
+            with pytest.raises(DecompositionError, match=refusal):
+                second_order(1e150)
+            second_order(1e100)
 
     def test_needs_points(self):
         with pytest.raises(DomainError):
