@@ -11,7 +11,7 @@ from importlib import resources
 
 import numpy as np
 
-from .exceptions import DomainError, is_index
+from .exceptions import DomainError, _check_numbers, is_index
 from .model import ModelData
 
 __all__ = [
@@ -156,6 +156,7 @@ def load_dataset(name: str) -> DatasetDescriptor:
 def exclude_rows(data: ModelData, rows_1based) -> ModelData:
     """Drop the given 1-based rows (the bundled outlier convention); each is
     an index by ``is_index``, so a bool or a float is refused."""
+    _check_numbers(rows_1based, "rows_1based")
     rows = list(rows_1based)
     if not all(is_index(r) and 1 <= r <= data.n_obs for r in rows):
         raise DomainError(f"row indices must be integers in 1..{data.n_obs}, got {rows}")

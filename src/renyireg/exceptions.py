@@ -52,11 +52,12 @@ def _check_dimension(what: str, size: int, dim: int, of: str = "parameter") -> N
         raise DomainError(f"{what} does not match {of} dimension: {size} against {dim}")
 
 
-def _check_numbers(value, what: str) -> None:
-    """Refuse ``value``, named ``what`` in the message, where it is a string,
-    which would be read character by character as a sequence of numbers."""
-    if isinstance(value, (str, bytes)):
-        raise DomainError(f"{what} must be a sequence of numbers, got {value!r}")
+def _check_numbers(value, what: str, of: str = "numbers") -> None:
+    """Refuse ``value``, named ``what`` in the message, unless it is a
+    sequence of ``of``: a scalar is not iterable, and a string would be read
+    character by character."""
+    if isinstance(value, (str, bytes)) or not np.iterable(value):
+        raise DomainError(f"{what} must be a sequence of {of}, got {value!r}")
 
 
 class DecompositionError(ArithmeticError):

@@ -54,6 +54,8 @@ class LinearHypothesis:
             raise DomainError(
                 f"m_matrix must be a matrix of one or more columns, got shape {mat.shape}"
             )
+        if vec.ndim != 1:
+            raise DomainError(f"m_vector must be a vector, got shape {vec.shape}")
         if mat.shape[1] != vec.size:
             raise DomainError("restriction matrix and value dimensions differ")
         if not (np.all(np.isfinite(mat)) and np.all(np.isfinite(vec))):
@@ -110,6 +112,8 @@ def wald_statistic(diff: np.ndarray, covariance: np.ndarray, n: int) -> float:
     """
     check_count(n, "n")
     diff = np.atleast_1d(np.asarray(diff, dtype=float))
+    if diff.ndim != 1:
+        raise DomainError(f"diff must be a vector, got shape {diff.shape}")
     cov = np.atleast_2d(np.asarray(covariance, dtype=float))
     try:
         solved = numerics.solve_spd(cov, diff)

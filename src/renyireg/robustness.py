@@ -63,6 +63,8 @@ class IFRequest:
     def __post_init__(self):
         pts = np.atleast_1d(np.asarray(self.contamination_points, dtype=float))
         object.__setattr__(self, "contamination_points", pts)
+        if pts.ndim != 1:
+            raise DomainError(f"contamination_points must be a vector, got shape {pts.shape}")
         if pts.size < 1:
             raise DomainError("need at least one contamination point")
         if not np.all(np.isfinite(pts)):

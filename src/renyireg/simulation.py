@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -123,7 +122,9 @@ class StudyConfig:
             raise DomainError(f"need at least one replication, got {self.replications!r}")
         check_seed(self.seed, "seed")
         _check_numbers(self.alphas, "alphas")
-        _check_numbers(self.sample_sizes, "sample_sizes")
+        if self.sample_sizes is not None:
+            _check_numbers(self.sample_sizes, "sample_sizes")
+        _check_numbers(self.hypotheses, "hypotheses", of="4-value entries")
         if not self.alphas or not self.hypotheses:
             raise DomainError("need at least one alpha and one hypothesis")
         for a in self.alphas:
@@ -294,7 +295,10 @@ def run_study(config: StudyConfig) -> StudyResult:
         for start in range(0, reps, _BLOCK)
     ]
     if config.n_workers > 1:
-        # a pool starts all its workers at its first task, so none beyond the blocks
+        # the pool's modules load here, not on import nor at one worker; a
+        # pool starts all its workers at its first task, so none beyond the blocks
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(config.n_workers, len(tasks))) as pool:
             blocks = list(pool.map(_replication_block, tasks, chunksize=1))
     else:
@@ -343,6 +347,8 @@ def contiguous_table(alphas, d_values, sigma: float, level: float) -> dict:
     the statistic is noncentral chi-square with one degree of freedom and
     noncentrality ``d / sigma_n[1, 1] = d are_beta / sigma^2``.
     """
+    _check_numbers(alphas, "alphas")
+    _check_numbers(d_values, "d_values")
     if not (math.isfinite(sigma) and sigma > 0):
         raise DomainError(f"sigma must be positive, got {sigma}")
     check_probability(level, "level")

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import renyireg
+from renyireg.data import exclude_rows
 from renyireg.estimation import SolverOptions, covariance_mlrm, fit_rp, fit_rp_path
 from renyireg.exceptions import DomainError
 from renyireg.inference import (
@@ -27,6 +28,7 @@ from renyireg.inference import (
     approx_power,
     contiguous_power,
     required_sample_size,
+    wald_statistic,
 )
 from renyireg.model import (
     ModelData,
@@ -404,8 +406,6 @@ def test_cli_refuses_bad_argument(argv, named, tmp_path):
 
 @pytest.mark.parametrize("n", [-5, 0, 2.5])
 def test_wald_statistic_refuses_non_sizes(n):
-    from renyireg.inference import wald_statistic
-
     with pytest.raises(DomainError, match="^n must"):
         wald_statistic(np.ones(2), np.eye(2), n)
 
@@ -464,3 +464,37 @@ def test_study_hypotheses_have_four_values(entry):
     with pytest.raises(DomainError, match="^each hypotheses entry needs 4 values"):
         StudyConfig(hypotheses=(entry,))
 
+
+# a 2-D array where a vector belongs, and a scalar where a sequence belongs:
+# each is refused with its argument's name, not with numpy's TypeError or
+# matmul ValueError, or "object is not iterable"
+SHAPE_TAKERS = {
+    "m_vector": lambda: LinearHypothesis(np.eye(3)[:, :1], np.zeros((1, 1))),
+    "diff": lambda: wald_statistic(np.ones((2, 1)), np.eye(2), 3),
+    "contamination_points": lambda: IFRequest(np.zeros((2, 2)), THETA, 0.5),
+}
+
+SEQUENCE_TAKERS = {
+    "fit_rp_path.alphas": ("alphas", lambda: fit_rp_path(DATA, 0.5)),
+    "StudyConfig.alphas": ("alphas", lambda: StudyConfig(alphas=5)),
+    "StudyConfig.sample_sizes": ("sample_sizes", lambda: StudyConfig(sample_sizes=5)),
+    "StudyConfig.hypotheses": ("hypotheses", lambda: StudyConfig(hypotheses=5)),
+    "contiguous_table.alphas": ("alphas", lambda: contiguous_table(0.5, [5.0], 1.0, 0.05)),
+    "contiguous_table.d_values": ("d_values", lambda: contiguous_table([0.5], 5, 1.0, 0.05)),
+    "exclude_rows": ("rows_1based", lambda: exclude_rows(DATA, 3)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(SHAPE_TAKERS))
+def test_wrong_shapes_are_refused(name):
+    with pytest.raises(DomainError, match=rf"^{name} must be a vector, got shape"):
+        SHAPE_TAKERS[name]()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(SEQUENCE_TAKERS))
+def test_scalars_are_refused_as_sequences(name):
+    named, call = SEQUENCE_TAKERS[name]
+    with pytest.raises(DomainError, match=rf"^{named} must be a sequence of"):
+        call()

@@ -32,8 +32,12 @@ from renyireg import (
 def loaded():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
-report = {"import": loaded()}
+def pool():
+    return [m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules]
+
+report = {"import": loaded(), "pool_at_import": pool()}
 run_study(StudyConfig(replications=2, seed=3))
+report["pool_at_one_worker"] = pool()
 x = np.column_stack([np.ones(30), np.linspace(-1.0, 1.0, 30)])
 data = ModelData(x, x @ [1.0, 2.0] + np.sin(np.arange(30.0)))
 outcome = wald_composite(data, fit_rp(data, 0.5), LinearHypothesis.coordinates([1], [2.0], 3))
@@ -57,6 +61,9 @@ print(json.dumps(report))
     assert report["import"] == []
     assert report["wald"] == []
     assert report["after_power"] == []
+    # only a study on more than one worker loads the process pool's modules
+    assert report["pool_at_import"] == []
+    assert report["pool_at_one_worker"] == []
     assert 0.0 < report["p_value"] < 1.0
     assert 1.0 < report["power"] < 2.0
     assert 0.5 < report["table"] < 0.7

@@ -1,5 +1,6 @@
 """Designs, data generation, replicated studies, and the local-power table."""
 
+import concurrent.futures
 import dataclasses
 import math
 
@@ -114,13 +115,14 @@ class TestRunStudy:
         write_study_csv(run_study(config), tmp_path / "serial.csv")
         tasks = []
 
-        class RecordingPool(simulation.ProcessPoolExecutor):
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
             def map(self, fn, *iterables, **kwargs):
                 tasks.extend((n, start, stop) for _, n, start, stop in iterables[0])
                 assert kwargs["chunksize"] == 1
                 return super().map(fn, *iterables, **kwargs)
 
-        monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
+        # run_study reads the pool from concurrent.futures when it opens one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(simulation, "_BLOCK", block)
         pooled = run_study(dataclasses.replace(config, n_workers=2))
         write_study_csv(pooled, tmp_path / "pooled.csv")
@@ -164,12 +166,12 @@ class TestRunStudy:
         # those of one study per sample size
         pools = []
 
-        class CountingPool(simulation.ProcessPoolExecutor):
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 pools.append(self)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(simulation, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         swept = run_study(tiny_config(sample_sizes=(20, 40), n_workers=workers))
         assert len(pools) == (1 if workers > 1 else 0)
         for n in (20, 40):
@@ -196,7 +198,7 @@ class TestRunStudy:
             def map(self, fn, tasks, chunksize=1):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(simulation, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(simulation, "_BLOCK", 2)
         config = tiny_config(sample_sizes=(20, 40), replications=8)
         pooled = run_study(dataclasses.replace(config, n_workers=workers))
