@@ -181,6 +181,7 @@ def covariance_mlrm(data: ModelData, theta: Theta, alpha: float) -> CovarianceTr
     classical ``diag(sigma^2 (X'X/n)^{-1}, sigma^2/2)``.
     """
     a = check_alpha(alpha)
+    _check_dimension("theta", theta.dim, data.n_params + 1)
     sig2 = theta.sigma * theta.sigma
     sandwich_beta, sandwich_sigma, ratio_beta, ratio_sigma = _normal_factors(a, sig2)
     p = data.n_params

@@ -114,6 +114,8 @@ def wald_statistic(diff: np.ndarray, covariance: np.ndarray, n: int) -> float:
     diff = np.atleast_1d(np.asarray(diff, dtype=float))
     if diff.ndim != 1:
         raise DomainError(f"diff must be a vector, got shape {diff.shape}")
+    if not np.isfinite(diff).all():
+        raise DomainError(f"diff must be finite, got {diff.tolist()}")
     cov = np.atleast_2d(np.asarray(covariance, dtype=float))
     try:
         solved = numerics.solve_spd(cov, diff)
@@ -142,6 +144,7 @@ def wald_simple(data: ModelData, fit: FitResult, theta0: Theta) -> WaldOutcome:
     freedom equal dim(theta) = p + 1.
     """
     _check_dimension("theta0", theta0.dim, data.n_params + 1)
+    _check_dimension("fit", fit.theta_hat.dim, theta0.dim)
     sigma0 = _sigma_n(data.xtx_over_n_inverse, theta0.sigma, fit.alpha)
     diff = fit.theta_hat.to_array() - theta0.to_array()
     stat = wald_statistic(diff, sigma0, data.n_obs)
@@ -153,6 +156,7 @@ def wald_composite(data: ModelData, fit: FitResult, hyp: LinearHypothesis) -> Wa
     (``fit.sigma_n``, which the fit evaluated on ``data``)."""
     theta = fit.theta_hat
     m = hyp.m_matrix
+    _check_dimension("fit", theta.dim, data.n_params + 1)
     _check_dimension("restriction matrix", m.shape[0], theta.dim)
     if not np.isfinite(fit.sigma_n).all():
         raise _indefinite_covariance()

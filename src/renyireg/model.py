@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
-from .exceptions import DomainError, check_alpha
+from .exceptions import DomainError, _check_dimension, check_alpha
 
 __all__ = [
     "Theta",
@@ -442,6 +442,14 @@ def v_weight(family: DensityFamily, i, y, theta: Theta, alpha: float):
     return float(v) if v.ndim == 0 else v
 
 
+def _check_family(family: DensityFamily, data: ModelData, theta: Theta) -> None:
+    """Refuse a family whose directions or parameter are not ``data``'s or ``theta``'s."""
+    n = family.n_directions
+    if n != data.n_obs:
+        raise DomainError(f"family has {n} directions but the data {data.n_obs} observations")
+    _check_dimension("theta", theta.dim, family.param_dim)
+
+
 def objective(family: DensityFamily, data: ModelData, theta: Theta, alpha: float) -> float:
     """Sample objective whose maximizer is the estimator.
 
@@ -449,6 +457,7 @@ def objective(family: DensityFamily, data: ModelData, theta: Theta, alpha: float
     log-likelihood at ``alpha = 0``.  One family call on all observations.
     """
     check_alpha(alpha)
+    _check_family(family, data, theta)
     i, y = np.arange(data.n_obs), data.response
     if alpha == 0.0:
         return float(np.mean(family.log_density(i, y, theta)))
@@ -474,6 +483,7 @@ def score(family: DensityFamily, data: ModelData, theta: Theta, alpha: float) ->
     ``ArithmeticError`` raised, where :func:`_power_mass` is.
     """
     check_alpha(alpha)
+    _check_family(family, data, theta)
     i, y = np.arange(data.n_obs), data.response
     u = family.score_vector(i, y, theta)
     if alpha == 0.0:

@@ -9,7 +9,6 @@ outputs, and RNG streams are fully specified by ``(seed, stream_id)``.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -334,7 +333,7 @@ def integrate(fn, center, scale):
 # ---------------------------------------------------------------------------
 
 # orders up to which solve_spd factors in Python floats: at these sizes two
-# LAPACK dispatches cost more than the arithmetic
+# LAPACK dispatches cost more than the arithmetic, even of the row loop
 _SMALL_ORDER = 4
 _EPS = float(np.finfo(float).eps)
 
@@ -343,25 +342,22 @@ def _not_positive_definite(j: int) -> DecompositionError:
     return DecompositionError(f"matrix is not positive definite (pivot {j})", pivot=j)
 
 
-def _pivot_rule(rows: list) -> None:
-    """Raise the pivot at which a Cholesky of the matrix with rows ``rows``
-    fails in Python floats, if it does.
+def _cholesky_solve(rows: list, cols: list) -> list:
+    """Solve ``a @ x = c`` for each list ``c`` in ``cols``, in place, by a
+    Cholesky in Python floats of the matrix ``a`` with rows ``rows``.
 
-    Row ``j`` of the lower factor completes the factor of the leading
-    ``j + 1`` block, so the first row that fails is the pivot.  A row fails
-    when that block holds a non-finite entry (upper triangle included) or
-    its pivot ``d`` is at or below ``order * eps * a[j][j]``: the matrix is
-    then not positive definite to working precision.
+    Row ``j`` of the factor completes the factor of the leading ``j + 1``
+    block, so the first row that fails is the pivot raised, with ``cols``
+    empty too.  A row fails when that block holds a non-finite entry (upper
+    triangle included) or its pivot ``d`` is at or below ``order * eps *
+    a[j][j]``: the matrix is then not positive definite to working precision.
     """
     n = len(rows)
-    bad = n  # first index whose leading block holds a non-finite entry
-    if not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
-        bad = min(
-            max(i, j)
-            for i, row in enumerate(rows)
-            for j, v in enumerate(row)
-            if not math.isfinite(v)
-        )
+    # the first index whose leading block holds a non-finite entry
+    bad = min(
+        (max(i, j) for i, r in enumerate(rows) for j, v in enumerate(r) if not math.isfinite(v)),
+        default=n,
+    )
     low = []
     for j in range(n):
         if j == bad:
@@ -381,41 +377,24 @@ def _pivot_rule(rows: list) -> None:
             raise _not_positive_definite(j)
         lj.append(math.sqrt(d))
         low.append(lj)
+    for x in cols:
+        for j, lj in enumerate(low):
+            t = x[j]
+            for k in range(j):
+                t -= lj[k] * x[k]
+            x[j] = t / lj[j]
+        for j in range(n - 1, -1, -1):
+            lj = low[j]
+            xj = x[j] = x[j] / lj[j]
+            for k in range(j):
+                x[k] -= lj[k] * xj
+    return cols
 
 
-# The straight-line solves below make the operations of ``_pivot_rule``'s
-# factor, in its order, then for each right-hand side a forward and a back
-# substitution, and return the solutions as lists.  Each tests only the
-# upper triangle of a leading block for a non-finite entry: one in row j's
-# lower triangle or diagonal carries into d_j as NaN or -inf (or a_jj is
-# +inf), and fails the pivot rule at the same j.
-
-def _solve1(rows: list, cols: list) -> list:
-    ((a00,),) = rows
-    if not a00 > _EPS * a00:
-        raise _not_positive_definite(0)
-    l00 = math.sqrt(a00)
-    return [[b0 / l00 / l00] for (b0,) in cols]
-
-
-def _solve2(rows: list, cols: list) -> list:
-    (a00, a01), (a10, a11) = rows
-    tol = 2 * _EPS
-    if not a00 > tol * a00:
-        raise _not_positive_definite(0)
-    l00 = math.sqrt(a00)
-    l10 = a10 / l00
-    d = a11 - l10 * l10
-    if not (d > tol * a11 and math.isfinite(a01)):
-        raise _not_positive_definite(1)
-    l11 = math.sqrt(d)
-    out = []
-    for b0, b1 in cols:
-        y0 = b0 / l00
-        x1 = (b1 - l10 * y0) / l11 / l11
-        out.append([(y0 - l10 * x1) / l00, x1])
-    return out
-
+# Order 3, an intercept and one covariate as in every study, unrolled:
+# ``_cholesky_solve``'s operations in its order.  Only the upper triangle of
+# a leading block is tested for a non-finite entry; one in row j's lower
+# triangle or diagonal makes d_j NaN or -inf (or a_jj is +inf), failing at j.
 
 def _solve3(rows: list, cols: list) -> list:
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = rows
@@ -444,52 +423,13 @@ def _solve3(rows: list, cols: list) -> list:
     return out
 
 
-def _solve4(rows: list, cols: list) -> list:
-    (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = rows
-    tol = 4 * _EPS
-    if not a00 > tol * a00:
-        raise _not_positive_definite(0)
-    l00 = math.sqrt(a00)
-    l10 = a10 / l00
-    d = a11 - l10 * l10
-    if not (d > tol * a11 and math.isfinite(a01)):
-        raise _not_positive_definite(1)
-    l11 = math.sqrt(d)
-    l20 = a20 / l00
-    l21 = (a21 - l20 * l10) / l11
-    d = a22 - l20 * l20 - l21 * l21
-    if not (d > tol * a22 and math.isfinite(a02) and math.isfinite(a12)):
-        raise _not_positive_definite(2)
-    l22 = math.sqrt(d)
-    l30 = a30 / l00
-    l31 = (a31 - l30 * l10) / l11
-    l32 = (a32 - l30 * l20 - l31 * l21) / l22
-    d = a33 - l30 * l30 - l31 * l31 - l32 * l32
-    if not (d > tol * a33 and math.isfinite(a03) and math.isfinite(a13) and math.isfinite(a23)):
-        raise _not_positive_definite(3)
-    l33 = math.sqrt(d)
-    out = []
-    for b0, b1, b2, b3 in cols:
-        y0 = b0 / l00
-        y1 = (b1 - l10 * y0) / l11
-        y2 = (b2 - l20 * y0 - l21 * y1) / l22
-        x3 = (b3 - l30 * y0 - l31 * y1 - l32 * y2) / l33 / l33
-        x2 = (y2 - l32 * x3) / l22
-        x1 = (y1 - l31 * x3 - l21 * x2) / l11
-        out.append([(y0 - l30 * x3 - l20 * x2 - l10 * x1) / l00, x1, x2, x3])
-    return out
-
-
-# the straight-line solve of each order 1 .. _SMALL_ORDER
-_SMALL_SOLVES = (_solve1, _solve2, _solve3, _solve4)
-
-
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``a @ x = b`` for symmetric positive-definite ``a``.
 
-    At orders 1 to ``_SMALL_ORDER`` the matrix is factored once by a
-    Cholesky in straight-line Python-float code (``_solve1`` .. ``_solve4``);
-    larger orders go to LAPACK, with a Cholesky as the check and an LU
+    At orders 1 to ``_SMALL_ORDER`` the matrix is factored once in Python
+    floats: by the unrolled ``_solve3`` at order 3, the order of an
+    intercept and one covariate, else by the row loop ``_cholesky_solve``.
+    Larger orders go to LAPACK, with a Cholesky as the check and an LU
     solve.
 
     Raises
@@ -497,8 +437,8 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     DecompositionError
         If ``a`` has a non-finite entry or is not positive definite to
         working precision.  The attached pivot is the row at which
-        ``_pivot_rule`` fails (on the LAPACK path, the last index when that
-        rule passes a matrix LAPACK rejected).
+        ``_cholesky_solve``'s factor fails (on the LAPACK path, the last
+        index when that factor passes a matrix LAPACK rejected).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -507,7 +447,7 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if b.shape[0] != a.shape[0]:
         raise DomainError("dimension mismatch between matrix and right-hand side")
     if 0 < a.shape[0] <= _SMALL_ORDER and b.ndim <= 2:
-        solve = _SMALL_SOLVES[a.shape[0] - 1]
+        solve = _solve3 if a.shape[0] == 3 else _cholesky_solve
         if b.ndim == 1:
             return np.array(solve(a.tolist(), [b.tolist()])[0])
         # one solve per column of b, transposed back to b's layout
@@ -521,7 +461,7 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             # Cholesky can pass by rounding on a matrix that is singular to
             # working precision; the LU step then meets a zero pivot
             pass
-    _pivot_rule(a.tolist())
+    _cholesky_solve(a.tolist(), [])
     raise _not_positive_definite(a.shape[0] - 1)
 
 

@@ -30,7 +30,7 @@ from . import numerics
 from .estimation import _normal_factors, _sigma_n
 from .exceptions import DecompositionError, DomainError, _check_dimension, check_alpha, is_index
 from .inference import LinearHypothesis
-from .model import DensityFamily, ModelData, Theta, _power_mass
+from .model import DensityFamily, ModelData, Theta, _check_family, _power_mass
 
 __all__ = [
     "IFRequest",
@@ -118,11 +118,8 @@ def if_general(family: DensityFamily, data: ModelData, req: IFRequest) -> IFRepo
     left is the tilted score covariance j2 / j0 - m m', m = j1 / j0.  Where
     j0 is not a positive normal double, ``ArithmeticError`` names alpha.
     """
-    n = family.n_directions
-    if n != data.n_obs:
-        raise DomainError(f"family has {n} directions but the data {data.n_obs} observations")
-    theta, alpha = req.theta, req.alpha
-    _check_dimension("theta", theta.dim, family.param_dim)
+    theta, alpha, n = req.theta, req.alpha, data.n_obs
+    _check_family(family, data, theta)
     c = alpha + 1.0
     pts = req.contamination_points
     hit = np.zeros(n, dtype=bool)
@@ -257,6 +254,7 @@ def gross_error_sensitivity(data: ModelData, i0: int, theta: Theta, alpha: float
     """
     if not is_index(i0, data.n_obs):
         raise DomainError(f"direction {i0!r} is not an index in 0..{data.n_obs - 1}")
+    _check_dimension("theta", theta.dim, data.n_params + 1)
     a = check_alpha(alpha)
     if a == 0.0:
         return UNBOUNDED_SENSITIVITY, UNBOUNDED_SENSITIVITY

@@ -25,7 +25,7 @@ import numpy as np
 from .data import write_csv, write_json
 from .estimation import fit_rp_path
 from .exceptions import DegenerateFitError, DomainError, check_alpha, check_probability
-from .exceptions import _check_numbers, check_seed, is_index
+from .exceptions import _check_dimension, _check_numbers, check_seed, is_index
 from .inference import _coordinate_p_value
 from .model import Design, ModelData, Theta
 from .numerics import RngStream, chisq_quantile, noncentral_chisq_sf
@@ -216,6 +216,7 @@ def generate_data(
 ) -> np.ndarray:
     """Draw one response vector; contaminated rows use the swapped
     regression vector with the same error scale."""
+    _check_dimension("theta", theta.dim, design.shape[1] + 1)
     return _means(design, [theta], contamination)[0] + theta.sigma * rng.normal(design.shape[0])
 
 

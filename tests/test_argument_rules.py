@@ -28,6 +28,8 @@ from renyireg.inference import (
     approx_power,
     contiguous_power,
     required_sample_size,
+    wald_composite,
+    wald_simple,
     wald_statistic,
 )
 from renyireg.model import (
@@ -48,7 +50,13 @@ from renyireg.robustness import (
     if_general,
     if_mlrm_closed,
 )
-from renyireg.simulation import ContaminationSpec, DesignSpec, StudyConfig, contiguous_table
+from renyireg.simulation import (
+    ContaminationSpec,
+    DesignSpec,
+    StudyConfig,
+    contiguous_table,
+    generate_data,
+)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 ALPHAS = st.floats()
@@ -497,4 +505,62 @@ def test_wrong_shapes_are_refused(name):
 def test_scalars_are_refused_as_sequences(name):
     named, call = SEQUENCE_TAKERS[name]
     with pytest.raises(DomainError, match=rf"^{named} must be a sequence of"):
+        call()
+
+
+# a parameter, fit or family of another dimension than the data's, and a
+# non-finite Wald difference: each is refused by name, not answered from
+# the entries that happen to line up, nor with matmul's or broadcasting's
+# ValueError, nor with NaN
+THETA_4 = Theta(beta=[1.0, 2.0, 3.0, 4.0], sigma=1.0)
+
+
+def intercept_fit():
+    return fit_rp(ModelData(DATA.design[:, :1], DATA.response), 0.5)
+
+
+DIMENSION_TAKERS = {
+    "covariance_mlrm": ("theta does not match", lambda: covariance_mlrm(DATA, THETA_4, 0.5)),
+    "gross_error_sensitivity": (
+        "theta does not match",
+        lambda: gross_error_sensitivity(DATA, 0, THETA_4, 0.5),
+    ),
+    "wald_simple": ("fit does not match", lambda: wald_simple(DATA, intercept_fit(), THETA)),
+    "wald_composite": (
+        "fit does not match",
+        lambda: wald_composite(DATA, intercept_fit(), LinearHypothesis.coordinates([0], [0.0], 2)),
+    ),
+    "wald_statistic.nan": ("diff must be finite", lambda: wald_statistic([math.nan], [[1.0]], 3)),
+    "wald_statistic.inf": (
+        "diff must be finite",
+        lambda: wald_statistic([1.0, -math.inf], np.eye(2), 3),
+    ),
+    "generate_data": (
+        "theta does not match",
+        lambda: generate_data(DATA.design, THETA_4, None, RngStream(0)),
+    ),
+    "objective.directions": (
+        "family has 5 directions",
+        lambda: objective(NormalLinearFamily(DATA.design[:5]), DATA, THETA, 0.5),
+    ),
+    "objective.theta": (
+        "theta does not match",
+        lambda: objective(NormalLinearFamily(DATA.design), DATA, THETA_4, 0.5),
+    ),
+    "score.directions": (
+        "family has 5 directions",
+        lambda: score(NormalLinearFamily(DATA.design[:5]), DATA, THETA, 0.5),
+    ),
+    "score.theta": (
+        "theta does not match",
+        lambda: score(QuadratureFamily(NormalLinearFamily(DATA.design)), DATA, THETA_4, 0.5),
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(DIMENSION_TAKERS))
+def test_wrong_dimensions_are_refused(name):
+    named, call = DIMENSION_TAKERS[name]
+    with pytest.raises(DomainError, match=f"^{named}"):
         call()

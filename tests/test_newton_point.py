@@ -81,8 +81,8 @@ def counting(monkeypatch, name):
 @pytest.mark.parametrize("p", [1, 2, 3, 5])
 def test_each_newton_step_is_one_solve_spd_call(monkeypatch, p):
     """A converged stage solves once per accepted step and once for its
-    closing step, each through ``solve_spd``: orders 2 to 4 take the
-    straight-line solve, order 6 LAPACK."""
+    closing step, each through ``solve_spd``: order 3 takes the unrolled
+    solve, orders 2 and 4 the row loop, order 6 LAPACK."""
     n = 200
     gen = np.random.default_rng(p)
     x = np.asfortranarray(np.column_stack([np.ones(n), gen.standard_normal((n, p - 1))]))

@@ -489,9 +489,10 @@ class TestIntegrate:
 
 class _SpdContract:
     """The error contract of ``solve_spd`` at order ``ORDER``: the
-    subclasses run it at every order of the straight-line Python-float
-    Cholesky and above the cut, where LAPACK solves.  An entry or block
-    that the order does not hold is taken modulo the order."""
+    subclasses run it at every order of the Python-float Cholesky (the
+    unrolled order 3 and the row loop) and above the cut, where LAPACK
+    solves.  An entry or block that the order does not hold is taken modulo
+    the order."""
 
     ORDER: int
 

@@ -1,5 +1,6 @@
-"""The straight-line Cholesky solves of ``numerics.solve_spd`` at orders 1 to
-``numerics._SMALL_ORDER`` against the row loop they replace, bit for bit.
+"""The Python-float Cholesky solves of ``numerics.solve_spd`` at orders 1 to
+``numerics._SMALL_ORDER``, the unrolled order 3 and the row loop of the
+others, against a reference loop, bit for bit.
 
 ``reference_solve`` is that loop: row ``j`` of the lower factor completes
 the factor of the leading ``j + 1`` block and advances every forward
@@ -90,8 +91,25 @@ def compare(a: np.ndarray, b: np.ndarray):
     return mine
 
 
-def test_every_small_order_has_one_straight_line_solve():
-    assert len(set(numerics._SMALL_SOLVES)) == len(numerics._SMALL_SOLVES) == SMALL
+def test_order_three_is_unrolled_and_every_other_order_loops(monkeypatch):
+    """Order 3 goes through ``_solve3``; orders 1, 2 and 4, and the pivot of
+    a matrix that LAPACK refuses above them, through ``_cholesky_solve``."""
+    calls = []
+    for name in ("_solve3", "_cholesky_solve"):
+        def counted(rows, cols, name=name, solve=getattr(numerics, name)):
+            calls.append((name, len(rows)))
+            return solve(rows, cols)
+
+        monkeypatch.setattr(numerics, name, counted)
+    for k in range(1, SMALL + 1):
+        assert numerics.solve_spd(2.0 * np.eye(k), np.ones(k)) == pytest.approx(0.5)
+    a = np.eye(SMALL + 2)
+    a[-1, -1] = -1.0
+    with pytest.raises(DecompositionError) as err:
+        numerics.solve_spd(a, np.ones(SMALL + 2))
+    assert err.value.pivot == SMALL + 1
+    loop = [("_cholesky_solve", k) for k in (1, 2, 4, SMALL + 2)]
+    assert calls == loop[:2] + [("_solve3", 3)] + loop[2:]
 
 
 def test_order_zero_gives_empty_solutions():
