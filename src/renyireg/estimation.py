@@ -67,10 +67,14 @@ class FitResult:
         # reached only where ``name`` is not set: a robust fit's two values
         if name not in ("objective_value", "gradient_norm"):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        closing = vars(self).get("_closing")
+        if closing is None:
+            # another reader set both values, then dropped the pending state
+            return vars(self)[name]
         # the stage's end, on the problem it ran on, in the response's units,
         # where both scale as sigma^(-a/(1+a)) and the gradient norm by a
         # further 1/sigma
-        data, mle, stage = self._closing
+        data, mle, stage = closing
         x, y, unit, _ = _centred_problem(data, mle)
         _close(x, y, self.alpha, stage)
         factor = unit ** (-self.alpha / (1 + self.alpha))
@@ -437,7 +441,10 @@ def _close(x, y, a, stage) -> _Stage:
     ``stage``."""
     if stage.value is None:
         with np.errstate(under="ignore"):
-            stage.value, stage.gradient, _ = _objective_grad_hess(x, y, stage.beta, stage.s, a)
+            value, stage.gradient, _ = _objective_grad_hess(x, y, stage.beta, stage.s, a)
+        # the value last: a reader in another thread that finds it set reads
+        # the gradient too
+        stage.value = value
     return stage
 
 

@@ -133,6 +133,16 @@ def _indefinite_covariance() -> DecompositionError:
     )
 
 
+def _finite_covariance(covariance) -> np.ndarray:
+    """``covariance`` as a matrix, refused with ``_indefinite_covariance``
+    where an entry is not finite, before a product with it spreads NaN and
+    warns."""
+    covariance = np.atleast_2d(covariance)
+    if not np.isfinite(covariance).all():
+        raise _indefinite_covariance()
+    return covariance
+
+
 def _outcome(stat: float, df: int) -> WaldOutcome:
     return WaldOutcome(statistic=stat, df=df, p_value=float(numerics.chisq_sf(stat, df)))
 
@@ -158,10 +168,9 @@ def wald_composite(data: ModelData, fit: FitResult, hyp: LinearHypothesis) -> Wa
     m = hyp.m_matrix
     _check_dimension("fit", theta.dim, data.n_params + 1)
     _check_dimension("restriction matrix", m.shape[0], theta.dim)
-    if not np.isfinite(fit.sigma_n).all():
-        raise _indefinite_covariance()
+    sigma_n = _finite_covariance(fit.sigma_n)
     diff = m.T @ theta.to_array() - hyp.m_vector
-    stat = wald_statistic(diff, m.T @ fit.sigma_n @ m, data.n_obs)
+    stat = wald_statistic(diff, m.T @ sigma_n @ m, data.n_obs)
     return _outcome(stat, hyp.n_restrictions)
 
 
@@ -193,9 +202,9 @@ def _power_terms(theta_star: Theta, theta0: Theta, sigma_provider) -> tuple:
     diff = theta_star.to_array() - theta0.to_array()
     if not np.any(diff != 0.0):
         return 0.0, 0.0
-    inv_diff = numerics.solve_spd(np.atleast_2d(sigma_provider(theta0)), diff)
+    inv_diff = numerics.solve_spd(_finite_covariance(sigma_provider(theta0)), diff)
     ell = float(diff @ inv_diff)
-    var_w = float(4.0 * inv_diff @ np.atleast_2d(sigma_provider(theta_star)) @ inv_diff)
+    var_w = float(4.0 * inv_diff @ _finite_covariance(sigma_provider(theta_star)) @ inv_diff)
     if var_w <= 0.0:
         raise DomainError("degenerate direction: the power expansion has zero variance")
     return ell, math.sqrt(var_w)
@@ -271,7 +280,9 @@ def contiguous_power(
 
     Under that drifting alternative the statistic is noncentral chi-square
     with r degrees of freedom and noncentrality
-    ``delta = (M'd)' [M' sigma_n M]^{-1} (M'd)``.
+    ``delta = (M'd)' [M' sigma_n M]^{-1} (M'd)``.  A non-finite shift
+    raises DomainError, a non-finite ``sigma_n`` ``wald_composite``'s
+    DecompositionError.
     """
     check_probability(level, "level")
     d = np.atleast_1d(np.asarray(d, dtype=float))
@@ -280,8 +291,10 @@ def contiguous_power(
     _check_dimension("shift vector", d.size, m.shape[0])
     for side in sigma_n.shape:
         _check_dimension("sigma_n", side, m.shape[0])
+    if not np.isfinite(d).all():
+        raise DomainError(f"contiguous_power needs a finite shift vector d, got {d.tolist()}")
     d_star = m.T @ d
-    inner = m.T @ sigma_n @ m
+    inner = m.T @ _finite_covariance(sigma_n) @ m
     delta = float(d_star @ numerics.solve_spd(inner, d_star))
     r = hyp.n_restrictions
     crit = numerics.chisq_quantile(r, level)

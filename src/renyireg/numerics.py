@@ -107,6 +107,10 @@ def _chisq_sf_scalar(x: float, df: int) -> float:
         return 1.0
     if h == math.inf:
         return 0.0
+    if df > 2 and x < df:
+        # below the mean the lower series is short, about sqrt(df) terms
+        # against the sum's df / 2, and 1 - P is above 0.39
+        return 1.0 - _chisq_cdf_scalar(x, df)
     # Q(a, h) = Q(a - 1, h) + h^{a-1} e^{-h} / Gamma(a) down to Q(1, h) = e^{-h}
     # (even df) or Q(1/2, h) = erfc(sqrt h) (odd df)
     start = 0.5 * (df % 2)
@@ -121,7 +125,8 @@ def chisq_sf(x, df):
 
     Evaluated by the exact finite sum of the upper incomplete gamma function
     at integer and half-integer order, each term in log space, so the tail
-    stays accurate where ``e^{-x/2}`` underflows.  ``x <= 0`` gives 1.  A
+    stays accurate where ``e^{-x/2}`` underflows; below the mean, ``x < df``
+    with ``df > 2``, as 1 minus the lower series.  ``x <= 0`` gives 1.  A
     scalar ``x`` gives a float, an array one an array of its shape.
 
     Raises
@@ -221,6 +226,9 @@ def noncentral_chisq_sf(x, df, delta):
     half = int(10.0 * math.sqrt(lam) + 20.0)
     lo = max(0, int(lam) - half)
     tail, total, mass = _chisq_sf_scalar(x, df + 2 * lo), 0.0, 0.0
+    if tail >= 1.0:
+        # every later tail is larger, so the mixture over its mass is 1 too
+        return 1.0
     for j in range(lo, int(lam) + half + 1):
         p = math.exp(_log_gamma_term(j, lam))
         total, mass = total + p * tail, mass + p

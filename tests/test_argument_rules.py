@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import renyireg
 from renyireg.data import exclude_rows
 from renyireg.estimation import SolverOptions, covariance_mlrm, fit_rp, fit_rp_path
-from renyireg.exceptions import DomainError
+from renyireg.exceptions import DecompositionError, DomainError
 from renyireg.inference import (
     LinearHypothesis,
     WaldOutcome,
@@ -421,6 +421,60 @@ def test_wald_statistic_refuses_non_sizes(n):
 def test_approx_power_refuses_zero_size():
     with pytest.raises(DomainError, match="^n must"):
         approx_power(THETA_STAR, THETA, 0.5, 0, 0.05, lambda t: np.eye(3))
+
+
+def sigma_with(value, at):
+    """``sigma_at``, but every entry ``value`` at the point ``at``."""
+    return lambda theta: np.full((3, 3), value) if theta is at else sigma_at(theta)
+
+
+# a non-finite covariance is refused as wald_composite refuses a non-finite
+# sigma_n, and a non-finite shift by name, each before a product with it
+# could warn or carry NaN into the answer
+COVARIANCE = (DecompositionError, "^covariance not positive definite")
+SHIFT = (DomainError, "^contiguous_power needs a finite shift vector d")
+NON_FINITE_POWER_INPUTS = {
+    "approx_power.theta_star": (
+        *COVARIANCE,
+        lambda: approx_power(THETA_STAR, THETA, 0.5, 50, 0.05, sigma_with(math.inf, THETA_STAR)),
+    ),
+    "approx_power.theta0": (
+        *COVARIANCE,
+        lambda: approx_power(THETA_STAR, THETA, 0.5, 50, 0.05, sigma_with(math.inf, THETA)),
+    ),
+    "required_sample_size.inf": (
+        *COVARIANCE,
+        lambda: required_sample_size(
+            THETA_STAR, THETA, 0.5, 0.8, 0.05, sigma_with(math.inf, THETA_STAR)
+        ),
+    ),
+    "required_sample_size.nan": (
+        *COVARIANCE,
+        lambda: required_sample_size(
+            THETA_STAR, THETA, 0.5, 0.8, 0.05, sigma_with(math.nan, THETA_STAR)
+        ),
+    ),
+    "contiguous_power.sigma_n": (
+        *COVARIANCE,
+        lambda: contiguous_power(HYP, [0.0, 1.0, 0.0], 0.05, np.diag([1.0, 1.0, math.inf])),
+    ),
+    "contiguous_power.d_nan": (
+        *SHIFT,
+        lambda: contiguous_power(HYP, [0.0, math.nan, 0.0], 0.05, np.eye(3)),
+    ),
+    "contiguous_power.d_inf": (
+        *SHIFT,
+        lambda: contiguous_power(HYP, [math.inf, 1.0, 0.0], 0.05, np.eye(3)),
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(NON_FINITE_POWER_INPUTS))
+def test_power_refuses_non_finite_inputs(name):
+    error, message, call = NON_FINITE_POWER_INPUTS[name]
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_fit_init_of_wrong_dimension():

@@ -5,6 +5,8 @@ import dataclasses
 import itertools
 import math
 import pickle
+import sys
+import threading
 import warnings
 from types import SimpleNamespace
 
@@ -341,12 +343,16 @@ class TestCovariance:
         cov = covariance_mlrm(data, Theta(beta=np.zeros(2), sigma=1.0), 0.7)
         assert np.all(cov.sigma_n[:2, 2] == 0.0) and np.all(cov.sigma_n[2, :2] == 0.0)
 
-    def test_sandwich_equals_one_factor_per_entry(self):
+    @pytest.mark.parametrize("small_order", [0, 6])
+    def test_sandwich_equals_one_factor_per_entry(self, small_order, monkeypatch):
         """The coefficient block, per entry up to order
         ``numerics._SMALL_ORDER`` and in one array expression above it, has
         the bits of one factor call per entry in Python floats, from p = 1
         to 5, sigma from 1e-150 to 1e150 and alpha from 0 to 1e300, with
-        exact zeros: inf where a product overflows, and no warning."""
+        exact zeros: inf where a product overflows, and no warning.  The
+        order is patched to 0, which sends p = 1 to 5 to the array form, and
+        to 6, which sends them to the per-entry form."""
+        monkeypatch.setattr(numerics, "_SMALL_ORDER", small_order)
         gen = np.random.default_rng(2023)
         for case in range(5000):
             p = int(gen.integers(1, 6))
@@ -1033,6 +1039,46 @@ class TestPendingClosingPoint:
         assert self.bits(fit) == self.bits(ref[1.0])
         with pytest.raises(AttributeError, match="'FitResult' object has no attribute 'value'"):
             fit_rp_path(data, self.ALPHAS)[1.0].value
+
+    def test_late_reader_gets_the_value(self):
+        # a reader that found the value unset enters __getattr__ after
+        # another reader set it and dropped the pending state
+        fit = fit_rp_path(load_dataset("first_word").data, self.ALPHAS)[1.0]
+        want = self.bits(fit)
+        late = [FitResult.__getattr__(fit, name) for name in ("objective_value", "gradient_norm")]
+        assert tuple(v.hex() for v in late) == want
+        assert set(vars(fit)) == {f.name for f in dataclasses.fields(FitResult)}
+
+    def test_concurrent_readers_get_the_value(self):
+        # eight threads read each fresh pending fit at once, with a thread
+        # switch every microsecond; a late reader left unserved loses about
+        # one round in thirty to AttributeError
+        data = load_dataset("first_word").data
+        want = self.bits(fit_rp_path(data, [1.0])[1.0])
+        readers, rounds = 8, 200
+        got = []
+
+        def read(fit, barrier):
+            barrier.wait(timeout=30)
+            try:
+                got.append(self.bits(fit))
+            except Exception as err:  # recorded, and compared below
+                got.append(repr(err))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(rounds):
+                args = (fit_rp_path(data, [1.0])[1.0], threading.Barrier(readers))
+                threads = [threading.Thread(target=read, args=args) for _ in range(readers)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want] * (rounds * readers)
 
     def test_read_inside_caller_error_state(self):
         # rows 100 sigma out have weights that underflow to 0

@@ -135,6 +135,17 @@ class TestChisqSurvival:
         for df in (1599, 1600):
             self._assert_matches_scipy(x, df)
 
+    def test_large_df_below_the_mean(self):
+        # below the mean the tail is 1 minus the lower series, about
+        # sqrt(df) terms; the finite sum's df / 2 took 2.2 s at df 1e7.
+        # Rounding in the log of the first term, whose parts are near 1e8
+        # there, costs up to 1.3e-8 relative
+        for df in (10**4, 10**7):
+            x = np.array([0.9 * df, df - 3.0 * math.sqrt(2.0 * df), df - 0.5])
+            np.testing.assert_allclose(
+                numerics.chisq_sf(x, df), scipy.stats.chi2.sf(x, df), rtol=5e-8, atol=0
+            )
+
     @pytest.mark.parametrize("shape", [(), (0,), (3,), (2, 3), (1, 4, 1)])
     def test_array_shape_preserved(self, shape):
         x = np.arange(math.prod(shape), dtype=float).reshape(shape) + 0.5
@@ -239,6 +250,13 @@ class TestNoncentralChisq:
             assert numerics.noncentral_chisq_sf(math.inf, df, 4.0) == 0.0
             # delta / 2 underflows: the central tail
             assert numerics.noncentral_chisq_sf(2.0, df, 5e-324) == numerics.chisq_sf(2.0, df)
+
+    def test_huge_noncentrality(self):
+        # the Poisson window starts near delta / 2 terms up, where the
+        # central tail is already 1: so is every later one and the mixture,
+        # without a pass over the window's 20 sqrt(delta / 2) terms
+        for delta in (1e5, 1e8, 1e12):
+            assert numerics.noncentral_chisq_sf(5.0, 3, delta) == 1.0
 
     def test_power_at_large_shift(self):
         table = contiguous_table((0.0, 0.5), (1600,), 1.0, 0.05)
